@@ -159,7 +159,8 @@ class Runtime final : public Context, public mpi::PmpiHooks {
  public:
   /// `comm` may be nullptr (single-rank); `arbiter` may be nullptr (then
   /// the DRAM arena alone bounds placement).  unimem_init: spawns the
-  /// helper thread, calibrates the model (cached per configuration).
+  /// helper thread and calibrates the model (every construction re-runs
+  /// the calibration; nothing is cached across Runtimes).
   Runtime(RuntimeOptions opts, mem::HeteroMemory* hms,
           mem::DramArbiter* arbiter, mpi::Comm* comm);
   ~Runtime() override;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 
 #include "baselines/static_context.h"
 #include "baselines/xmen.h"
@@ -151,9 +152,30 @@ PassResult run_pass(const RunConfig& cfg, Policy policy,
   return out;
 }
 
+/// Planner::plan sends every >2-tier plan to plan_tiered, which reads none
+/// of these knobs; name the first one set rather than ignore it silently.
+/// (replan_epoch is not listed: the re-planner re-solves on any ladder.)
+void reject_ignored_tier_knobs(const RunConfig& cfg) {
+  if (cfg.policy != Policy::kUnimem || cfg.tiers.empty()) return;
+  const rt::RuntimeOptions& u = cfg.unimem;
+  const char* knob =
+      u.dag_schedule == rt::DagSchedule::kSlack ? "dag_schedule=slack"
+      : !u.enable_global_search                 ? "enable_global_search=false"
+      : !u.enable_local_search                  ? "enable_local_search=false"
+                                                : nullptr;
+  if (knob == nullptr) return;
+  const std::size_t tiers = mem::parse_topology(cfg.tiers).num_tiers();
+  if (tiers <= 2) return;
+  throw std::invalid_argument(
+      std::string("run_once: ") + knob + " has no effect on the " +
+      std::to_string(tiers) + "-tier topology '" + cfg.tiers +
+      "' (the N-tier planner ignores it); drop the knob or use 2 tiers");
+}
+
 }  // namespace
 
 RunResult run_once(const RunConfig& cfg) {
+  reject_ignored_tier_knobs(cfg);
   std::vector<std::string> manual = cfg.manual_dram;
   Policy policy = cfg.policy;
 

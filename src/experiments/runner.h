@@ -73,7 +73,11 @@ struct RunResult {
 };
 
 /// Run one configuration to completion.  For Policy::kXMen this runs the
-/// offline profiling pass first, then the measured pass.
+/// offline profiling pass first, then the measured pass.  Throws
+/// std::invalid_argument, before any World exists, for a Policy::kUnimem
+/// run on a topology of more than 2 tiers that sets a knob the N-tier
+/// planner never reads: dag_schedule=slack, or either search technique
+/// switched off.
 RunResult run_once(const RunConfig& cfg);
 
 /// Convenience: time of `cfg` normalized to a DRAM-only run of the same

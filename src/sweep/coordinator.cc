@@ -103,7 +103,7 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
     if (chunk == 0)
       // With stealing, give every worker a few chunks so there is
       // something to steal; without it, chunking only adds dispatch
-      // overhead — one task per worker, like run_sharded_processes.
+      // overhead — one task per worker (the `--shards N` topology).
       chunk = opts.steal ? std::max<std::size_t>(1, slice.size() / 4)
                          : slice.size();
     for (std::size_t b = 0; b < slice.size(); b += chunk) {
@@ -195,7 +195,9 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
   std::vector<int> free_slots;
   for (int w = opts.workers - 1; w >= 0; --w) free_slots.push_back(w);
 
-  while (done < n) {
+  // Row events can finalize every point before the tasks that ran them
+  // have finished, so keep waiting until each task's sidecar is in too.
+  while (done < n || !active.empty()) {
     for (std::size_t i = free_slots.size(); i-- > 0;) {
       if (dispatch(free_slots[i]))
         free_slots.erase(free_slots.begin() + static_cast<std::ptrdiff_t>(i));
@@ -208,7 +210,14 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
     auto [slot, status] = opts.launcher->wait_any();
     const auto ait = active.find(slot);
     if (ait == active.end())
-      throw std::logic_error("run_campaign: completion for idle slot");
+      throw std::logic_error("run_campaign: event for idle slot");
+    if (!status.finished) {
+      // A streamed row of a still-running task: final as soon as it lands.
+      const auto pit = pos_of.find(status.row.index);
+      if (pit != pos_of.end() && !has[pit->second])
+        finalize(status.row, pit->second);
+      continue;
+    }
     Chunk chunk = std::move(ait->second);
     active.erase(ait);
     const std::string artifact = active_artifact[slot];
@@ -234,14 +243,13 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
       }
     }
 
+    // Points still open; rows already streamed as row events are final.
     std::set<std::size_t> chunk_indices;
-    for (const SweepPoint& p : chunk.points) chunk_indices.insert(p.index);
+    for (const SweepPoint& p : chunk.points)
+      if (!has[pos_of.at(p.index)]) chunk_indices.insert(p.index);
     for (const SweepRow& row : rows) {
-      if (chunk_indices.count(row.index) == 0) continue;
-      const std::size_t pos = pos_of.at(row.index);
-      if (has[pos]) continue;
-      finalize(row, pos);
-      chunk_indices.erase(row.index);
+      if (chunk_indices.erase(row.index) == 0) continue;
+      finalize(row, pos_of.at(row.index));
     }
 
     if (!chunk_indices.empty()) {

@@ -1,8 +1,10 @@
 // Campaign coordinator: the sweep service's control plane.
 //
 // run_campaign() drives a set of sweep points to completion through a
-// pluggable Launcher (launcher.h), upgrading the static fork topology of
-// run_sharded_processes into a fault-tolerant service:
+// pluggable Launcher (launcher.h).  It is the only way the sweep CLI runs
+// points: `--jobs N` is one in-process worker, `--shards N` is N fork
+// workers without stealing, and `--launcher` picks any topology.  On top
+// of dispatch it is a fault-tolerant service:
 //
 //   * CHUNKED DISPATCH — points are dealt to worker slots with
 //     shard_slice (whole baseline groups stay together), then each slice
@@ -64,10 +66,10 @@ struct CoordinatorOptions {
   int workers = 2;
   /// Allow idle workers to take chunks from other workers' queues.
   bool steal = false;
-  /// Points per task; 0 = auto (slice/4 per worker, so every worker has
-  /// a few chunks to steal or finish early).  Ignored when steal is off
-  /// and chunking would only add dispatch overhead: each worker then gets
-  /// its whole slice as one task, matching run_sharded_processes.
+  /// Points per task; 0 = auto: slice/4 per worker under stealing (so
+  /// every worker has a few chunks to steal or finish early), otherwise
+  /// each worker's whole slice as one task, since chunking would only add
+  /// dispatch overhead.
   std::size_t chunk_points = 0;
   /// Re-dispatch budget for tasks whose worker died; when exhausted the
   /// task's unfinished points are finalized as failed rows naming the
@@ -75,7 +77,8 @@ struct CoordinatorOptions {
   int max_task_retries = 2;
   /// Per-task engine options.  max_point_retries/backoff ride inside
   /// (retries happen in the task, concurrently); on_result is ignored —
-  /// rows come back through task artifacts and on_final_row.
+  /// rows come back through row events and task artifacts to
+  /// on_final_row.
   EngineOptions engine;
   /// Directory for per-task JSONL artifacts + meta sidecars; must exist.
   std::string scratch_dir;
@@ -86,7 +89,9 @@ struct CoordinatorOptions {
   /// an artifact from a different spec, not a resumable campaign.
   std::vector<SweepRow> resume_rows;
   /// Campaign-level row sink: called once per point — resumed points
-  /// first (in point order), then fresh points in completion order.
+  /// first (in point order), then fresh points in completion order.  A
+  /// launcher that streams row events (InProcessLauncher) delivers each
+  /// row when its point finishes; others at the end of its task.
   std::function<void(const SweepRow&)> on_final_row;
   std::function<void(const CampaignProgress&)> on_progress;
   /// Ask each task to spill a per-task trace shard ("<artifact>.trace",

@@ -1,26 +1,19 @@
 #include "sweep/engine.h"
 
 #include <sys/wait.h>
-#include <unistd.h>
-
-#include <cerrno>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
-#include <csignal>
-#include <cstdio>
 #include <cstring>
 #include <exception>
 #include <mutex>
-#include <stdexcept>
+#include <system_error>
 #include <thread>
 
-#include "common/log.h"
 #include "common/rng.h"
-#include "sweep/result_store.h"
 #include "trace/metrics.h"
 #include "trace/trace.h"
 
@@ -205,151 +198,6 @@ SweepOutcome SweepEngine::run(const std::vector<SweepPoint>& points) {
   reg.counter("sweep.worlds_executed")->add(out.worlds_executed);
   reg.counter("sweep.baseline_requests")->add(out.baseline_requests);
   reg.counter("sweep.baseline_computed")->add(out.baseline_computed);
-  return out;
-}
-
-namespace {
-
-std::string shard_path(const std::string& dir, int shard, const char* ext) {
-  return dir + "/shard-" + std::to_string(shard) + ext;
-}
-
-/// Child-side body: run one shard slice to its JSONL + sidecar files.
-/// Never returns; exit code 0 means "ran to completion" (row failures are
-/// data, recorded in the JSONL), nonzero means infrastructure failure.
-[[noreturn]] void run_shard_child(const std::vector<SweepPoint>& points,
-                                  const ShardedOptions& opts, int shard) {
-  try {
-    SweepResultStore store;
-    store.stream_jsonl(shard_path(opts.scratch_dir, shard, ".jsonl"));
-    EngineOptions eopts = opts.engine;
-    eopts.on_result = [&](const SweepRow& row) { store.add(row); };
-    SweepEngine engine(eopts);
-    const SweepOutcome out =
-        engine.run(shard_slice(points, shard, opts.shards));
-    store.finish();
-
-    const std::string meta = shard_path(opts.scratch_dir, shard, ".meta");
-    std::FILE* f = std::fopen(meta.c_str(), "w");
-    if (f == nullptr) throw std::runtime_error("cannot open " + meta);
-    std::fprintf(f, "%zu %zu %zu %zu %d %zu\n", out.worlds_executed,
-                 out.baseline_requests, out.baseline_computed, out.failed,
-                 out.jobs_used, out.retries);
-    std::fclose(f);
-  } catch (const std::exception& e) {
-    Log::error("sweep shard %d: %s", shard, e.what());
-    std::fflush(stderr);
-    _exit(3);
-  }
-  // _exit, not exit: the child shares the parent's stdio buffers and must
-  // not flush them a second time on its way out.
-  _exit(0);
-}
-
-}  // namespace
-
-SweepOutcome run_sharded_processes(const std::vector<SweepPoint>& points,
-                                   const ShardedOptions& opts) {
-  if (opts.shards < 1)
-    throw std::invalid_argument("run_sharded_processes: shards must be >= 1");
-  if (opts.scratch_dir.empty())
-    throw std::invalid_argument("run_sharded_processes: scratch_dir required");
-  const auto t0 = std::chrono::steady_clock::now();
-
-  // Default jobs split the host across the children: N shards each
-  // resolving jobs=0 to hardware_concurrency would oversubscribe N-fold.
-  ShardedOptions eff = opts;
-  if (eff.engine.jobs <= 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    eff.engine.jobs = std::max(1, static_cast<int>(hw) / eff.shards);
-  }
-
-  // Flush before forking so buffered output is not duplicated into every
-  // child's address space.
-  std::fflush(nullptr);
-
-  std::vector<pid_t> children;
-  children.reserve(static_cast<std::size_t>(opts.shards));
-  for (int s = 0; s < opts.shards; ++s) {
-    const pid_t pid = fork();
-    if (pid < 0) {
-      for (pid_t c : children) waitpid(c, nullptr, 0);
-      throw std::runtime_error("run_sharded_processes: fork failed");
-    }
-    if (pid == 0) run_shard_child(points, eff, s);
-    children.push_back(pid);
-  }
-
-  // Wait for every sibling (no orphans left behind), but remember WHICH
-  // shards died and how, so the diagnostic names the culprit instead of
-  // "a shard child did not run to completion".
-  std::string failure_detail;
-  for (std::size_t s = 0; s < children.size(); ++s) {
-    int status = 0;
-    pid_t r;
-    while ((r = waitpid(children[s], &status, 0)) == -1 && errno == EINTR) {
-    }
-    const bool ok =
-        r == children[s] && WIFEXITED(status) && WEXITSTATUS(status) == 0;
-    if (!ok) {
-      if (!failure_detail.empty()) failure_detail += "; ";
-      failure_detail += "shard " + std::to_string(s) + " " +
-                        (r == children[s] ? describe_wait_status(status)
-                                          : "lost to waitpid");
-    }
-  }
-  if (!failure_detail.empty())
-    throw std::runtime_error("run_sharded_processes: " + failure_detail);
-
-  SweepOutcome out;
-  out.shards = opts.shards;
-  std::size_t meta_failed = 0;
-  std::vector<std::string> jsonls;
-  for (int s = 0; s < opts.shards; ++s) {
-    jsonls.push_back(shard_path(opts.scratch_dir, s, ".jsonl"));
-    const std::string meta = shard_path(opts.scratch_dir, s, ".meta");
-    std::FILE* f = std::fopen(meta.c_str(), "r");
-    if (f == nullptr)
-      throw std::runtime_error("run_sharded_processes: missing " + meta);
-    std::size_t worlds = 0, breq = 0, bcomp = 0, failed = 0, retries = 0;
-    int jobs = 0;
-    const int n = std::fscanf(f, "%zu %zu %zu %zu %d %zu", &worlds, &breq,
-                              &bcomp, &failed, &jobs, &retries);
-    std::fclose(f);
-    if (n != 6)
-      throw std::runtime_error("run_sharded_processes: malformed " + meta);
-    out.worlds_executed += worlds;
-    out.baseline_requests += breq;
-    out.baseline_computed += bcomp;
-    out.retries += retries;
-    meta_failed += failed;
-    // Children run identical engine options, so "jobs used" is the
-    // per-child width (report the widest), not the sum — out.shards
-    // carries the process fan-out.
-    out.jobs_used = std::max(out.jobs_used, jobs);
-  }
-
-  out.rows = merge_shards(jsonls);
-  if (out.rows.size() != points.size())
-    throw std::runtime_error(
-        "run_sharded_processes: merged " + std::to_string(out.rows.size()) +
-        " rows for " + std::to_string(points.size()) + " points");
-  for (const SweepRow& r : out.rows) {
-    if (!r.ok) ++out.failed;
-    if (opts.engine.on_result) opts.engine.on_result(r);
-  }
-  // Each child reported its failure count in the sidecar; the merged rows
-  // must agree, or the scratch dir held stale artifacts from an earlier
-  // run (e.g. a leftover shard file with a different failure pattern).
-  if (out.failed != meta_failed)
-    throw std::runtime_error(
-        "run_sharded_processes: sidecars report " +
-        std::to_string(meta_failed) + " failed point(s) but merged rows " +
-        "contain " + std::to_string(out.failed) +
-        " — stale shard artifacts in " + opts.scratch_dir + "?");
-  out.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             t0)
-                   .count();
   return out;
 }
 

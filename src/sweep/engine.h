@@ -46,12 +46,8 @@ struct SweepOutcome {
   std::size_t failed = 0;
   double wall_s = 0;  ///< host wall-clock for the whole batch
   /// Worker threads actually used (options.jobs resolved against the
-  /// hardware and clamped to the point count).  For a sharded run this is
-  /// the per-child job count (the largest across children), NOT the sum —
-  /// `shards` reports the process fan-out separately.
+  /// hardware and clamped to the point count).
   int jobs_used = 0;
-  /// Shard children of a run_sharded_processes() run; 0 = single process.
-  int shards = 0;
   /// Point attempts that failed and were re-run under
   /// EngineOptions::max_point_retries.
   std::size_t retries = 0;
@@ -123,40 +119,9 @@ class SweepEngine {
   BaselineService* baselines_;
 };
 
-/// Multi-process topology: fork one child per shard, each running a
-/// SweepEngine over its round-robin shard_slice() of `points` and
-/// streaming results to `<scratch_dir>/shard-<i>.jsonl`, then stitch the
-/// shard files back into one point-ordered outcome in the parent.
-///
-/// Every child owns its whole address space (its own BaselineService —
-/// keys depend only on the point's RunConfig, so a baseline computed in
-/// shard 0 is bitwise identical to the same key computed in shard 1),
-/// which makes the merged rows byte-identical to a single-process
-/// `--jobs 1` run of the same points: asserted by the golden determinism
-/// tests and the sweep_shard_golden ctest.
-///
-/// Must be called before the process spawns any threads (fork() only
-/// replicates the calling thread).  `worlds_executed`/baseline counters
-/// are summed from per-shard sidecar files; `jobs_used` reports the
-/// per-child width and `shards` the process fan-out.  Sidecar failure
-/// counts are cross-checked against the merged rows so stale shard
-/// artifacts fail loudly instead of corrupting the summary.
-struct ShardedOptions {
-  int shards = 2;
-  /// Per-child engine options (jobs/ranks bound each child separately);
-  /// jobs <= 0 defaults to hardware_concurrency / shards so the children
-  /// together fill the host instead of oversubscribing it N-fold.
-  EngineOptions engine;
-  /// Directory for per-shard JSONL + sidecar files; must exist.
-  std::string scratch_dir;
-};
-
-SweepOutcome run_sharded_processes(const std::vector<SweepPoint>& points,
-                                   const ShardedOptions& opts);
-
 /// Human-readable waitpid status: "exited 3", "killed by signal 9 (Killed)",
-/// "stopped"...  Shared by the sharded runner and the process launchers so
-/// every "child died" diagnostic names the actual cause.
+/// "stopped"...  Used by the process launchers so every "child died"
+/// diagnostic names the actual cause.
 std::string describe_wait_status(int status);
 
 }  // namespace unimem::sweep

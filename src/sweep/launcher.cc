@@ -15,8 +15,9 @@
 
 namespace unimem::sweep {
 
-SweepOutcome run_task_to_artifact(const LaunchTask& task,
-                                  BaselineService* baselines) {
+SweepOutcome run_task_to_artifact(
+    const LaunchTask& task, BaselineService* baselines,
+    const std::function<void(const SweepRow&)>& on_row) {
   // Per-task trace shard: restart the recorder so a fork child sheds any
   // state inherited from the coordinator's recorder, then spill a binary
   // shard next to the artifact for the coordinator to stitch.  Only
@@ -28,7 +29,10 @@ SweepOutcome run_task_to_artifact(const LaunchTask& task,
   store.stream_jsonl(task.artifact);
   EngineOptions eopts = task.engine;
   eopts.attempt_base = task.attempt_base;
-  eopts.on_result = [&](const SweepRow& row) { store.add(row); };
+  eopts.on_result = [&](const SweepRow& row) {
+    store.add(row);
+    if (on_row) on_row(row);
+  };
   SweepEngine engine(eopts, baselines);
   const SweepOutcome out = engine.run(task.points);
   store.finish();
@@ -64,20 +68,28 @@ void InProcessLauncher::start(const LaunchTask& task) {
   if (threads_.count(slot) != 0)
     throw std::logic_error("InProcessLauncher: slot already running");
   threads_[slot] = std::thread([this, task] {
+    auto post = [&](LaunchStatus st) {
+      {
+        std::lock_guard<std::mutex> lk(mu_);
+        events_.emplace_back(task.slot, std::move(st));
+      }
+      cv_.notify_all();
+    };
     LaunchStatus st;
     try {
-      run_task_to_artifact(task, &baselines_);
+      run_task_to_artifact(task, &baselines_, [&](const SweepRow& row) {
+        LaunchStatus ev;
+        ev.finished = false;
+        ev.row = row;
+        post(std::move(ev));
+      });
       st.ok = true;
     } catch (const std::exception& e) {
       st.detail = e.what();
     } catch (...) {
       st.detail = "unknown error";
     }
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      done_.emplace_back(task.slot, std::move(st));
-    }
-    cv_.notify_all();
+    post(std::move(st));
   });
 }
 
@@ -85,10 +97,11 @@ std::pair<int, LaunchStatus> InProcessLauncher::wait_any() {
   std::pair<int, LaunchStatus> out;
   {
     std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [&] { return !done_.empty(); });
-    out = std::move(done_.front());
-    done_.pop_front();
+    cv_.wait(lk, [&] { return !events_.empty(); });
+    out = std::move(events_.front());
+    events_.pop_front();
   }
+  if (!out.second.finished) return out;
   // Join outside the lock: the task thread's last act (push + notify) is
   // already done, so this join is near-instant.
   auto it = threads_.find(out.first);

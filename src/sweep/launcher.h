@@ -12,8 +12,8 @@
 //
 // Three topologies:
 //   * InProcessLauncher — one std::thread per task, shared BaselineService.
-//   * ForkLauncher      — fork(); the child runs the task body and _exit()s.
-//                         Same isolation model as run_sharded_processes.
+//   * ForkLauncher      — fork(); the child runs the task body and _exit()s,
+//                         owning its whole address space (`--shards N`).
 //   * CommandLauncher   — fork()+exec of an argv the caller builds per
 //                         task (ssh-style: any prefix like {"ssh","host"}
 //                         in front of a sweep CLI invocation).  The child
@@ -23,7 +23,9 @@
 //
 // Every task writes rows to its own JSONL artifact; the coordinator reads
 // artifacts back with the crash-tolerant reader, so a task killed
-// mid-write loses at most its torn last line.
+// mid-write loses at most its torn last line.  An in-process task also
+// hands each row to the coordinator the moment it finishes (a row event
+// from wait_any), so campaign outputs stream per point, not per task.
 #pragma once
 
 #include <sys/types.h>
@@ -65,23 +67,29 @@ struct LaunchTask {
   std::size_t trace_buf = 0;  ///< ring slots per thread; 0 = default
 };
 
-/// Launcher-level verdict for one finished task.  `ok` means the task
-/// body ran to completion; when false, `detail` names the cause ("exited
-/// 3", "killed by signal 9 (Killed)", an exception message, ...).
+/// One event from Launcher::wait_any.  A finished task carries the
+/// launcher-level verdict: `ok` means the task body ran to completion;
+/// when false, `detail` names the cause ("exited 3", "killed by signal 9
+/// (Killed)", an exception message, ...).  A row event (finished ==
+/// false) carries one `row` the still-running task has just completed;
+/// a task's row events always precede its completion.
 struct LaunchStatus {
+  bool finished = true;
   bool ok = false;
   std::string detail;
+  SweepRow row;  ///< row events only
 };
 
 /// Task body shared by every launcher: run task.points through a
-/// SweepEngine streaming to task.artifact, then write
-/// "<artifact>.meta" (same sidecar format as run_sharded_processes) so
-/// the coordinator can aggregate world/baseline counters.  The task's
-/// on_result is replaced by the artifact stream — the coordinator replays
-/// rows to the campaign-level callback itself.  `baselines` may be shared
+/// SweepEngine streaming to task.artifact, then write the
+/// "<artifact>.meta" counter sidecar (read back by the coordinator) so
+/// the campaign can aggregate world/baseline/retry counters.  The task's
+/// on_result is replaced by the artifact stream plus `on_row`, called
+/// (serialized) with each row as it finishes.  `baselines` may be shared
 /// across tasks (in-process launcher); nullptr = task-owned service.
-SweepOutcome run_task_to_artifact(const LaunchTask& task,
-                                  BaselineService* baselines = nullptr);
+SweepOutcome run_task_to_artifact(
+    const LaunchTask& task, BaselineService* baselines = nullptr,
+    const std::function<void(const SweepRow&)>& on_row = nullptr);
 
 class Launcher {
  public:
@@ -90,7 +98,8 @@ class Launcher {
   /// Begin a task; returns immediately.  Throws on spawn failure.
   virtual void start(const LaunchTask& task) = 0;
 
-  /// Block until any started task finishes; returns its slot + status.
+  /// Block until any started task finishes or, for launchers that stream
+  /// rows, reports a finished row; returns its slot + the event.
   /// Precondition: at least one task is outstanding.
   virtual std::pair<int, LaunchStatus> wait_any() = 0;
 
@@ -99,7 +108,9 @@ class Launcher {
 
 /// One std::thread per task inside this process.  Tasks share one
 /// BaselineService (keys are pure functions of the point's RunConfig), so
-/// baselines memoize across tasks exactly as in a plain engine run.
+/// baselines memoize across tasks exactly as in a plain engine run, and
+/// every finished row is queued as a row event ahead of its task's
+/// completion.
 class InProcessLauncher : public Launcher {
  public:
   ~InProcessLauncher() override;
@@ -112,7 +123,7 @@ class InProcessLauncher : public Launcher {
   BaselineService baselines_;
   std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<std::pair<int, LaunchStatus>> done_;
+  std::deque<std::pair<int, LaunchStatus>> events_;
   std::map<int, std::thread> threads_;  // slot -> running task thread
 };
 
@@ -133,9 +144,9 @@ class ProcessLauncher : public Launcher {
   std::map<pid_t, int> slot_of_;  // outstanding children
 };
 
-/// fork(): the child runs run_task_to_artifact and _exit()s — the same
-/// code path and exit-code contract as run_sharded_processes children
-/// (0 = ran to completion, 3 = infrastructure failure).
+/// fork(): the child runs run_task_to_artifact and _exit()s with 0 (ran
+/// to completion; failed rows are data in the artifact) or 3
+/// (infrastructure failure).
 class ForkLauncher : public ProcessLauncher {
  public:
   const char* name() const override { return "fork"; }

@@ -4,6 +4,9 @@
 //   DRAM-only <= Unimem <= NVM-only   (in execution time).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "experiments/runner.h"
 
 namespace unimem::exp {
@@ -167,6 +170,47 @@ TEST(Integration, TierLadderNeverSlowerThanBackstopOnly) {
   RunResult uni = run_once(cfg);
   EXPECT_DOUBLE_EQ(uni.checksum, backstop.checksum);
   EXPECT_LE(uni.time_s, backstop.time_s * 1.02);
+}
+
+TEST(Integration, TierLadderRejectsKnobsTheTieredPlannerIgnores) {
+  // On more than 2 tiers every plan comes from the MCKP placement, which
+  // reads neither the slack scheduler nor the Fig. 11 search switches:
+  // run_once refuses them up front instead of running a World that
+  // silently ignores them.
+  RunConfig cfg = base_cfg("cg");
+  cfg.policy = Policy::kUnimem;
+  cfg.tiers = "hbm:1MiB,dram:2MiB,nvm:64MiB";
+  auto expect_rejected = [](const RunConfig& c, const std::string& knob) {
+    try {
+      run_once(c);
+      ADD_FAILURE() << knob << " was accepted on a 3-tier ladder";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(knob), std::string::npos)
+          << e.what();
+    }
+  };
+  RunConfig slack = cfg;
+  slack.unimem.dag_schedule = rt::DagSchedule::kSlack;
+  expect_rejected(slack, "dag_schedule");
+  RunConfig no_global = cfg;
+  no_global.unimem.enable_global_search = false;
+  expect_rejected(no_global, "enable_global_search");
+  RunConfig no_local = cfg;
+  no_local.unimem.enable_local_search = false;
+  expect_rejected(no_local, "enable_local_search");
+
+  // The same knobs stay legal where they act (2 tiers) or where no
+  // planner runs (a static policy), and replan_epoch is honoured on any
+  // ladder, so none of these throw.
+  RunConfig two = slack;
+  two.tiers = "dram:2MiB,nvm:64MiB";
+  EXPECT_NO_THROW(run_once(two));
+  RunConfig nvm = slack;
+  nvm.policy = Policy::kNvmOnly;
+  EXPECT_NO_THROW(run_once(nvm));
+  RunConfig replan = cfg;
+  replan.replan_epoch = 2;
+  EXPECT_NO_THROW(run_once(replan));
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 // placement, the C API, and the variation monitor.
 #include <gtest/gtest.h>
 
-#include "core/capi.h"
 #include "core/runtime.h"
 #include "minimpi/comm.h"
 
@@ -225,27 +224,6 @@ TEST(Runtime, StatsReportPlanKindAndMigrations) {
     EXPECT_GT(s.phases_executed, 0u);
     EXPECT_GE(s.migration.overlap_percent(), 0.0);
     EXPECT_LE(s.migration.overlap_percent(), 100.0);
-  });
-}
-
-TEST(CApi, TableTwoSurface) {
-  TestRig rig;
-  mpi::World world(1);
-  world.run([&](mpi::Comm& comm) {
-    Runtime* rt = unimem_init(RuntimeOptions{}, &rig.hms, &rig.arbiter, &comm);
-    ASSERT_NE(rt, nullptr);
-    EXPECT_EQ(unimem_current(), rt);
-    DataObject* o = unimem_malloc("obj", kMiB);
-    ASSERT_NE(o, nullptr);
-    unimem_start();
-    rt->iteration_begin();
-    PhaseWork w;
-    w.accesses.push_back(ObjectAccess{o, cache::Pattern::kSequential, 4096});
-    rt->compute(w);
-    unimem_end();
-    unimem_free(o);
-    unimem_shutdown();
-    EXPECT_EQ(unimem_current(), nullptr);
   });
 }
 

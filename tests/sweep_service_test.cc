@@ -1,9 +1,9 @@
 // Sweep service tests: deterministic retry backoff, engine-level point
 // retries (rows byte-identical to first-try successes), the campaign
 // coordinator (work stealing, dead-worker reassignment, resume), the
-// launcher topologies (in-process, fork, command), the crash-tolerant
-// JSONL reader, CSV label sanitization, and the sharded-process summary
-// fields this PR's satellites fix.
+// launcher topologies (in-process row streaming, fork, command), the
+// crash-tolerant JSONL reader, CSV label sanitization, and the counters a
+// fork campaign (the `--shards N` topology) aggregates from its sidecars.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -321,6 +321,80 @@ TEST(Coordinator, ForkedWorkerKilledMidTaskIsReassigned) {
       << "rows the dead worker already streamed are kept, the rest re-run";
 }
 
+// The `--shards N` topology: N fork workers, no stealing, so one task
+// per worker.  Counters come back through the forked sidecars.
+TEST(Coordinator, ForkCampaignReportsPerTaskJobsAndAggregatesRetries) {
+  const std::string scratch = fresh_scratch("forkcampaign");
+  const auto points = synth_points(6);
+  ForkLauncher launcher;
+  CoordinatorOptions opts;
+  opts.launcher = &launcher;
+  opts.workers = 2;
+  opts.scratch_dir = scratch;
+  opts.engine.jobs = 1;
+  opts.engine.max_point_retries = 1;
+  opts.engine.backoff.base_s = 1e-4;
+  opts.engine.run_point = [](const SweepPoint& p, int attempt) {
+    if (attempt == 0 && p.index == 2)
+      throw std::runtime_error("injected transient fault");
+    return synth_result(p.index);
+  };
+
+  const CampaignOutcome out = run_campaign(points, opts);
+  EXPECT_EQ(out.workers, 2);
+  EXPECT_EQ(out.tasks, 2u) << "without stealing each worker runs one task";
+  EXPECT_EQ(out.jobs_used, 1) << "per-task width, not the sum over workers";
+  EXPECT_EQ(out.retries, 1u) << "child retry counters aggregate via sidecars";
+  EXPECT_EQ(out.worlds_executed, points.size());
+  EXPECT_EQ(out.failed, 0u);
+  ASSERT_EQ(out.rows.size(), points.size());
+  for (std::size_t i = 0; i < out.rows.size(); ++i)
+    EXPECT_EQ(out.rows[i].index, i) << "campaign rows are point-ordered";
+}
+
+// In-process tasks stream: a row reaches on_final_row while its task is
+// still running, so --jsonl stays tail-able and resumable mid-task.
+TEST(Coordinator, InProcessRowsReachFinalSinkBeforeTheirTaskEnds) {
+  const std::string scratch = fresh_scratch("stream");
+  const auto points = synth_points(3);
+  InProcessLauncher launcher;
+  CoordinatorOptions opts;
+  opts.launcher = &launcher;
+  opts.workers = 1;  // one task holds every point
+  opts.scratch_dir = scratch;
+  opts.engine.jobs = 1;
+  std::atomic<bool> first_row_final{false};
+  std::atomic<bool> seen_before_last{false};
+  opts.engine.run_point = [&](const SweepPoint& p, int) {
+    if (p.index + 1 == points.size()) {
+      // Bounded: without streaming the first row only arrives after this
+      // point returns, so the wait must time out rather than hang.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!first_row_final.load() &&
+             std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      seen_before_last = first_row_final.load();
+    }
+    return synth_result(p.index);
+  };
+  std::vector<std::size_t> order;
+  opts.on_final_row = [&](const SweepRow& row) {
+    order.push_back(row.index);
+    if (row.index == 0) first_row_final = true;
+  };
+
+  const CampaignOutcome out = run_campaign(points, opts);
+  EXPECT_TRUE(seen_before_last)
+      << "row 0 was held back until the whole task finished";
+  EXPECT_EQ(out.tasks, 1u);
+  EXPECT_EQ(out.failed, 0u);
+  EXPECT_EQ(out.worlds_executed, points.size())
+      << "the task sidecar is still read after every row streamed";
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}))
+      << "each row finalized exactly once";
+}
+
 TEST(Coordinator, CommandWorkerFailuresNameExitStatusAndSignal) {
   const std::string scratch = fresh_scratch("cmdfail");
 
@@ -441,33 +515,6 @@ TEST(SweepResultStore, CsvSanitizesCommasAndNewlinesInLabelAndError) {
       << "cell commas would shift every column after label: " << row;
   EXPECT_NE(row.find("cg/manual/dram1;5MiB"), std::string::npos) << row;
   EXPECT_NE(row.find("boom; with comma and newline"), std::string::npos) << row;
-}
-
-// ---- sharded-process summary fields (satellite) ---------------------------
-
-TEST(ShardedProcesses, ReportsShardsAndPerChildJobsAndAggregatesRetries) {
-  const std::string scratch = fresh_scratch("sharded");
-  const auto points = synth_points(6);
-  ShardedOptions opts;
-  opts.shards = 2;
-  opts.scratch_dir = scratch;
-  opts.engine.jobs = 1;
-  opts.engine.max_point_retries = 1;
-  opts.engine.backoff.base_s = 1e-4;
-  opts.engine.run_point = [](const SweepPoint& p, int attempt) {
-    if (attempt == 0 && p.index == 2)
-      throw std::runtime_error("injected transient fault");
-    return synth_result(p.index);
-  };
-
-  const SweepOutcome out = run_sharded_processes(points, opts);
-  EXPECT_EQ(out.shards, 2) << "process fan-out reported separately";
-  EXPECT_EQ(out.jobs_used, 1) << "per-child width, not the sum over shards";
-  EXPECT_EQ(out.retries, 1u) << "child retry counters aggregate via sidecars";
-  EXPECT_EQ(out.failed, 0u);
-  ASSERT_EQ(out.rows.size(), points.size());
-  for (std::size_t i = 0; i < out.rows.size(); ++i)
-    EXPECT_EQ(out.rows[i].index, i) << "merged rows are point-ordered";
 }
 
 // ---- wait-status naming ---------------------------------------------------

@@ -5,34 +5,35 @@
 //   unimem_sweep --spec fig2 --filter cg --points
 //   unimem_sweep --spec fig11 --jobs 4 --csv out.csv --jsonl out.jsonl
 //                [--summary-json summary.json]
-//   unimem_sweep --spec fig12 --shards 4            # fork 4 shard children
+//   unimem_sweep --spec fig12 --shards 4            # 4 forked workers
 //   unimem_sweep --spec fig12 --shard 0/2 --jsonl s0.jsonl   # one slice
 //   unimem_sweep --merge s0.jsonl s1.jsonl --csv merged.csv  # stitch back
 //   unimem_sweep --spec fig12 --launcher fork --workers 4 --steal
 //                --retries 2 --jsonl out.jsonl     # coordinator service
 //   unimem_sweep --spec fig12 --resume --jsonl out.jsonl     # crash-restart
 //
-// Runs a named SweepSpec through the SweepEngine: one World per point,
-// concurrency bounded by simulated ranks in flight, DRAM-only
-// normalization baselines memoized across the whole batch, results
-// reported in deterministic spec order.  UNIMEM_BENCH_SMOKE=1 (or
-// --smoke) shrinks the spec to smoke scale, same as the bench harnesses.
+// Runs a named SweepSpec as one coordinator campaign
+// (src/sweep/coordinator.h): one World per point, each task's SweepEngine
+// bounding concurrency by simulated ranks in flight, DRAM-only
+// normalization baselines memoized, results reported in deterministic
+// spec order.  UNIMEM_BENCH_SMOKE=1 (or --smoke) shrinks the spec to
+// smoke scale, same as the bench harnesses.
 //
-// Sharding: `--shard i/N` runs the i-th deterministic slice of the
-// expansion (point indices stay those of the full expansion), `--merge`
-// stitches per-shard JSONL files back into the point-ordered CSV/JSONL,
-// and `--shards N` does both in one invocation by forking N child
-// processes.
+// Topology: `--jobs N` is one in-process worker running N jobs,
+// `--shards N` is N forked workers, and `--launcher inproc|fork|cmd[:PREFIX]`
+// with `--workers`/`--steal` picks any other.  Every topology gets
+// `--retries N` per-point retries with deterministic backoff, re-dispatch
+// of tasks whose worker died, `--resume` crash-restart from an existing
+// --jsonl artifact, and a live `--summary-json` rewritten (atomically)
+// after every task.  The cmd launcher re-invokes this binary (optionally
+// through a PREFIX such as "ssh host") with `--indices ... --task-meta`,
+// so any transport that can run a command against a shared filesystem
+// works.
 //
-// Service mode: `--launcher inproc|fork|cmd[:PREFIX]` hands the campaign
-// to the coordinator (src/sweep/coordinator.h): chunked dispatch across
-// `--workers` slots, optional `--steal` work stealing, `--retries N`
-// per-point retries with deterministic backoff, re-dispatch of tasks
-// whose worker died, `--resume` crash-restart from an existing --jsonl
-// artifact, and a live `--summary-json` rewritten (atomically) after
-// every task.  The cmd launcher re-invokes this binary (optionally
-// through a PREFIX such as "ssh host") with `--indices`, so any transport
-// that can run a command against a shared filesystem works.
+// Offline sharding: `--shard i/N` runs the i-th deterministic slice of
+// the expansion (point indices stay those of the full expansion) and
+// `--merge` stitches per-shard JSONL files back into the point-ordered
+// CSV/JSONL.
 //
 // Every topology produces byte-identical CSV/JSONL to a single-process
 // `--jobs 1` run (asserted by the sweep_shard_golden ctest).
@@ -49,7 +50,6 @@
 #include <filesystem>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -71,7 +71,7 @@ namespace {
 /// Version of the --summary-json document layout (see README "Summary
 /// JSON schema").  Bump when fields change meaning or go away; adding
 /// fields is compatible and does not bump.
-constexpr int kSummarySchemaVersion = 2;
+constexpr int kSummarySchemaVersion = 3;
 
 std::string iso8601_utc_now() {
   const std::time_t now = std::time(nullptr);
@@ -80,14 +80,6 @@ std::string iso8601_utc_now() {
   char buf[32];
   std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm);
   return buf;
-}
-
-/// The schema_version/finished_at/metrics tail shared by every final
-/// summary writer (the live service summary carries schema_version only —
-/// the campaign has not finished and metrics are still accumulating).
-std::string summary_tail() {
-  return ",\"finished_at\":\"" + iso8601_utc_now() + "\",\"metrics\":" +
-         unimem::trace::MetricsRegistry::global().snapshot().to_json();
 }
 
 /// Export by extension: .json = Chrome trace-event (Perfetto-loadable),
@@ -107,7 +99,8 @@ void usage(std::FILE* out) {
       "\n"
       "options:\n"
       "  --spec NAME          built-in spec to run (see --list)\n"
-      "  --jobs N             concurrent jobs (default: hardware threads)\n"
+      "  --jobs N             concurrent jobs per worker (default: hardware\n"
+      "                       threads / workers)\n"
       "  --ranks N            max simulated ranks in flight (default: 4*jobs)\n"
       "  --filter STR         run only points whose label contains STR\n"
       "  --indices I,J,...    run only the named expansion indices\n"
@@ -115,9 +108,9 @@ void usage(std::FILE* out) {
       "  --csv PATH           write the result table as CSV\n"
       "  --jsonl PATH         stream per-point results as JSONL\n"
       "  --summary-json PATH  write a machine-readable batch summary\n"
-      "                       (service mode rewrites it live per task)\n"
+      "                       (rewritten live after every task)\n"
       "  --shard I/N          run only the I-th of N deterministic shard slices\n"
-      "  --shards N           fork N shard child processes and merge their rows\n"
+      "  --shards N           run on N forked workers (the fork launcher)\n"
       "  --merge FILE...      stitch per-shard JSONL files into --csv/--jsonl\n"
       "                       (with --spec: verify the merge covers the spec)\n"
       "  --profiler exact|N   override the spec's profiling tier: exact, or\n"
@@ -130,8 +123,8 @@ void usage(std::FILE* out) {
       "                       the 2-tier machine (collapses the tiers axis)\n"
       "  --retries N          re-run failed points up to N times with capped\n"
       "                       deterministic exponential backoff\n"
-      "  --launcher KIND      service mode: dispatch via a coordinator; KIND is\n"
-      "                       inproc, fork, or cmd[:PREFIX] (e.g. cmd:ssh host)\n"
+      "  --launcher KIND      where tasks run: inproc, fork, or cmd[:PREFIX]\n"
+      "                       (e.g. cmd:ssh host)\n"
       "  --workers N          coordinator worker slots (default 2; implies\n"
       "                       --launcher inproc when none given)\n"
       "  --steal              work-steal chunks between coordinator workers\n"
@@ -150,7 +143,9 @@ void usage(std::FILE* out) {
       "                          probability P (deterministic per index)\n"
       "  --backoff-base S        retry backoff base delay in seconds\n"
       "  --attempt-base N        campaign-global attempt number of this task\n"
-      "  --task-meta PATH        write the engine counter sidecar after the run\n",
+      "  --task-meta PATH        run as one cmd-launcher task: rows to --jsonl,\n"
+      "                          counter sidecar to PATH (= the --jsonl path\n"
+      "                          plus .meta)\n",
       out);
 }
 
@@ -199,7 +194,7 @@ struct Args {
   std::string tiers;     ///< --tiers SPEC|classic ("" = spec default)
   bool have_tiers = false;
   std::string csv, jsonl, summary_json;
-  std::string launcher;   ///< "" = engine mode; inproc|fork|cmd[:PREFIX]
+  std::string launcher;   ///< "" = derived from --jobs/--shards
   std::string task_meta;  ///< --task-meta sidecar path ("" = none)
   std::string trace;      ///< --trace output path ("" = tracing off)
   unsigned long long trace_buf = 0;  ///< --trace-buf (0 = default ring)
@@ -483,6 +478,12 @@ bool parse(int argc, char** argv, Args& a) {
                  "coordinator owns the topology)\n");
     return false;
   }
+  if (!a.task_meta.empty() &&
+      (a.jsonl.empty() || a.task_meta != a.jsonl + ".meta")) {
+    std::fprintf(stderr, "unimem_sweep: --task-meta must be the --jsonl "
+                 "path plus .meta\n");
+    return false;
+  }
   if (a.resume && a.jsonl.empty()) {
     std::fprintf(stderr, "unimem_sweep: --resume needs --jsonl PATH (the "
                  "artifact to resume from)\n");
@@ -500,6 +501,86 @@ std::string self_exe(const char* argv0) {
     return buf;
   }
   return argv0;
+}
+
+/// The cmd launcher's task command line: re-invoke this binary with the
+/// run-shaping flags of `a` plus the task's points, artifact and sidecar.
+std::vector<std::string> task_argv(const std::string& self, const Args& a,
+                                   const unimem::sweep::LaunchTask& t) {
+  std::vector<std::string> v{self, "--spec", a.spec, "--quiet"};
+  auto flag = [&v](const char* name, const std::string& value) {
+    v.push_back(name);
+    v.push_back(value);
+  };
+  if (a.smoke) v.push_back("--smoke");
+  if (!a.profiler.empty()) flag("--profiler", a.profiler);
+  if (!a.dag.empty()) flag("--dag", a.dag);
+  if (a.have_tiers) flag("--tiers", a.tiers.empty() ? "classic" : a.tiers);
+  flag("--jobs", std::to_string(t.engine.jobs));
+  if (t.engine.max_inflight_ranks > 0)
+    flag("--ranks", std::to_string(t.engine.max_inflight_ranks));
+  if (t.engine.max_point_retries > 0)
+    flag("--retries", std::to_string(t.engine.max_point_retries));
+  if (a.backoff_base >= 0)
+    flag("--backoff-base", std::to_string(a.backoff_base));
+  if (a.inject_fail > 0)
+    flag("--inject-fail", std::to_string(a.inject_fail) + ":" +
+                              std::to_string(a.inject_seed));
+  if (t.attempt_base > 0)
+    flag("--attempt-base", std::to_string(t.attempt_base));
+  if (!t.trace.empty()) {
+    // Binary shard spilled next to the artifact; the coordinator
+    // harvests and the parent stitches it into the campaign trace.
+    flag("--trace", t.trace);
+    if (t.trace_buf > 0) flag("--trace-buf", std::to_string(t.trace_buf));
+  }
+  std::string idx;
+  for (const unimem::sweep::SweepPoint& p : t.points) {
+    if (!idx.empty()) idx += ',';
+    idx += std::to_string(p.index);
+  }
+  flag("--indices", idx);
+  flag("--jsonl", t.artifact);
+  flag("--task-meta", t.artifact + ".meta");
+  return v;
+}
+
+/// The one --summary-json writer.  Live (`final_out` null): the campaign
+/// counters so far, rewritten after every task.  Final: the same fields
+/// plus the engine aggregates, finished_at and the metrics snapshot.
+/// Written to PATH.tmp and renamed, so a reader never sees a torn file.
+bool write_summary(const std::string& path, const Args& a,
+                   const char* launcher, int workers,
+                   const unimem::sweep::CampaignProgress& p,
+                   const unimem::sweep::CampaignOutcome* final_out) {
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "w");
+  if (f == nullptr) return false;
+  std::fprintf(
+      f,
+      "{\"schema_version\":%d,\"spec\":\"%s\",\"points\":%zu,"
+      "\"done\":%zu,\"failed\":%zu,\"resumed\":%zu,\"retries\":%zu,"
+      "\"steals\":%zu,\"tasks\":%zu,\"task_retries\":%zu,\"workers\":%d,"
+      "\"launcher\":\"%s\",\"steal\":%s,\"complete\":%s,\"host_cpus\":%u",
+      kSummarySchemaVersion, a.spec.c_str(), p.total, p.done, p.failed,
+      p.resumed, p.retries, p.steals, p.tasks, p.task_retries, workers,
+      launcher, a.steal ? "true" : "false", p.complete ? "true" : "false",
+      std::thread::hardware_concurrency());
+  if (final_out != nullptr) {
+    const unimem::sweep::CampaignOutcome& o = *final_out;
+    const std::string metrics =
+        unimem::trace::MetricsRegistry::global().snapshot().to_json();
+    std::fprintf(f,
+                 ",\"jobs\":%d,\"wall_s\":%.6f,\"worlds_executed\":%zu,"
+                 "\"baseline_requests\":%zu,\"baseline_computed\":%zu,"
+                 "\"finished_at\":\"%s\",\"metrics\":%s",
+                 o.jobs_used, o.wall_s, o.worlds_executed,
+                 o.baseline_requests, o.baseline_computed,
+                 iso8601_utc_now().c_str(), metrics.c_str());
+  }
+  std::fputs("}\n", f);
+  const bool ok = std::fclose(f) == 0;
+  return ok && std::rename(tmp.c_str(), path.c_str()) == 0;
 }
 
 }  // namespace
@@ -663,44 +744,10 @@ int run_cli(int argc, char** argv) {
     return 0;
   }
 
-  // Resume: read the previous campaign's artifact BEFORE stream_jsonl
-  // truncates it.  Only ok rows whose index and label match the current
-  // expansion count; failed rows get a second chance.
-  std::vector<sweep::SweepRow> resume_rows;
-  if (a.resume && std::filesystem::exists(a.jsonl)) {
-    std::size_t dropped = 0;
-    resume_rows = sweep::read_jsonl_tolerant(a.jsonl, &dropped);
-    if (dropped != 0)
-      Log::warn(
-          "dropped a torn trailing line from %s (previous writer died "
-          "mid-write); its point re-runs",
-          a.jsonl.c_str());
-  }
-
-  if (!a.trace.empty()) {
-    if (a.fork_shards > 0)
-      Log::warn(
-          "--trace with --shards records only the parent process; use "
-          "--launcher fork to capture per-task trace shards");
-    trace::TraceRecorder::instance().start(
-        static_cast<std::size_t>(a.trace_buf));
-  }
-
-  sweep::SweepResultStore store;
-  if (!a.jsonl.empty()) store.stream_jsonl(a.jsonl);
-  if (!a.csv.empty()) store.write_csv_at_finish(a.csv);
-  // Service and resumed runs may finalize rows out of point order even at
-  // --jobs 1; rewriting the artifact at finish keeps the byte-identity
-  // contract across every topology.  Plain engine runs keep the streamed
-  // file as-is (completion order == point order at --jobs 1).
-  if (!a.jsonl.empty() && (a.resume || !a.launcher.empty()))
-    store.write_jsonl_at_finish(a.jsonl);
-
   sweep::EngineOptions eopts;
   eopts.jobs = a.jobs;
   eopts.max_inflight_ranks = a.ranks;
   eopts.max_point_retries = a.retries;
-  eopts.attempt_base = a.attempt_base;
   if (a.backoff_base >= 0) eopts.backoff.base_s = a.backoff_base;
   if (a.inject_fail > 0) {
     const double prob = a.inject_fail;
@@ -715,334 +762,169 @@ int run_cli(int argc, char** argv) {
       return exp::run_once(p.cfg);
     };
   }
-  eopts.on_result = [&](const sweep::SweepRow& row) { store.add(row); };
-
-  // ---- service mode: coordinator + pluggable launcher -------------------
-  if (!a.launcher.empty()) {
-    namespace fs = std::filesystem;
-    const int workers = a.workers > 0 ? a.workers : 2;
-    if (eopts.jobs <= 0) {
-      const unsigned hw = std::thread::hardware_concurrency();
-      eopts.jobs = std::max(1, static_cast<int>(hw) / workers);
-    }
-    eopts.on_result = nullptr;  // rows come back through task artifacts
-
-    std::string scratch =
-        (fs::temp_directory_path() / "unimem_sweep.XXXXXX").string();
-    if (mkdtemp(scratch.data()) == nullptr) {
-      std::fprintf(stderr, "unimem_sweep: cannot create scratch dir\n");
-      return 1;
-    }
-
-    std::unique_ptr<sweep::Launcher> launcher;
-    if (a.launcher == "inproc") {
-      launcher = std::make_unique<sweep::InProcessLauncher>();
-    } else if (a.launcher == "fork") {
-      launcher = std::make_unique<sweep::ForkLauncher>();
-    } else {
-      // cmd[:PREFIX]: re-invoke this binary (through the PREFIX tokens,
-      // e.g. "ssh host") with --indices naming the chunk's points.
-      std::vector<std::string> prefix;
-      if (a.launcher.rfind("cmd:", 0) == 0) {
-        const std::string rest = a.launcher.substr(4);
-        std::size_t start = 0;
-        while (start < rest.size()) {
-          std::size_t sp = rest.find(' ', start);
-          if (sp == std::string::npos) sp = rest.size();
-          if (sp > start) prefix.push_back(rest.substr(start, sp - start));
-          start = sp + 1;
-        }
-      }
-      const std::string self = self_exe(argv[0]);
-      const Args args_copy = a;
-      auto make_argv = [self, args_copy](const sweep::LaunchTask& t) {
-        std::vector<std::string> v{self, "--spec", args_copy.spec, "--quiet"};
-        if (args_copy.smoke) v.push_back("--smoke");
-        if (!args_copy.profiler.empty()) {
-          v.push_back("--profiler");
-          v.push_back(args_copy.profiler);
-        }
-        if (!args_copy.dag.empty()) {
-          v.push_back("--dag");
-          v.push_back(args_copy.dag);
-        }
-        if (args_copy.have_tiers) {
-          v.push_back("--tiers");
-          v.push_back(args_copy.tiers.empty() ? "classic" : args_copy.tiers);
-        }
-        v.push_back("--jobs");
-        v.push_back(std::to_string(t.engine.jobs));
-        if (t.engine.max_inflight_ranks > 0) {
-          v.push_back("--ranks");
-          v.push_back(std::to_string(t.engine.max_inflight_ranks));
-        }
-        if (t.engine.max_point_retries > 0) {
-          v.push_back("--retries");
-          v.push_back(std::to_string(t.engine.max_point_retries));
-        }
-        if (args_copy.backoff_base >= 0) {
-          v.push_back("--backoff-base");
-          v.push_back(std::to_string(args_copy.backoff_base));
-        }
-        if (args_copy.inject_fail > 0) {
-          v.push_back("--inject-fail");
-          v.push_back(std::to_string(args_copy.inject_fail) + ":" +
-                      std::to_string(args_copy.inject_seed));
-        }
-        if (t.attempt_base > 0) {
-          v.push_back("--attempt-base");
-          v.push_back(std::to_string(t.attempt_base));
-        }
-        if (!t.trace.empty()) {
-          // Binary shard spilled next to the artifact; the coordinator
-          // harvests and the parent stitches it into the campaign trace.
-          v.push_back("--trace");
-          v.push_back(t.trace);
-          if (t.trace_buf > 0) {
-            v.push_back("--trace-buf");
-            v.push_back(std::to_string(t.trace_buf));
-          }
-        }
-        std::string idx;
-        for (const sweep::SweepPoint& p : t.points) {
-          if (!idx.empty()) idx += ',';
-          idx += std::to_string(p.index);
-        }
-        v.push_back("--indices");
-        v.push_back(idx);
-        v.push_back("--jsonl");
-        v.push_back(t.artifact);
-        v.push_back("--task-meta");
-        v.push_back(t.artifact + ".meta");
-        return v;
-      };
-      launcher = std::make_unique<sweep::CommandLauncher>(std::move(prefix),
-                                                          make_argv);
-    }
-
-    sweep::CoordinatorOptions copts;
-    copts.launcher = launcher.get();
-    copts.workers = workers;
-    copts.steal = a.steal;
-    copts.engine = eopts;
-    copts.scratch_dir = scratch;
-    // In-process tasks emit straight into this process's recorder; the
-    // process launchers need per-task shards to see inside the children.
-    copts.trace_tasks = !a.trace.empty() && a.launcher != "inproc";
-    copts.trace_buf = static_cast<std::size_t>(a.trace_buf);
-    copts.resume_rows = std::move(resume_rows);
-    copts.on_final_row = [&](const sweep::SweepRow& row) { store.add(row); };
-    // Live summary: rewrite-and-rename after every task, so a watcher
-    // always reads a complete JSON document mid-campaign.
-    copts.on_progress = [&](const sweep::CampaignProgress& p) {
-      if (a.summary_json.empty()) return;
-      const std::string tmp = a.summary_json + ".tmp";
-      std::FILE* f = std::fopen(tmp.c_str(), "w");
-      if (f == nullptr) return;
-      std::fprintf(
-          f,
-          "{\"schema_version\":%d,\"spec\":\"%s\",\"points\":%zu,"
-          "\"done\":%zu,\"failed\":%zu,"
-          "\"resumed\":%zu,\"retries\":%zu,\"steals\":%zu,\"tasks\":%zu,"
-          "\"task_retries\":%zu,\"workers\":%d,\"launcher\":\"%s\","
-          "\"steal\":%s,\"complete\":%s,\"host_cpus\":%u}\n",
-          kSummarySchemaVersion, a.spec.c_str(), p.total, p.done, p.failed,
-          p.resumed, p.retries, p.steals, p.tasks, p.task_retries, workers,
-          launcher->name(), a.steal ? "true" : "false",
-          p.complete ? "true" : "false", std::thread::hardware_concurrency());
-      std::fclose(f);
-      std::rename(tmp.c_str(), a.summary_json.c_str());
-    };
-
-    sweep::CampaignOutcome outcome;
-    try {
-      outcome = sweep::run_campaign(points, copts);
-    } catch (...) {
-      fs::remove_all(scratch);
-      throw;
-    }
-    if (!a.trace.empty()) {
-      // Stitch the coordinator's own events with every harvested task
-      // shard (they live in scratch, so merge before removal).  Each
-      // task's tracks get a "task-N/" prefix so per-worker rank threads
-      // stay distinguishable in the stitched timeline.
-      trace::TraceData merged = trace::TraceRecorder::instance().stop();
-      for (const std::string& shard : outcome.trace_shards) {
-        trace::TraceData sd;
-        if (!trace::read_binary(shard, &sd)) {
-          Log::warn("skipping unreadable trace shard %s", shard.c_str());
-          continue;
-        }
-        std::string task = fs::path(shard).filename().string();
-        const std::size_t dot = task.find('.');
-        if (dot != std::string::npos) task.resize(dot);
-        trace::merge_into(&merged, sd, task + "/");
-      }
-      if (!export_trace(std::move(merged), a.trace))
-        Log::warn("cannot write trace %s", a.trace.c_str());
-    }
-    fs::remove_all(scratch);
-    store.finish();
-
-    if (!a.quiet) {
-      store.report(spec->title + " [" + a.spec + ", " +
-                   std::to_string(points.size()) + " points, service]")
-          .print();
-    }
-    std::printf(
-        "\nsweep %s [service/%s]: %zu points, %zu failed, %zu resumed, "
-        "%zu retries, %zu steals, %zu tasks (%zu re-dispatched), %d workers, "
-        "%.2fs wall, %zu worlds executed\n",
-        a.spec.c_str(), launcher->name(), outcome.rows.size(), outcome.failed,
-        outcome.resumed, outcome.retries, outcome.steals, outcome.tasks,
-        outcome.task_retries, outcome.workers, outcome.wall_s,
-        outcome.worlds_executed);
-
-    if (!a.summary_json.empty()) {
-      // Final summary: the live fields plus the engine aggregates that
-      // only exist once every task sidecar is in.
-      std::FILE* f = std::fopen(a.summary_json.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "unimem_sweep: cannot open %s\n",
-                     a.summary_json.c_str());
-        return 1;
-      }
-      std::fprintf(
-          f,
-          "{\"schema_version\":%d,\"spec\":\"%s\",\"points\":%zu,"
-          "\"done\":%zu,\"failed\":%zu,"
-          "\"resumed\":%zu,\"retries\":%zu,\"steals\":%zu,\"tasks\":%zu,"
-          "\"task_retries\":%zu,\"workers\":%d,\"launcher\":\"%s\","
-          "\"steal\":%s,\"complete\":true,\"jobs\":%d,\"wall_s\":%.6f,"
-          "\"worlds_executed\":%zu,\"baseline_requests\":%zu,"
-          "\"baseline_computed\":%zu,\"host_cpus\":%u%s}\n",
-          kSummarySchemaVersion, a.spec.c_str(), outcome.rows.size(),
-          outcome.rows.size(), outcome.failed, outcome.resumed,
-          outcome.retries, outcome.steals, outcome.tasks,
-          outcome.task_retries, outcome.workers, launcher->name(),
-          a.steal ? "true" : "false", outcome.jobs_used, outcome.wall_s,
-          outcome.worlds_executed, outcome.baseline_requests,
-          outcome.baseline_computed, std::thread::hardware_concurrency(),
-          summary_tail().c_str());
-      std::fclose(f);
-    }
-    return outcome.failed == 0 ? 0 : 2;
-  }
-
-  // ---- engine mode (single process or forked shards) --------------------
-  std::size_t resumed = 0;
-  if (a.resume && !resume_rows.empty()) {
-    std::set<std::size_t> have;
-    std::map<std::size_t, const sweep::SweepPoint*> by_index;
-    for (const auto& p : points) by_index[p.index] = &p;
-    std::vector<sweep::SweepRow> keep;
-    for (const sweep::SweepRow& row : resume_rows) {
-      const auto it = by_index.find(row.index);
-      if (it == by_index.end()) continue;
-      if (row.label != it->second->label)
-        throw std::runtime_error(
-            "resume row " + std::to_string(row.index) + " has label '" +
-            row.label + "' but the spec expands to '" + it->second->label +
-            "' — stale artifact from another spec?");
-      if (!row.ok || have.count(row.index) != 0) continue;
-      have.insert(row.index);
-      keep.push_back(row);
-    }
-    std::sort(keep.begin(), keep.end(),
-              [](const sweep::SweepRow& x, const sweep::SweepRow& y) {
-                return x.index < y.index;
-              });
-    for (const sweep::SweepRow& row : keep) store.add(row);
-    resumed = keep.size();
-    std::vector<sweep::SweepPoint> todo;
-    for (const auto& p : points)
-      if (have.count(p.index) == 0) todo.push_back(p);
-    points = std::move(todo);
-  }
-  const std::size_t total_points = points.size() + resumed;
-
-  sweep::SweepOutcome outcome;
-  if (a.fork_shards > 0 && !points.empty()) {
-    // Multi-process topology: fork before any threads exist.  The parent
-    // replays merged rows through on_result in point order, so --jsonl
-    // streams the same bytes a --jobs 1 run would.
-    namespace fs = std::filesystem;
-    std::string tmpl =
-        (fs::temp_directory_path() / "unimem_sweep.XXXXXX").string();
-    if (mkdtemp(tmpl.data()) == nullptr) {
-      std::fprintf(stderr, "unimem_sweep: cannot create scratch dir\n");
-      return 1;
-    }
-    sweep::ShardedOptions sopts;
-    sopts.shards = a.fork_shards;
-    sopts.engine = eopts;
-    sopts.scratch_dir = tmpl;
-    try {
-      outcome = sweep::run_sharded_processes(points, sopts);
-    } catch (...) {
-      fs::remove_all(tmpl);
-      throw;
-    }
-    fs::remove_all(tmpl);
-  } else if (!points.empty()) {
-    sweep::SweepEngine engine(eopts);
-    outcome = engine.run(points);
-  }
-  store.finish();
-
-  if (!a.trace.empty() &&
-      !export_trace(trace::TraceRecorder::instance().stop(), a.trace))
-    Log::warn("cannot write trace %s", a.trace.c_str());
 
   if (!a.task_meta.empty()) {
-    // Engine counter sidecar (same format as shard/task metas), so a
-    // coordinator that launched this invocation via the cmd launcher can
-    // aggregate world/baseline/retry counters across the fleet.
-    std::FILE* f = std::fopen(a.task_meta.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "unimem_sweep: cannot open %s\n",
-                   a.task_meta.c_str());
-      return 1;
-    }
-    std::fprintf(f, "%zu %zu %zu %zu %d %zu\n", outcome.worlds_executed,
-                 outcome.baseline_requests, outcome.baseline_computed,
-                 outcome.failed, outcome.jobs_used, outcome.retries);
-    std::fclose(f);
+    // One cmd-launcher task: the same body a fork worker runs.  Failed
+    // rows are data in the artifact, so the exit code only says whether
+    // the task ran to completion.
+    sweep::LaunchTask task;
+    task.attempt_base = a.attempt_base;
+    task.points = std::move(points);
+    task.artifact = a.jsonl;
+    task.engine = eopts;
+    task.trace = a.trace;
+    task.trace_buf = static_cast<std::size_t>(a.trace_buf);
+    sweep::run_task_to_artifact(task);
+    return 0;
   }
+
+  // Every run is a coordinator campaign: --jobs N is one in-process
+  // worker running N jobs, --shards N is N fork workers without
+  // stealing, and --launcher picks any topology.
+  std::string kind = a.launcher;
+  int workers = a.workers > 0 ? a.workers : 2;
+  if (a.fork_shards > 0) {
+    kind = "fork";
+    workers = a.fork_shards;
+  } else if (kind.empty()) {
+    kind = "inproc";
+    workers = 1;
+  }
+  if (eopts.jobs <= 0) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    eopts.jobs = std::max(1, static_cast<int>(hw) / workers);
+  }
+
+  std::unique_ptr<sweep::Launcher> launcher;
+  if (kind == "inproc") {
+    launcher = std::make_unique<sweep::InProcessLauncher>();
+  } else if (kind == "fork") {
+    launcher = std::make_unique<sweep::ForkLauncher>();
+  } else {
+    // cmd[:PREFIX]: re-invoke this binary (through the PREFIX tokens,
+    // e.g. "ssh host") with --indices naming the chunk's points.
+    std::vector<std::string> prefix;
+    if (kind.rfind("cmd:", 0) == 0) {
+      const std::string rest = kind.substr(4);
+      std::size_t start = 0;
+      while (start < rest.size()) {
+        std::size_t sp = rest.find(' ', start);
+        if (sp == std::string::npos) sp = rest.size();
+        if (sp > start) prefix.push_back(rest.substr(start, sp - start));
+        start = sp + 1;
+      }
+    }
+    launcher = std::make_unique<sweep::CommandLauncher>(
+        std::move(prefix),
+        [self = self_exe(argv[0]), a](const sweep::LaunchTask& t) {
+          return task_argv(self, a, t);
+        });
+  }
+
+  // Resume: read the previous campaign's artifact BEFORE stream_jsonl
+  // truncates it; the coordinator decides which rows count.
+  sweep::CoordinatorOptions copts;
+  if (a.resume && std::filesystem::exists(a.jsonl)) {
+    std::size_t dropped = 0;
+    copts.resume_rows = sweep::read_jsonl_tolerant(a.jsonl, &dropped);
+    if (dropped != 0)
+      Log::warn(
+          "dropped a torn trailing line from %s (previous writer died "
+          "mid-write); its point re-runs",
+          a.jsonl.c_str());
+  }
+
+  if (!a.trace.empty())
+    trace::TraceRecorder::instance().start(
+        static_cast<std::size_t>(a.trace_buf));
+
+  // Rows stream to --jsonl as they finalize (tail-able mid-run, and what
+  // a later --resume reads); finish() rewrites it in point order, which
+  // keeps the artifact byte-identical across every topology.
+  sweep::SweepResultStore store;
+  if (!a.jsonl.empty()) {
+    store.stream_jsonl(a.jsonl);
+    store.write_jsonl_at_finish(a.jsonl);
+  }
+  if (!a.csv.empty()) store.write_csv_at_finish(a.csv);
+
+  namespace fs = std::filesystem;
+  std::string scratch =
+      (fs::temp_directory_path() / "unimem_sweep.XXXXXX").string();
+  if (mkdtemp(scratch.data()) == nullptr) {
+    std::fprintf(stderr, "unimem_sweep: cannot create scratch dir\n");
+    return 1;
+  }
+
+  copts.launcher = launcher.get();
+  copts.workers = workers;
+  copts.steal = a.steal;
+  copts.engine = eopts;
+  copts.scratch_dir = scratch;
+  // In-process tasks emit straight into this process's recorder; the
+  // process launchers need per-task shards to see inside the children.
+  copts.trace_tasks = !a.trace.empty() && kind != "inproc";
+  copts.trace_buf = static_cast<std::size_t>(a.trace_buf);
+  copts.on_final_row = [&](const sweep::SweepRow& row) { store.add(row); };
+  sweep::CampaignProgress last;
+  copts.on_progress = [&](const sweep::CampaignProgress& p) {
+    last = p;
+    if (!a.summary_json.empty() && !p.complete)
+      write_summary(a.summary_json, a, launcher->name(), workers, p, nullptr);
+  };
+
+  sweep::CampaignOutcome outcome;
+  try {
+    outcome = sweep::run_campaign(points, copts);
+  } catch (...) {
+    fs::remove_all(scratch);
+    throw;
+  }
+  if (!a.trace.empty()) {
+    // Stitch the coordinator's own events with every harvested task
+    // shard (they live in scratch, so merge before removal).  Each
+    // task's tracks get a "task-N/" prefix so per-worker rank threads
+    // stay distinguishable in the stitched timeline.
+    trace::TraceData merged = trace::TraceRecorder::instance().stop();
+    for (const std::string& shard : outcome.trace_shards) {
+      trace::TraceData sd;
+      if (!trace::read_binary(shard, &sd)) {
+        Log::warn("skipping unreadable trace shard %s", shard.c_str());
+        continue;
+      }
+      std::string task = fs::path(shard).filename().string();
+      const std::size_t dot = task.find('.');
+      if (dot != std::string::npos) task.resize(dot);
+      trace::merge_into(&merged, sd, task + "/");
+    }
+    if (!export_trace(std::move(merged), a.trace))
+      Log::warn("cannot write trace %s", a.trace.c_str());
+  }
+  fs::remove_all(scratch);
+  store.finish();
 
   if (!a.quiet) {
     store.report(spec->title + " [" + a.spec + ", " +
-                 std::to_string(total_points) + " points]")
+                 std::to_string(points.size()) + " points]")
         .print();
   }
   std::printf(
-      "\nsweep %s: %zu points, %zu failed, %zu resumed, %.2fs wall, "
-      "%zu worlds executed (naive: %zu), %zu/%zu baselines memoized\n",
-      a.spec.c_str(), total_points, outcome.failed, resumed, outcome.wall_s,
-      outcome.worlds_executed, outcome.rows.size() + outcome.baseline_requests,
+      "\nsweep %s [%s, %d workers]: %zu points, %zu failed, %zu resumed, "
+      "%zu retries, %zu steals, %zu tasks (%zu re-dispatched), %.2fs wall, "
+      "%zu worlds executed, %zu/%zu baselines memoized\n",
+      a.spec.c_str(), launcher->name(), outcome.workers, outcome.rows.size(),
+      outcome.failed, outcome.resumed, outcome.retries, outcome.steals,
+      outcome.tasks, outcome.task_retries, outcome.wall_s,
+      outcome.worlds_executed,
       outcome.baseline_requests - outcome.baseline_computed,
       outcome.baseline_requests);
 
-  if (!a.summary_json.empty()) {
-    std::FILE* f = std::fopen(a.summary_json.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "unimem_sweep: cannot open %s\n",
-                   a.summary_json.c_str());
-      return 1;
-    }
-    std::fprintf(
-        f,
-        "{\"schema_version\":%d,\"spec\":\"%s\",\"points\":%zu,"
-        "\"failed\":%zu,\"jobs\":%d,"
-        "\"shards\":%d,\"retries\":%zu,\"resumed\":%zu,"
-        "\"wall_s\":%.6f,\"worlds_executed\":%zu,\"baseline_requests\":%zu,"
-        "\"baseline_computed\":%zu,\"host_cpus\":%u%s}\n",
-        kSummarySchemaVersion, a.spec.c_str(), total_points, outcome.failed,
-        outcome.jobs_used, outcome.shards, outcome.retries, resumed,
-        outcome.wall_s, outcome.worlds_executed, outcome.baseline_requests,
-        outcome.baseline_computed, std::thread::hardware_concurrency(),
-        summary_tail().c_str());
-    std::fclose(f);
+  if (!a.summary_json.empty() &&
+      !write_summary(a.summary_json, a, launcher->name(), workers, last,
+                     &outcome)) {
+    std::fprintf(stderr, "unimem_sweep: cannot write %s\n",
+                 a.summary_json.c_str());
+    return 1;
   }
   return outcome.failed == 0 ? 0 : 2;
 }
