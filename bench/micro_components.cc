@@ -1,6 +1,6 @@
-// Micro-benchmarks (google-benchmark) for the core components: knapsack
-// solver (DP vs greedy — the ablation of DESIGN.md §6.4), cache models
-// (exact vs analytic — §6.5), the arena allocator, minimpi collectives,
+// Micro-benchmarks (google-benchmark) for the core components: the knapsack
+// DP (the paper's 0-1 placement as the one-constrained-tier MCKP), cache
+// models (exact vs analytic), the arena allocator, minimpi collectives,
 // and the migration engine's copy path.
 //
 // The *Production benchmarks below are the before/after anchors recorded in
@@ -52,25 +52,26 @@ std::vector<rt::KnapsackItem> make_production_items(std::size_t n,
   return items;
 }
 
+/// The planner's 2-tier packing shape: weights {w, 0} over one constrained
+/// tier (DRAM) and the unbounded NVM backstop.
+std::vector<rt::MckpItem> two_tier(const std::vector<rt::KnapsackItem>& items) {
+  std::vector<rt::MckpItem> out;
+  for (const rt::KnapsackItem& it : items)
+    out.push_back(rt::MckpItem{{it.weight, 0.0}, it.bytes});
+  return out;
+}
+
 void BM_KnapsackDP(benchmark::State& state) {
-  auto items = make_items(static_cast<std::size_t>(state.range(0)), 42);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  auto items = two_tier(make_items(n, 42));
   rt::KnapsackSolver solver(64 * 1024);
   for (auto _ : state) {
-    auto r = solver.solve(items, 8 << 20);
+    auto r =
+        solver.solve_mckp(items, {8 << 20, rt::KnapsackSolver::kUnbounded});
     benchmark::DoNotOptimize(r.total_weight);
   }
 }
 BENCHMARK(BM_KnapsackDP)->Arg(8)->Arg(32)->Arg(128);
-
-void BM_KnapsackGreedy(benchmark::State& state) {
-  auto items = make_items(static_cast<std::size_t>(state.range(0)), 42);
-  rt::KnapsackSolver solver(64 * 1024);
-  for (auto _ : state) {
-    auto r = solver.solve_greedy(items, 8 << 20);
-    benchmark::DoNotOptimize(r.total_weight);
-  }
-}
-BENCHMARK(BM_KnapsackGreedy)->Arg(8)->Arg(32)->Arg(128);
 
 // ---------------------------------------------------------------------------
 // Production-size sweeps (BENCH_components.json anchors).
@@ -78,10 +79,10 @@ BENCHMARK(BM_KnapsackGreedy)->Arg(8)->Arg(32)->Arg(128);
 void BM_KnapsackDPProduction(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::size_t cap = static_cast<std::size_t>(state.range(1)) * kMiB;
-  auto items = make_production_items(n, 42);
+  auto items = two_tier(make_production_items(n, 42));
   rt::KnapsackSolver solver(64 * kKiB);
   for (auto _ : state) {
-    auto r = solver.solve(items, cap);
+    auto r = solver.solve_mckp(items, {cap, rt::KnapsackSolver::kUnbounded});
     benchmark::DoNotOptimize(r.total_weight);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -142,10 +143,11 @@ BENCHMARK(BM_ReplanIncrementalRepairProduction)
 void BM_KnapsackHugeProduction(benchmark::State& state) {
   // Item-count x capacity product far past any sensible dense-DP size; the
   // solver is expected to stay sane here rather than allocate gigabytes.
-  auto items = make_production_items(8192, 42);
+  auto items = two_tier(make_production_items(8192, 42));
   rt::KnapsackSolver solver(64 * kKiB);
   for (auto _ : state) {
-    auto r = solver.solve(items, std::size_t{4096} * kMiB);
+    auto r = solver.solve_mckp(
+        items, {std::size_t{4096} * kMiB, rt::KnapsackSolver::kUnbounded});
     benchmark::DoNotOptimize(r.total_weight);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 8192);

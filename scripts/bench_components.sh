@@ -63,6 +63,23 @@ jq --arg lbl "$LABEL" --slurpfile bench "$TMP" '
           (1e9 / $ips["BM_TraceEmitProduction"] * 1000 | round / 1000)
       }
     else . end
+  # Incremental re-planning: the bounded repair (5% and 25% of the items
+  # drifted) against the full 2048-item x 512 MiB knapsack solve it
+  # replaces, straight from the anchors just recorded (all in ms).
+  | (.[$lbl] | map({key: .name, value: .real_time}) | from_entries) as $rt
+  | ($rt["BM_KnapsackDPProduction/2048/512"]) as $full
+  | ($rt["BM_ReplanIncrementalRepairProduction/2048/512/5"]) as $r5
+  | ($rt["BM_ReplanIncrementalRepairProduction/2048/512/25"]) as $r25
+  | if ($full != null and $r5 != null and $r25 != null) then
+      .replan_incremental_speedup = {
+        full_solve_bench: "BM_KnapsackDPProduction/2048/512",
+        full_solve_ms: ($full * 1000 | round / 1000),
+        repair_drift5pct_ms: ($r5 * 1e6 | round / 1e6),
+        repair_drift25pct_ms: ($r25 * 1e6 | round / 1e6),
+        speedup_drift5pct: ($full / $r5 | round),
+        speedup_drift25pct: ($full / $r25 | round)
+      }
+    else . end
 ' "$OUT" > "$OUT.tmp" && mv "$OUT.tmp" "$OUT"
 
 # Slack-scheduled migration overlap: a smoke-scale dag_slack sweep with

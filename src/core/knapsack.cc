@@ -20,134 +20,34 @@ constexpr std::size_t kDenseDpCellBudget = std::size_t{1} << 25;
 
 }  // namespace
 
-bool KnapsackSolver::prefilter(const std::vector<KnapsackItem>& items,
-                               std::size_t cap,
-                               std::vector<std::size_t>* cand,
-                               std::vector<std::size_t>* gsz,
-                               KnapsackResult* out) const {
-  // Candidates: positive weight, fits at all.  Track quantized sizes once.
-  std::size_t total_g = 0;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (items[i].weight <= 0) continue;
-    const std::size_t g = granules(items[i].bytes, granule_);
-    if (g > cap) continue;
-    cand->push_back(i);
-    gsz->push_back(g);
-    total_g += g;
-  }
-  if (cand->empty()) return true;
-
-  // Pre-clamp: nothing above the candidates' total quantized size is
-  // reachable, and when everything fits there is nothing to optimize.
-  if (total_g <= cap) {
-    for (std::size_t i : *cand) {
-      out->selected.push_back(i);
-      out->total_weight += items[i].weight;
-      out->total_bytes += items[i].bytes;
-    }
-    std::sort(out->selected.begin(), out->selected.end());
-    return true;
-  }
-  return false;
-}
-
-KnapsackResult KnapsackSolver::solve(const std::vector<KnapsackItem>& items,
-                                     std::size_t capacity_bytes) const {
-  KnapsackResult out;
-  std::size_t cap = capacity_bytes / granule_;
-  if (cap == 0 || items.empty()) return out;
-
-  std::vector<std::size_t> cand;
-  std::vector<std::size_t> gsz;
-  if (prefilter(items, cap, &cand, &gsz, &out)) return out;
-
-  auto take = [&](std::size_t ci) {
-    out.selected.push_back(cand[ci]);
-    out.total_weight += items[cand[ci]].weight;
-    out.total_bytes += items[cand[ci]].bytes;
-  };
-
-  const std::size_t n = cand.size();
-  if (n * (cap + 1) > kDenseDpCellBudget)
-    return solve_bounded(items, cand, gsz, cap);
-
-  // Rolling 1-D DP over capacity; decisions go into a flat bit matrix
-  // (row per item) so the selection can be reconstructed without the 2-D
-  // value table.
-  const std::size_t stride = (cap + 1 + 63) / 64;
-  std::vector<double> best(cap + 1, 0.0);
-  std::vector<std::uint64_t> taken(n * stride, 0);
-  // Per-row capacity clamp: items 0..i cannot fill more than their summed
-  // granules hi[i], so cells above hi[i] are never materialized.  The
-  // invariant is that after row i, best[0..hi[i]] holds the exact optima;
-  // a read that would land above a row's clamp is answered by best[hi[i]]
-  // (the optimum is constant up there).
-  std::vector<std::size_t> hi(n);
-  std::size_t prev = 0;  // hi of the previous row
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t g = gsz[i];
-    const double w = items[cand[i]].weight;
-    hi[i] = std::min(cap, prev + g);
-    std::uint64_t* row = &taken[i * stride];
-    // Cells in (prev, hi[i]] were unreachable before this row: the
-    // not-take value is best[prev], and they must be materialized so later
-    // rows read correct carries.
-    const double keep = best[prev];
-    // Newly reachable cells the item itself cannot occupy (c < g) still
-    // carry the previous row's plateau value.
-    for (std::size_t c = std::min(hi[i], g - 1); c > prev; --c) best[c] = keep;
-    const std::size_t lo_upper = std::max(prev + 1, g);
-    for (std::size_t c = hi[i]; c >= lo_upper; --c) {
-      const double with = best[c - g] + w;
-      if (with > keep) {
-        best[c] = with;
-        row[c >> 6] |= std::uint64_t{1} << (c & 63);
-      } else {
-        best[c] = keep;
-      }
-      if (c == lo_upper) break;  // avoid size_t underflow
-    }
-    // Classic in-place sweep for the cells both rows can reach.
-    for (std::size_t c = std::min(prev, hi[i]); c >= g; --c) {
-      const double with = best[c - g] + w;
-      if (with > best[c]) {
-        best[c] = with;
-        row[c >> 6] |= std::uint64_t{1} << (c & 63);
-      }
-      if (c == g) break;  // avoid size_t underflow
-    }
-    prev = hi[i];
-  }
-
-  // Reconstruct.
-  std::size_t c = cap;
-  for (std::size_t i = n; i-- > 0;) {
-    c = std::min(c, hi[i]);
-    if ((taken[i * stride + (c >> 6)] >> (c & 63)) & 1) {
-      take(i);
-      c -= gsz[i];
-    }
-  }
-  std::sort(out.selected.begin(), out.selected.end());
-  return out;
-}
-
 KnapsackResult KnapsackSolver::solve_bounded(
     const std::vector<KnapsackItem>& items, std::size_t capacity_bytes) const {
   KnapsackResult out;
   const std::size_t cap = capacity_bytes / granule_;
   if (cap == 0 || items.empty()) return out;
 
+  // Candidates: positive weight, fits at all.  Track quantized sizes once.
   std::vector<std::size_t> cand;
   std::vector<std::size_t> gsz;
-  if (prefilter(items, cap, &cand, &gsz, &out)) return out;
-  return solve_bounded(items, cand, gsz, cap);
-}
+  std::size_t total_g = 0;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (items[i].weight <= 0) continue;
+    const std::size_t g = granules(items[i].bytes, granule_);
+    if (g > cap) continue;
+    cand.push_back(i);
+    gsz.push_back(g);
+    total_g += g;
+  }
+  if (cand.empty()) return out;
+  if (total_g <= cap) {  // everything fits: nothing to optimize
+    for (std::size_t i : cand) {
+      out.selected.push_back(i);
+      out.total_weight += items[i].weight;
+      out.total_bytes += items[i].bytes;
+    }
+    return out;
+  }
 
-KnapsackResult KnapsackSolver::solve_bounded(
-    const std::vector<KnapsackItem>& items,
-    const std::vector<std::size_t>& cand, const std::vector<std::size_t>& gsz,
-    std::size_t cap) const {
   // Density greedy on the quantized sizes (so the capacity accounting is
   // identical to the DP's), refined with the best single candidate: the
   // better of the two is a 1/2-approximation of the DP optimum.
@@ -158,7 +58,6 @@ KnapsackResult KnapsackSolver::solve_bounded(
            items[cand[b]].weight * static_cast<double>(gsz[a]);
   });
 
-  KnapsackResult out;
   std::size_t used = 0;
   std::size_t best_single = order[0];
   for (std::size_t ci : order) {
@@ -225,8 +124,8 @@ MckpResult KnapsackSolver::solve_mckp(
   };
   if (constrained.empty() || n == 0) return finish();
 
-  // Quantize once; the per-dimension caps are pre-clamped to the total
-  // quantized size exactly like the 0-1 path's capacity pre-clamp.
+  // Quantize once; nothing above the total quantized size is reachable, so
+  // the per-dimension caps are pre-clamped to it.
   std::vector<std::size_t> gsz(n);
   std::size_t total_g = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -248,8 +147,8 @@ MckpResult KnapsackSolver::solve_mckp(
   if (dense && P > kDenseDpCellBudget / n) dense = false;
 
   if (!dense) {
-    // Waterfall fallback: fill constrained tiers in index order through the
-    // bounded 0-1 path, each pass scoring still-unassigned items by their
+    // Waterfall fallback: fill constrained tiers in index order through
+    // solve_bounded(), each pass scoring still-unassigned items by their
     // marginal weight over their best unbounded choice.
     std::vector<char> assigned(n, 0);
     for (std::size_t j = 0; j < m; ++j) {
@@ -318,29 +217,6 @@ MckpResult KnapsackSolver::solve_mckp(
     }
   }
   return finish();
-}
-
-KnapsackResult KnapsackSolver::solve_greedy(
-    const std::vector<KnapsackItem>& items, std::size_t capacity_bytes) const {
-  KnapsackResult out;
-  std::vector<std::size_t> order(items.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    double da = items[a].weight / static_cast<double>(std::max<std::size_t>(items[a].bytes, 1));
-    double db = items[b].weight / static_cast<double>(std::max<std::size_t>(items[b].bytes, 1));
-    return da > db;
-  });
-  std::size_t used = 0;
-  for (std::size_t i : order) {
-    if (items[i].weight <= 0) continue;
-    if (used + items[i].bytes > capacity_bytes) continue;
-    used += items[i].bytes;
-    out.selected.push_back(i);
-    out.total_weight += items[i].weight;
-    out.total_bytes += items[i].bytes;
-  }
-  std::sort(out.selected.begin(), out.selected.end());
-  return out;
 }
 
 }  // namespace unimem::rt

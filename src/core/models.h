@@ -72,28 +72,10 @@ class PerformanceModel {
     return Sensitivity::kEither;
   }
 
-  /// Eq. 2: benefit of DRAM residence for a bandwidth-sensitive unit (s).
-  double benefit_bandwidth(const UnitPhaseProfile& u) const {
-    double bytes = static_cast<double>(u.est_accesses) * 64.0;
-    return (bytes / nvm_.read_bw - bytes / dram_.read_bw) * p_.cf_bw;
-  }
-
-  /// Eq. 3: benefit of DRAM residence for a latency-sensitive unit (s).
-  double benefit_latency(const UnitPhaseProfile& u) const {
-    double a = static_cast<double>(u.est_accesses);
-    return (a * nvm_.read_latency_s - a * dram_.read_latency_s) * p_.cf_lat;
-  }
-
-  /// Benefit dispatched on sensitivity (paper: the "either" band takes the
-  /// max of the two estimates).
+  /// Benefit of DRAM residence over NVM (s): the Eq. 2/3 forms below on
+  /// the model's own (DRAM, NVM) pair.
   double benefit(const UnitPhaseProfile& u) const {
-    switch (classify(u)) {
-      case Sensitivity::kBandwidth: return benefit_bandwidth(u);
-      case Sensitivity::kLatency: return benefit_latency(u);
-      case Sensitivity::kEither:
-        return std::max(benefit_bandwidth(u), benefit_latency(u));
-    }
-    return 0;
+    return benefit_between(u, dram_, nvm_);
   }
 
   /// Eq. 4: migration cost net of the overlappable part (s).
@@ -103,13 +85,12 @@ class PerformanceModel {
     return std::max(raw - overlap_s, 0.0);
   }
 
-  // ---- N-tier forms ------------------------------------------------------
-  // Eqs. 2/3 for an arbitrary (fast, slow) tier pair: the benefit of
-  // residence in `fast` relative to `slow`.  With (fast, slow) = the
-  // model's own (DRAM, NVM) pair these are the identical floating-point
-  // expressions as the members above — the MCKP planner scores every tier
-  // against the backstop through them.
+  // ---- Eqs. 2/3 for an arbitrary (fast, slow) tier pair -----------------
+  // The benefit of residence in `fast` relative to `slow`.  The classic
+  // searches score DRAM against NVM through benefit(); the N-tier search
+  // scores every tier against the backstop.
 
+  /// Eq. 2: benefit for a bandwidth-sensitive unit (s).
   double benefit_bandwidth_between(const UnitPhaseProfile& u,
                                    const mem::TierConfig& fast,
                                    const mem::TierConfig& slow) const {
@@ -117,6 +98,7 @@ class PerformanceModel {
     return (bytes / slow.read_bw - bytes / fast.read_bw) * p_.cf_bw;
   }
 
+  /// Eq. 3: benefit for a latency-sensitive unit (s).
   double benefit_latency_between(const UnitPhaseProfile& u,
                                  const mem::TierConfig& fast,
                                  const mem::TierConfig& slow) const {
@@ -124,7 +106,8 @@ class PerformanceModel {
     return (a * slow.read_latency_s - a * fast.read_latency_s) * p_.cf_lat;
   }
 
-  /// Sensitivity-dispatched benefit of `fast` over `slow` (classification
+  /// Sensitivity-dispatched benefit of `fast` over `slow` (paper: the
+  /// "either" band takes the max of the two estimates; classification
   /// depends only on the profile and the calibrated peak, not the pair).
   double benefit_between(const UnitPhaseProfile& u, const mem::TierConfig& fast,
                          const mem::TierConfig& slow) const {

@@ -162,10 +162,20 @@ std::size_t Planner::global_slack_trigger(
   return best_trigger;
 }
 
+std::vector<std::size_t> Planner::capacities() const {
+  const std::size_t T = registry_->hms().num_tiers();
+  std::vector<std::size_t> caps(T, KnapsackSolver::kUnbounded);
+  for (std::size_t k = 0; k + 1 < T && k < opts_.tier_budgets.size(); ++k)
+    caps[k] = opts_.tier_budgets[k];
+  return caps;
+}
+
 Plan Planner::plan_local(const Profiler& prof,
                          const std::vector<Group>& groups,
-                         const GroupProfiles& gp) const {
+                         const GroupProfiles& gp,
+                         const std::vector<std::size_t>& caps) const {
   const std::size_t P = gp.size();
+  const std::size_t dram_budget = caps[0];
   Plan plan;
   plan.kind = Plan::Kind::kLocal;
   plan.at_phase.assign(P, {});
@@ -215,7 +225,7 @@ Plan Planner::plan_local(const Profiler& prof,
 
     // Knapsack items: groups referenced in this phase, weighted by Eq. 5.
     std::vector<std::size_t> refs;
-    std::vector<KnapsackItem> items;
+    std::vector<MckpItem> items;
     std::vector<double> benefits, costs;
     std::vector<std::size_t> triggers;
     for (const auto& [g, uprof] : gp[p]) {
@@ -255,7 +265,7 @@ Plan Planner::plan_local(const Profiler& prof,
         // phase, so its copy-out rides the same helper-thread window as
         // the fill and earns the same overlap credit (Eq. 4), after the
         // fill's own copy time is deducted from the window.
-        if (bytes_of(dram_set) + bytes > opts_.dram_budget) {
+        if (bytes_of(dram_set) + bytes > dram_budget) {
           double window_left =
               std::max(0.0, window - static_cast<double>(bytes) / copy_in_bw);
           cost += model_->migration_cost(bytes, copy_out_bw, window_left);
@@ -265,13 +275,13 @@ Plan Planner::plan_local(const Profiler& prof,
       benefits.push_back(benefit);
       costs.push_back(cost);
       triggers.push_back(trigger);
-      items.push_back(KnapsackItem{benefit - cost, bytes});
+      items.push_back(MckpItem{{benefit - cost, 0.0}, bytes});
     }
 
-    KnapsackSolver solver;
-    KnapsackResult sel = solver.solve(items, opts_.dram_budget);
+    const MckpResult sel = KnapsackSolver().solve_mckp(items, caps);
     std::set<std::size_t> selected;
-    for (std::size_t idx : sel.selected) selected.insert(refs[idx]);
+    for (std::size_t i = 0; i < refs.size(); ++i)
+      if (sel.choice[i] == 0) selected.insert(refs[i]);
 
     // Evictions: non-selected residents leave when space is needed,
     // preferring victims not referenced in this phase; they are enqueued at
@@ -286,7 +296,7 @@ Plan Planner::plan_local(const Profiler& prof,
       if (dram_set.count(g) == 0) incoming += groups[g].bytes;
     std::size_t resident = bytes_of(dram_set);
     std::size_t free_space =
-        opts_.dram_budget > resident ? opts_.dram_budget - resident : 0;
+        dram_budget > resident ? dram_budget - resident : 0;
     std::size_t to_free = incoming > free_space ? incoming - free_space : 0;
 
     std::vector<std::size_t> victims;
@@ -349,7 +359,8 @@ Plan Planner::plan_local(const Profiler& prof,
 
 Plan Planner::plan_global(const Profiler& prof,
                           const std::vector<Group>& groups,
-                          const GroupProfiles& gp) const {
+                          const GroupProfiles& gp,
+                          const std::vector<std::size_t>& caps) const {
   const std::size_t P = gp.size();
   Plan plan;
   plan.kind = Plan::Kind::kGlobal;
@@ -364,20 +375,20 @@ Plan Planner::plan_global(const Profiler& prof,
   const double copy_in_bw =
       registry_->hms().copy_bandwidth(mem::Tier::kNvm, mem::Tier::kDram);
   std::vector<std::size_t> refs;
-  std::vector<KnapsackItem> items;
+  std::vector<MckpItem> items;
   for (const auto& [g, b] : benefit) {
     // One migration per run at most, usually overlapped; charge it once.
     double cost = group_in_dram(groups[g])
                       ? 0.0
                       : static_cast<double>(groups[g].bytes) / copy_in_bw;
     refs.push_back(g);
-    items.push_back(KnapsackItem{b - cost, groups[g].bytes});
+    items.push_back(MckpItem{{b - cost, 0.0}, groups[g].bytes});
   }
 
-  KnapsackSolver solver;
-  KnapsackResult sel = solver.solve(items, opts_.dram_budget);
+  const MckpResult sel = KnapsackSolver().solve_mckp(items, caps);
   std::set<std::size_t> selected;
-  for (std::size_t idx : sel.selected) selected.insert(refs[idx]);
+  for (std::size_t i = 0; i < refs.size(); ++i)
+    if (sel.choice[i] == 0) selected.insert(refs[i]);
 
   double predicted = no_move_time(prof);
   // Make room first: evict residents that were not selected (enqueued at
@@ -434,7 +445,8 @@ Plan Planner::plan_global(const Profiler& prof,
 
 Plan Planner::plan_tiered(const Profiler& prof,
                           const std::vector<Group>& groups,
-                          const GroupProfiles& gp) const {
+                          const GroupProfiles& gp,
+                          const std::vector<std::size_t>& caps) const {
   const std::size_t P = gp.size();
   Plan plan;
   plan.kind = Plan::Kind::kTiered;
@@ -488,13 +500,7 @@ Plan Planner::plan_tiered(const Profiler& prof,
     items.push_back(std::move(item));
   }
 
-  std::vector<std::size_t> caps(T, KnapsackSolver::kUnbounded);
-  for (std::size_t k = 0; k < opts_.tier_budgets.size() && k < T; ++k)
-    caps[k] = opts_.tier_budgets[k];
-  caps[T - 1] = KnapsackSolver::kUnbounded;  // the backstop absorbs the rest
-
-  KnapsackSolver solver;
-  const MckpResult sel = solver.solve_mckp(items, caps);
+  const MckpResult sel = KnapsackSolver().solve_mckp(items, caps);
 
   auto first_ref = [&](std::size_t g) {
     for (std::size_t p = 0; p < P; ++p)
@@ -543,18 +549,19 @@ Plan Planner::plan(const Profiler& prof) const {
   if (prof.phase_count() == 0) return Plan{};
   std::vector<Group> groups = build_groups();
   GroupProfiles gp = aggregate(prof, groups);
-  if (!opts_.tier_budgets.empty()) return plan_tiered(prof, groups, gp);
+  const std::vector<std::size_t> caps = capacities();
+  if (caps.size() > 2) return plan_tiered(prof, groups, gp, caps);
 
   Plan best;
   best.predicted_iteration_s = no_move_time(prof);
   if (opts_.global_search) {
-    Plan g = plan_global(prof, groups, gp);
+    Plan g = plan_global(prof, groups, gp, caps);
     if (best.kind == Plan::Kind::kNone ||
         g.predicted_iteration_s < best.predicted_iteration_s)
       best = std::move(g);
   }
   if (opts_.local_search) {
-    Plan l = plan_local(prof, groups, gp);
+    Plan l = plan_local(prof, groups, gp, caps);
     // The local model credits overlap optimistically (the helper thread is
     // one serial engine and enforcement interleaving is imperfect), so a
     // rotation plan must beat the global plan by a clear margin before it

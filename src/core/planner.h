@@ -5,20 +5,24 @@
 // where BFT is the Eq. 2/3 benefit, COST the Eq. 4 migration cost net of
 // the overlap window (time between the unit's previous reference and the
 // phase), and extra_COST the eviction traffic needed to make room.  A 0-1
-// knapsack over the DRAM capacity picks the resident set.
+// knapsack over the DRAM capacity picks the resident set: the K=2 case of
+// KnapsackSolver::solve_mckp, weights {w, 0} over {DRAM budget, unbounded
+// NVM}, the same DP every ladder packs with.
 //
-// Two searches are run and the predicted-faster plan is used:
+// On the paper's 2-tier machine two searches are run and the
+// predicted-faster plan is used:
 //   * phase-local search  — one knapsack per phase, migrations between
 //     phases, triggers placed right after the unit's previous reference so
 //     the helper thread can overlap the copy;
 //   * cross-phase global search — one knapsack over aggregated benefits,
 //     a single placement for the whole iteration, no intra-iteration moves.
 //
-// On an N-tier machine (PlannerOptions::tier_budgets non-empty) the search
-// becomes multiple-choice: every group picks *a* tier, scored against the
-// backstop through the pairwise Eq. 2/3 forms, and the MCKP solver packs
-// the constrained tiers jointly (knapsack.h).  The 2-tier path never sets
-// tier_budgets, keeping the classic searches byte-identical.
+// On a deeper ladder (more than 2 tiers) the search becomes multiple-choice
+// instead: every group picks *a* tier, scored against the backstop through
+// the pairwise Eq. 2/3 forms, and the MCKP solver packs the constrained
+// tiers jointly (plan_tiered).  Planner::plan is the one place that
+// branches on the ladder depth; both paths read their per-tier budgets
+// from PlannerOptions::tier_budgets.
 #pragma once
 
 #include <set>
@@ -45,7 +49,7 @@ struct PlannedMigration {
 struct Plan {
   /// kIncremental: a warm-start repair of the previous plan produced by
   /// the ReplanController (replan.h), not a fresh search.
-  /// kTiered: the N-tier multiple-choice placement (tier_budgets set).
+  /// kTiered: the N-tier multiple-choice placement (more than 2 tiers).
   enum class Kind {
     kNone,
     kLocal,
@@ -82,17 +86,15 @@ struct PlannerOptions {
   /// chunks form one all-or-nothing placement group, so an object larger
   /// than the budget can never migrate — the paper's motivating problem.
   bool chunking = true;
-  /// DRAM bytes this rank may plan with (its share of the node allowance).
-  std::size_t dram_budget = 0;
   /// Computed phase DAG for slack-scheduled triggers (dag_schedule=slack);
   /// nullptr keeps the classic JIT trigger walk byte-identical.
   const PhaseDag* dag = nullptr;
   /// This rank's id in the DAG (slack/critical lookups).
   int rank = 0;
-  /// Per-tier byte budgets for the N-tier multiple-choice search, indexed
-  /// by tier; KnapsackSolver::kUnbounded entries are unmetered (the last
-  /// tier — the backstop — always is).  Empty (the default, and always on
-  /// a 2-tier machine) routes planning through the classic searches.
+  /// Bytes this rank may plan with in each tier (its share of the node
+  /// allowance), indexed by tier: {DRAM budget, kUnbounded} on the 2-tier
+  /// machine.  KnapsackSolver::kUnbounded entries and missing ones are
+  /// unmetered, and the backstop (last tier) always is.
   std::vector<std::size_t> tier_budgets;
 };
 
@@ -102,8 +104,9 @@ class Planner {
           PlannerOptions opts)
       : registry_(registry), model_(model), opts_(opts) {}
 
-  /// Build the best plan from one profiled iteration.  `initial_tiers`
-  /// describes where each unit lives when the plan starts executing.
+  /// Build the best plan from one profiled iteration, starting from the
+  /// tiers the registry reports each unit in now.  2-tier ladders run the
+  /// classic local/global searches; deeper ladders run plan_tiered.
   Plan plan(const Profiler& prof) const;
 
   /// Predicted iteration time if nothing moves (everything stays where the
@@ -124,15 +127,22 @@ class Planner {
   GroupProfiles aggregate(const Profiler& prof,
                           const std::vector<Group>& groups) const;
 
+  /// The MCKP capacity vector: one entry per tier, from tier_budgets,
+  /// with missing entries and the backstop unmetered.
+  std::vector<std::size_t> capacities() const;
+
   Plan plan_local(const Profiler& prof, const std::vector<Group>& groups,
-                  const GroupProfiles& gp) const;
+                  const GroupProfiles& gp,
+                  const std::vector<std::size_t>& caps) const;
   Plan plan_global(const Profiler& prof, const std::vector<Group>& groups,
-                   const GroupProfiles& gp) const;
-  /// N-tier placement (tier_budgets set): one MCKP over the aggregated
+                   const GroupProfiles& gp,
+                   const std::vector<std::size_t>& caps) const;
+  /// N-tier placement (more than 2 tiers): one MCKP over the aggregated
   /// per-(group, tier) benefits, every referenced group choosing a tier;
   /// demotions enqueue before promotions in the phase-0 FIFO batch.
   Plan plan_tiered(const Profiler& prof, const std::vector<Group>& groups,
-                   const GroupProfiles& gp) const;
+                   const GroupProfiles& gp,
+                   const std::vector<std::size_t>& caps) const;
 
   /// Overlap window before `phase` available for moving group `g`: the
   /// summed duration of phases since its previous reference.

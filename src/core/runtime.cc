@@ -22,12 +22,17 @@ Runtime::Runtime(RuntimeOptions opts, mem::HeteroMemory* hms,
   migrator_ = std::make_unique<MigrationEngine>(registry_.get());
   sampler_ = std::make_unique<perf::Sampler>(opts_.timing, opts_.sampler_seed);
 
-  dram_budget_ = opts_.dram_budget;
-  if (dram_budget_ == 0) {
-    std::size_t node_allowance = arbiter != nullptr
-                                     ? arbiter->allowance()
-                                     : hms_->config().dram.capacity_bytes;
-    dram_budget_ = node_allowance / std::max(1, opts_.ranks_per_node);
+  // This rank's share of every constrained tier: the node's arbiter
+  // allowance, or the tier's capacity where the arbiter does not meter it,
+  // split across the node's ranks.  The backstop is unmetered.
+  tier_budgets_.assign(hms_->num_tiers(), KnapsackSolver::kUnbounded);
+  for (std::size_t k = 0; k + 1 < tier_budgets_.size(); ++k) {
+    const int ki = static_cast<int>(k);
+    const std::size_t node_cap =
+        arbiter != nullptr && arbiter->constrains(ki)
+            ? arbiter->allowance_tier(ki)
+            : hms_->tier_config(mem::tier(ki)).capacity_bytes;
+    tier_budgets_[k] = node_cap / std::max(1, opts_.ranks_per_node);
   }
 
   // unimem_init: one-time calibration (STREAM + pointer chase, §3.1.2).
@@ -45,7 +50,7 @@ Runtime::Runtime(RuntimeOptions opts, mem::HeteroMemory* hms,
     ReplanOptions ropts;
     ropts.drift_threshold = opts_.drift_threshold;
     ropts.drift_budget = opts_.drift_budget;
-    ropts.dram_budget = dram_budget_;
+    ropts.dram_budget = tier_budgets_[0];
     replanner_ = std::make_unique<ReplanController>(registry_.get(),
                                                     model_.get(), ropts);
   }
@@ -157,7 +162,7 @@ void Runtime::apply_initial_placement() {
   std::size_t used = registry_->resident_bytes(mem::Tier::kDram);
   for (const Cand& c : cands) {
     if (c.refs <= 0) break;
-    if (used + c.bytes > dram_budget_) continue;
+    if (used + c.bytes > tier_budgets_[0]) continue;
     if (registry_->migrate(c.unit, mem::Tier::kDram)) used += c.bytes;
   }
 }
@@ -475,27 +480,10 @@ void Runtime::make_plan() {
   popts.local_search = opts_.enable_local_search;
   popts.global_search = opts_.enable_global_search;
   popts.chunking = opts_.enable_chunking;
-  popts.dram_budget = dram_budget_;
+  popts.tier_budgets = tier_budgets_;
   if (opts_.dag_schedule == DagSchedule::kSlack && dag_ready_) {
     popts.dag = &dag_;
     popts.rank = comm_ != nullptr ? comm_->rank() : 0;
-  }
-  if (hms_->num_tiers() > 2) {
-    // N-tier machine: hand the planner this rank's share of every
-    // constrained tier and let the multiple-choice search place across the
-    // ladder.  (Never set on 2-tier, keeping the classic searches
-    // byte-identical.)
-    const mem::DramArbiter* arb = registry_->arbiter();
-    popts.tier_budgets.assign(hms_->num_tiers(),
-                              KnapsackSolver::kUnbounded);
-    for (std::size_t k = 0; k + 1 < hms_->num_tiers(); ++k) {
-      const int ki = static_cast<int>(k);
-      const std::size_t node_cap =
-          arb != nullptr && arb->constrains(ki)
-              ? arb->allowance_tier(ki)
-              : hms_->tier_config(mem::tier(ki)).capacity_bytes;
-      popts.tier_budgets[k] = node_cap / std::max(1, opts_.ranks_per_node);
-    }
   }
   Planner planner(registry_.get(), model_.get(), popts);
   plan_ = planner.plan(profiler_);

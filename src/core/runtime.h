@@ -107,8 +107,7 @@ struct RuntimeOptions {
   std::uint64_t sample_high_watermark = 512;
   std::uint64_t sample_low_watermark = 64;
 
-  /// DRAM bytes this rank plans with; 0 = node allowance / ranks_per_node.
-  std::size_t dram_budget = 0;
+  /// Ranks sharing one node's allowances; each plans with its 1/n share.
   int ranks_per_node = 1;
   /// Chunk size override for large chunkable objects; 0 = kChunkBytes.
   std::size_t chunk_bytes = 0;
@@ -158,7 +157,7 @@ struct RuntimeStats {
 class Runtime final : public Context, public mpi::PmpiHooks {
  public:
   /// `comm` may be nullptr (single-rank); `arbiter` may be nullptr (then
-  /// the DRAM arena alone bounds placement).  unimem_init: spawns the
+  /// each tier's capacity bounds placement).  unimem_init: spawns the
   /// helper thread and calibrates the model (every construction re-runs
   /// the calibration; nothing is cached across Runtimes).
   Runtime(RuntimeOptions opts, mem::HeteroMemory* hms,
@@ -249,7 +248,9 @@ class Runtime final : public Context, public mpi::PmpiHooks {
 
   Mode mode_ = Mode::kIdle;
   bool started_ = false;
-  std::size_t dram_budget_ = 0;
+  /// Per-rank byte budget of every tier (PlannerOptions::tier_budgets);
+  /// [0] is the DRAM budget of initial placement and incremental repair.
+  std::vector<std::size_t> tier_budgets_;
   std::size_t phase_idx_ = 0;       ///< within the current iteration
   std::uint64_t iteration_ = 0;
   bool reprofile_requested_ = false;

@@ -33,12 +33,6 @@ std::string json_escape(const std::string& s) {
 
 namespace {
 
-/// "" / "1" / "-" mean "append to stdout" (the historic UNIMEM_CSV
-/// behavior); anything else is a per-report file prefix.
-bool env_means_stdout(const char* v) {
-  return v[0] == '\0' || std::string(v) == "1" || std::string(v) == "-";
-}
-
 void write_file(const std::string& path, const std::string& content) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) throw std::runtime_error("Report: cannot open " + path);
@@ -139,35 +133,23 @@ void Report::print(std::FILE* out) const {
 
   // Environment-driven side outputs are best-effort: an unwritable
   // prefix must not abort a harness that already printed its table.
-  if (const char* csv = std::getenv("UNIMEM_CSV"); csv != nullptr) {
-    if (env_means_stdout(csv)) {
-      std::fprintf(out, "\ncsv,%s\n", title_.c_str());
-      auto csv_row = [&](const std::vector<std::string>& row) {
-        std::fputs("csv", out);
-        for (const auto& c : row) std::fprintf(out, ",%s", c.c_str());
-        std::fputc('\n', out);
-      };
-      csv_row(header_);
-      for (const auto& r : rows_) csv_row(r);
-    } else {
-      try {
-        save_csv(std::string(csv) + "-" + slug() + ".csv");
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "Report: UNIMEM_CSV: %s\n", e.what());
-      }
+  auto side_output = [&](const char* var, const char* ext,
+                         void (Report::*save)(const std::string&) const) {
+    const char* prefix = std::getenv(var);
+    if (prefix == nullptr) return;
+    if (prefix[0] == '\0') {
+      std::fprintf(stderr, "Report: %s is empty; set it to a file prefix\n",
+                   var);
+      return;
     }
-  }
-  if (const char* jsonl = std::getenv("UNIMEM_JSONL"); jsonl != nullptr) {
-    if (env_means_stdout(jsonl)) {
-      std::fputs(to_jsonl().c_str(), out);
-    } else {
-      try {
-        save_jsonl(std::string(jsonl) + "-" + slug() + ".jsonl");
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "Report: UNIMEM_JSONL: %s\n", e.what());
-      }
+    try {
+      (this->*save)(std::string(prefix) + "-" + slug() + ext);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "Report: %s: %s\n", var, e.what());
     }
-  }
+  };
+  side_output("UNIMEM_CSV", ".csv", &Report::save_csv);
+  side_output("UNIMEM_JSONL", ".jsonl", &Report::save_jsonl);
 }
 
 }  // namespace unimem::exp

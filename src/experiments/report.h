@@ -2,12 +2,14 @@
 // figure/table harness prints rows in the same aligned format the paper's
 // tables use.  Besides the stdout table, a report can serialize itself as
 // CSV and JSONL — either explicitly (save_csv/save_jsonl) or driven by the
-// UNIMEM_CSV / UNIMEM_JSONL environment variables at print() time:
+// UNIMEM_CSV / UNIMEM_JSONL environment variables at print() time.  Each
+// names a file prefix:
 //
-//   UNIMEM_CSV=      (empty, "1" or "-")  csv,... lines appended to stdout
-//   UNIMEM_CSV=path/prefix                <prefix>-<title-slug>.csv
+//   UNIMEM_CSV=path/prefix     <prefix>-<title-slug>.csv
+//   UNIMEM_JSONL=path/prefix   <prefix>-<title-slug>.jsonl
 //
-// and the same for UNIMEM_JSONL.  File names are derived per report from
+// An empty value names no file: print() says so on stderr and writes
+// nothing for that variable.  File names are derived per report from
 // the title slug (made unique within the process), so several reports in
 // one binary never clobber each other's files.  Concurrent *processes*
 // printing identically-titled reports still share a path — give each run
@@ -40,7 +42,7 @@ class Report {
     return buf;
   }
 
-  /// Aligned table to `out`, plus any UNIMEM_CSV / UNIMEM_JSONL output.
+  /// Aligned table to `out`, plus any UNIMEM_CSV / UNIMEM_JSONL files.
   void print(std::FILE* out = stdout) const;
 
   /// Filesystem-safe slug of the title, unique within this process (a

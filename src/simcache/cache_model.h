@@ -2,7 +2,8 @@
 // Two implementations exist:
 //   * ExactCache    - a set-associative LRU simulator (ground truth, slow)
 //   * AnalyticCache - closed-form miss estimates (fast path for benches)
-// Tests verify the two agree across the pattern space (DESIGN.md §6.5).
+// CacheAgreement.AnalyticTracksExact (tests/simcache_test.cc) checks that
+// the two agree across the pattern space.
 #pragma once
 
 #include <cstddef>
@@ -12,7 +13,7 @@
 namespace unimem::cache {
 
 struct CacheConfig {
-  std::size_t size_bytes = 1 << 20;  ///< 1 MiB LLC (scaled; DESIGN.md §5)
+  std::size_t size_bytes = 1 << 20;  ///< 1 MiB LLC (scaled down with the data)
   int ways = 16;
   std::size_t line_bytes = 64;
 

@@ -10,9 +10,9 @@
 // simulated node; every allocation a rank's runtime makes in a
 // *constrained* tier must first be granted here.  On the paper's 2-tier
 // machine only tier 0 (DRAM) is constrained — the single-allowance
-// constructor and the unsuffixed accessors keep that reading.  On an N-tier
-// machine every tier except the backstop typically carries its own
-// allowance (kUnbounded marks a tier the arbiter does not meter).
+// constructor keeps that reading.  On an N-tier machine every tier except
+// the backstop typically carries its own allowance (kUnbounded marks a
+// tier the arbiter does not meter).
 #pragma once
 
 #include <cstddef>
@@ -73,20 +73,6 @@ class DramArbiter {
     if (!constrains(t)) return 0;
     std::lock_guard<std::mutex> lk(mu_);
     return granted_tiers_[static_cast<std::size_t>(t)];
-  }
-
-  // ---- tier-0 (DRAM) shorthands, the paper's reading -------------------
-
-  bool request(std::size_t bytes) { return request_tier(0, bytes); }
-  void release(std::size_t bytes) { release_tier(0, bytes); }
-
-  std::size_t allowance() const { return allowances_.empty() ? 0 : allowances_[0]; }
-
-  std::size_t granted() const { return granted_tier(0); }
-
-  std::size_t available() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return allowances_.empty() ? 0 : allowances_[0] - granted_tiers_[0];
   }
 
  private:

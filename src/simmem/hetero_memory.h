@@ -39,8 +39,8 @@ struct HmsConfig {
   TierConfig nvm;
 
   /// Evaluation default: 8 MiB DRAM + 512 MiB NVM (the paper's 256 MB DRAM /
-  /// 16 GB NVM scaled by 32x; see DESIGN.md §5), NVM at `bw_ratio` of DRAM
-  /// bandwidth and `lat_mult` of DRAM latency.
+  /// 16 GB NVM scaled down by 32x), NVM at `bw_ratio` of DRAM bandwidth and
+  /// `lat_mult` of DRAM latency.
   static HmsConfig scaled(double bw_ratio, double lat_mult,
                           std::size_t dram_cap = 8 * kMiB,
                           std::size_t nvm_cap = 512 * kMiB) {

@@ -24,7 +24,7 @@
 namespace unimem::wl {
 
 struct WorkloadConfig {
-  /// NPB-style input class (scaled; see DESIGN.md §5): S/A/C/D.
+  /// NPB-style input class, scaled down with the memory sizes: S/A/C/D.
   char cls = 'C';
   int iterations = 10;
   /// Ranks sharing the global problem (strong scaling divides the data).

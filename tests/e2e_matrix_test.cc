@@ -119,8 +119,8 @@ std::vector<RankOutcome> run_matrix_cell(const std::string& workload,
       out[r].planned_phase_bytes.push_back(bytes);
     }
     out[r].dram_resident = runtime.registry().resident_bytes(mem::Tier::kDram);
-    out[r].arbiter_granted = node.arbiter->granted();
-    out[r].arbiter_allowance = node.arbiter->allowance();
+    out[r].arbiter_granted = node.arbiter->granted_tier(0);
+    out[r].arbiter_allowance = node.arbiter->allowance_tier(0);
   });
   return out;
 }

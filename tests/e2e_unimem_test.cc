@@ -70,8 +70,8 @@ std::vector<RankOutcome> run_cg_under_unimem() {
     out[r].stats = runtime.stats();
     out[r].plan_kind = runtime.current_plan().kind;
     out[r].dram_resident = runtime.registry().resident_bytes(mem::Tier::kDram);
-    out[r].arbiter_granted = node.arbiter->granted();
-    out[r].arbiter_allowance = node.arbiter->allowance();
+    out[r].arbiter_granted = node.arbiter->granted_tier(0);
+    out[r].arbiter_allowance = node.arbiter->allowance_tier(0);
   });
   return out;
 }

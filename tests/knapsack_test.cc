@@ -1,6 +1,7 @@
-// Tests for the 0-1 knapsack solver: exactness against brute force on
-// random instances (property test) and the behavioural edge cases the
-// planner relies on.
+// Tests for the knapsack solver: the paper's 0-1 problem as the K=2 case
+// of the multiple-choice DP, the N-tier MCKP itself, and the bounded
+// approximation — exactness against brute force on random instances
+// (property tests) and the behavioural edge cases the planner relies on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,22 +33,43 @@ double brute_force_best(const std::vector<KnapsackItem>& items,
   return best;
 }
 
+/// The paper's 0-1 knapsack, solved the way the planner solves it: the K=2
+/// MCKP with weights {w, 0} over {capacity, unbounded NVM}; tier 0 (DRAM)
+/// is "selected".
+KnapsackResult solve01(const KnapsackSolver& s,
+                       const std::vector<KnapsackItem>& items,
+                       std::size_t capacity) {
+  std::vector<MckpItem> two_tier;
+  for (const KnapsackItem& it : items)
+    two_tier.push_back(MckpItem{{it.weight, 0.0}, it.bytes});
+  const MckpResult m =
+      s.solve_mckp(two_tier, {capacity, KnapsackSolver::kUnbounded});
+  KnapsackResult out;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (m.choice[i] != 0) continue;
+    out.selected.push_back(i);
+    out.total_weight += items[i].weight;
+    out.total_bytes += items[i].bytes;
+  }
+  return out;
+}
+
 TEST(Knapsack, EmptyInstance) {
   KnapsackSolver s;
-  KnapsackResult r = s.solve({}, 1 << 20);
+  KnapsackResult r = solve01(s, {}, 1 << 20);
   EXPECT_TRUE(r.selected.empty());
   EXPECT_DOUBLE_EQ(r.total_weight, 0);
 }
 
 TEST(Knapsack, ZeroCapacity) {
   KnapsackSolver s;
-  KnapsackResult r = s.solve({{1.0, 100}}, 0);
+  KnapsackResult r = solve01(s, {{1.0, 100}}, 0);
   EXPECT_TRUE(r.selected.empty());
 }
 
 TEST(Knapsack, NegativeWeightNeverSelected) {
   KnapsackSolver s(1024);
-  KnapsackResult r = s.solve({{-1.0, 1024}, {2.0, 1024}, {0.0, 1024}},
+  KnapsackResult r = solve01(s, {{-1.0, 1024}, {2.0, 1024}, {0.0, 1024}},
                              std::size_t{1} << 20);
   ASSERT_EQ(r.selected.size(), 1u);
   EXPECT_EQ(r.selected[0], 1u);
@@ -55,7 +77,7 @@ TEST(Knapsack, NegativeWeightNeverSelected) {
 
 TEST(Knapsack, OversizedItemSkipped) {
   KnapsackSolver s(1024);
-  KnapsackResult r = s.solve({{100.0, 1 << 20}, {1.0, 1024}}, 2048);
+  KnapsackResult r = solve01(s, {{100.0, 1 << 20}, {1.0, 1024}}, 2048);
   ASSERT_EQ(r.selected.size(), 1u);
   EXPECT_EQ(r.selected[0], 1u);
 }
@@ -65,15 +87,16 @@ TEST(Knapsack, PicksValueOverDensityWhenOptimal) {
   // must take the two smaller ones (classic greedy-failure case).
   KnapsackSolver s(1);
   std::vector<KnapsackItem> items = {{10.0, 6}, {6.0, 4}, {6.0, 4}};
-  KnapsackResult dp = s.solve(items, 8);
+  KnapsackResult dp = solve01(s, items, 8);
   EXPECT_DOUBLE_EQ(dp.total_weight, 12.0);
-  KnapsackResult greedy = s.solve_greedy(items, 8);
-  EXPECT_DOUBLE_EQ(greedy.total_weight, 10.0);  // density trap
+  EXPECT_EQ(dp.selected, (std::vector<std::size_t>{1, 2}));
+  KnapsackResult bounded = s.solve_bounded(items, 8);
+  EXPECT_DOUBLE_EQ(bounded.total_weight, 10.0);  // density trap
 }
 
 TEST(Knapsack, RespectsCapacityExactly) {
   KnapsackSolver s(1);
-  KnapsackResult r = s.solve({{1.0, 3}, {1.0, 3}, {1.0, 3}}, 6);
+  KnapsackResult r = solve01(s, {{1.0, 3}, {1.0, 3}, {1.0, 3}}, 6);
   EXPECT_EQ(r.selected.size(), 2u);
   EXPECT_LE(r.total_bytes, 6u);
 }
@@ -83,7 +106,7 @@ TEST(Knapsack, GranuleRoundsSizesUp) {
   // items cannot fit a 4 KiB capacity even though raw bytes would fit.
   KnapsackSolver s(1024);
   KnapsackResult r =
-      s.solve({{1.0, 1025}, {1.0, 1025}, {1.0, 1025}}, 4 * 1024);
+      solve01(s, {{1.0, 1025}, {1.0, 1025}, {1.0, 1025}}, 4 * 1024);
   EXPECT_EQ(r.selected.size(), 2u);
 }
 
@@ -99,7 +122,7 @@ TEST_P(KnapsackProperty, MatchesBruteForce) {
                                    64 * (1 + rng.below(64))});
     std::size_t capacity = 64 * (1 + rng.below(256));
     KnapsackSolver s(64);
-    KnapsackResult r = s.solve(items, capacity);
+    KnapsackResult r = solve01(s, items, capacity);
     // Selection must be feasible.
     std::size_t bytes = 0;
     double w = 0;
@@ -111,8 +134,8 @@ TEST_P(KnapsackProperty, MatchesBruteForce) {
     EXPECT_NEAR(w, r.total_weight, 1e-9);
     // And optimal (granule = min item granularity = 64 here, so exact).
     EXPECT_NEAR(r.total_weight, brute_force_best(items, capacity), 1e-9);
-    // Greedy is never better than the DP.
-    KnapsackResult g = s.solve_greedy(items, capacity);
+    // The bounded approximation is never better than the DP.
+    KnapsackResult g = s.solve_bounded(items, capacity);
     EXPECT_LE(g.total_weight, r.total_weight + 1e-9);
   }
 }
@@ -122,11 +145,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, KnapsackProperty,
 
 TEST(Knapsack, AllCandidatesFitFastPath) {
   // Total positive-weight granules below capacity: everything useful is
-  // selected without running a DP, non-positive items still excluded.
+  // selected, non-positive items still excluded.
   KnapsackSolver s(1024);
   std::vector<KnapsackItem> items = {
       {1.0, 1000}, {-1.0, 1000}, {0.5, 3000}, {0.0, 500}};
-  KnapsackResult r = s.solve(items, 1 << 20);
+  KnapsackResult r = solve01(s, items, 1 << 20);
   ASSERT_EQ(r.selected, (std::vector<std::size_t>{0, 2}));
   EXPECT_DOUBLE_EQ(r.total_weight, 1.5);
   EXPECT_EQ(r.total_bytes, 4000u);
@@ -146,7 +169,7 @@ TEST_P(KnapsackProperty20, MatchesBruteForceUpTo20Items) {
                                    64 * (1 + rng.below(64))});
     std::size_t capacity = 64 * (1 + rng.below(512));
     KnapsackSolver s(64);
-    KnapsackResult r = s.solve(items, capacity);
+    KnapsackResult r = solve01(s, items, capacity);
     std::size_t bytes = 0;
     double w = 0;
     for (std::size_t idx : r.selected) {
@@ -176,7 +199,7 @@ TEST(Knapsack, QuantizationNeverOvercommits) {
                                    1 + rng.below(10 * granule)});
     const std::size_t capacity = 1 + rng.below(n * 4 * granule);
     KnapsackSolver s(granule);
-    KnapsackResult r = s.solve(items, capacity);
+    KnapsackResult r = solve01(s, items, capacity);
     std::size_t quantized = 0;
     for (std::size_t idx : r.selected)
       quantized += (items[idx].bytes + granule - 1) / granule;
@@ -189,6 +212,7 @@ TEST(Knapsack, HugeInstanceStaysFeasibleAndUseful) {
   // Item-count x capacity far past the dense-DP budget: the solver must
   // switch to the bounded-approximation path — still feasible, still at
   // least as good as the best single item, and fast enough to run here.
+  // The direct solve_bounded() entry gives the same answer.
   Rng rng(5);
   std::vector<KnapsackItem> items;
   for (int i = 0; i < 64; ++i)
@@ -196,8 +220,9 @@ TEST(Knapsack, HugeInstanceStaysFeasibleAndUseful) {
         KnapsackItem{rng.uniform(0.0, 1.0), 50000 + rng.below(2000000)});
   const std::size_t capacity = 1 << 20;  // granule 1: ~64 x 2^20 DP cells
   KnapsackSolver s(1);
-  KnapsackResult r = s.solve(items, capacity);
+  KnapsackResult r = solve01(s, items, capacity);
   ASSERT_FALSE(r.selected.empty());
+  EXPECT_EQ(r.selected, s.solve_bounded(items, capacity).selected);
   std::size_t bytes = 0;
   for (std::size_t idx : r.selected) bytes += items[idx].bytes;
   EXPECT_LE(bytes, capacity);
@@ -274,26 +299,70 @@ TEST(Mckp, AllTiersUnboundedPicksBestPerItem) {
   EXPECT_DOUBLE_EQ(r.total_weight, 2.0 + 3.0 + -1.0);
 }
 
-TEST(Mckp, TwoTierMatchesClassicKnapsack) {
-  // weights = {benefit, 0} over {DRAM cap, unbounded NVM} is exactly the
-  // paper's 0-1 knapsack; totals must agree with solve() on the same
-  // instance.
-  Rng rng(17);
-  for (int round = 0; round < 20; ++round) {
-    const int n = 3 + static_cast<int>(rng.below(8));
-    std::vector<KnapsackItem> classic;
-    std::vector<MckpItem> items;
-    for (int i = 0; i < n; ++i) {
-      const double w = rng.uniform(-0.2, 1.0);
-      const std::size_t bytes = 64 * (1 + rng.below(16));
-      classic.push_back(KnapsackItem{w, bytes});
-      items.push_back(MckpItem{{w, 0.0}, bytes});
+/// A planner-shaped 2-tier instance: weights {w, 0} over {DRAM cap,
+/// unbounded NVM}, the paper's 0-1 knapsack.  It mixes the shapes the
+/// planner feeds the solver: runs of identical chunks (ties), weights <= 0,
+/// items larger than the capacity, and sizes and capacities that are not
+/// granule multiples, at a 64 B or a 64 KiB granule.
+struct TwoTierInstance {
+  std::size_t granule = 64;
+  std::size_t cap = 0;
+  std::vector<MckpItem> items;
+};
+
+TwoTierInstance planner_shaped_instance(Rng& rng, int max_items) {
+  TwoTierInstance in;
+  in.granule = rng.below(2) == 0 ? 64 : 64 * 1024;
+  const std::size_t g = in.granule;
+  in.cap = g * rng.below(24) + (rng.below(2) == 0 ? 0 : rng.below(g));
+  const int n = 1 + static_cast<int>(rng.below(max_items));
+  for (int i = 0; i < n; ++i) {
+    if (i > 0 && rng.below(4) == 0) {  // identical chunk of an earlier item
+      in.items.push_back(in.items[rng.below(in.items.size())]);
+      continue;
     }
-    const std::size_t cap = 64 * (1 + rng.below(64));
-    KnapsackSolver s(64);
-    MckpResult m = s.solve_mckp(items, {cap, KnapsackSolver::kUnbounded});
-    KnapsackResult k = s.solve(classic, cap);
-    EXPECT_NEAR(m.total_weight, k.total_weight, 1e-9) << "round " << round;
+    double w = 0;
+    switch (rng.below(8)) {
+      case 0: w = 0.0; break;
+      case 1: w = -rng.uniform(); break;
+      case 2: w = 0.25 * static_cast<double>(1 + rng.below(4)); break;
+      default: w = rng.uniform(); break;
+    }
+    std::size_t bytes = g * (1 + rng.below(8));
+    if (rng.below(3) == 0) bytes = 1 + rng.below(8 * g);   // unaligned
+    if (rng.below(10) == 0) bytes = in.cap + 1 + rng.below(4 * g);  // oversize
+    in.items.push_back(MckpItem{{w, 0.0}, bytes});
+  }
+  return in;
+}
+
+TEST(Mckp, TwoTierMatchesClassicKnapsack) {
+  // The K=2 case on planner-shaped instances must stay a feasible, exact
+  // 0-1 knapsack.  Brute force runs on the quantized instance (sizes
+  // rounded up, capacity down to the granule), which the solver answers
+  // identically.
+  Rng rng(17);
+  for (int round = 0; round < 1000; ++round) {
+    const TwoTierInstance in = planner_shaped_instance(rng, 12);
+    const std::size_t g = in.granule;
+    const std::vector<std::size_t> caps = {in.cap / g * g,
+                                           KnapsackSolver::kUnbounded};
+    std::vector<MckpItem> quantized = in.items;
+    for (MckpItem& it : quantized) it.bytes = (it.bytes + g - 1) / g * g;
+    KnapsackSolver s(g);
+    const MckpResult m =
+        s.solve_mckp(in.items, {in.cap, KnapsackSolver::kUnbounded});
+    ASSERT_EQ(m.choice.size(), in.items.size());
+    std::size_t used = 0;
+    for (std::size_t i = 0; i < m.choice.size(); ++i) {
+      if (m.choice[i] != 0) continue;
+      EXPECT_GT(in.items[i].weights[0], 0.0) << "round " << round;
+      used += quantized[i].bytes;
+    }
+    EXPECT_LE(used, caps[0]) << "round " << round;
+    EXPECT_NEAR(m.total_weight, mckp_brute_force(quantized, caps), 1e-9)
+        << "round " << round << " (" << in.items.size() << " items, granule "
+        << g << ")";
   }
 }
 

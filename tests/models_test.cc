@@ -58,8 +58,11 @@ TEST(Models, Eq2BandwidthBenefit) {
   UnitPhaseProfile u{1000000, 1.0, 0.01};
   double bytes = 1000000.0 * 64;
   double expect = bytes / hms.nvm.read_bw - bytes / hms.dram.read_bw;
-  EXPECT_NEAR(m.benefit_bandwidth(u), expect, 1e-9);
+  EXPECT_NEAR(m.benefit_bandwidth_between(u, hms.dram, hms.nvm), expect, 1e-9);
   EXPECT_GT(expect, 0);
+  // benefit() is the same form on the model's own (DRAM, NVM) pair.
+  ASSERT_EQ(m.classify(u), Sensitivity::kBandwidth);
+  EXPECT_EQ(m.benefit(u), m.benefit_bandwidth_between(u, hms.dram, hms.nvm));
 }
 
 TEST(Models, Eq3LatencyBenefit) {
@@ -68,7 +71,7 @@ TEST(Models, Eq3LatencyBenefit) {
   UnitPhaseProfile u{100000, 1.0, 0.01};
   double expect =
       100000.0 * (hms.nvm.read_latency_s - hms.dram.read_latency_s);
-  EXPECT_NEAR(m.benefit_latency(u), expect, 1e-12);
+  EXPECT_NEAR(m.benefit_latency_between(u, hms.dram, hms.nvm), expect, 1e-12);
 }
 
 TEST(Models, LatencyBenefitZeroWhenLatenciesEqual) {
@@ -78,7 +81,7 @@ TEST(Models, LatencyBenefitZeroWhenLatenciesEqual) {
   mem::HmsConfig hms = half_bw();
   PerformanceModel m(params_for(hms), hms.dram, hms.nvm);
   UnitPhaseProfile u{100000, 1.0, 0.01};
-  EXPECT_DOUBLE_EQ(m.benefit_latency(u), 0.0);
+  EXPECT_DOUBLE_EQ(m.benefit_latency_between(u, hms.dram, hms.nvm), 0.0);
 }
 
 TEST(Models, ConstantFactorsScaleBenefits) {
@@ -89,7 +92,8 @@ TEST(Models, ConstantFactorsScaleBenefits) {
   p.cf_bw = 1.0;
   PerformanceModel m1(p, hms.dram, hms.nvm);
   UnitPhaseProfile u{1000000, 1.0, 0.01};
-  EXPECT_NEAR(m2.benefit_bandwidth(u), 2.0 * m1.benefit_bandwidth(u), 1e-12);
+  EXPECT_NEAR(m2.benefit_bandwidth_between(u, hms.dram, hms.nvm),
+              2.0 * m1.benefit_bandwidth_between(u, hms.dram, hms.nvm), 1e-12);
 }
 
 TEST(Models, Eq4MigrationCostWithOverlap) {
@@ -110,7 +114,8 @@ TEST(Models, EitherBandTakesMaxOfBenefits) {
       static_cast<std::uint64_t>(0.4 * 6.4e9 * t / 64), 1.0, t};
   ASSERT_EQ(m.classify(mid), Sensitivity::kEither);
   EXPECT_NEAR(m.benefit(mid),
-              std::max(m.benefit_bandwidth(mid), m.benefit_latency(mid)),
+              std::max(m.benefit_bandwidth_between(mid, hms.dram, hms.nvm),
+                       m.benefit_latency_between(mid, hms.dram, hms.nvm)),
               1e-12);
 }
 

@@ -59,7 +59,7 @@ class PlannerTest : public ::testing::Test {
     o.local_search = local;
     o.global_search = global;
     o.chunking = chunking;
-    o.dram_budget = budget;
+    o.tier_budgets = {budget, KnapsackSolver::kUnbounded};
     Planner p(&reg_, model_.get(), o);
     return p.plan(prof_);
   }
@@ -235,7 +235,7 @@ TEST_F(PlannerTest, GlobalSlackFillRidesNonReferencingGap) {
 
   PlannerOptions o;
   o.local_search = false;
-  o.dram_budget = 4 * kMiB;
+  o.tier_budgets = {4 * kMiB, KnapsackSolver::kUnbounded};
   Planner off(&reg_, model_.get(), o);
   Plan off_plan = off.plan(prof_);
   ASSERT_EQ(off_plan.kind, Plan::Kind::kGlobal);
@@ -266,7 +266,7 @@ TEST_F(PlannerTest, NoMoveTimeSumsPhases) {
   phase({{a, 1000}});
   comm_phase();
   PlannerOptions o;
-  o.dram_budget = kMiB;
+  o.tier_budgets = {kMiB, KnapsackSolver::kUnbounded};
   Planner p(&reg_, model_.get(), o);
   EXPECT_NEAR(p.no_move_time(prof_), kT + kT / 10, 1e-12);
 }

@@ -76,7 +76,7 @@ TEST_F(RegistryTest, MigrationFailsWhenArbiterRefuses) {
   DataObject* o = reg_.create("big", 3 * kMiB, {}, mem::Tier::kNvm);
   EXPECT_FALSE(reg_.migrate(UnitRef{o->id(), 0}, mem::Tier::kDram));
   EXPECT_EQ(o->chunk(0).current_tier(), mem::Tier::kNvm);
-  EXPECT_EQ(arbiter_.granted(), 0u);  // grant rolled back
+  EXPECT_EQ(arbiter_.granted_tier(0), 0u);  // grant rolled back
 }
 
 TEST_F(RegistryTest, AliasRepointedOnMigration) {

@@ -90,7 +90,7 @@ TEST_F(ReplanTest, ZeroDriftKeepsStalePlanAndMatchesFullDp) {
   // search only: the aggregate path the controller's repair mirrors).
   PlannerOptions po;
   po.local_search = false;
-  po.dram_budget = 5 * kMiB;
+  po.tier_budgets = {5 * kMiB, KnapsackSolver::kUnbounded};
   Planner planner(&reg_, model_.get(), po);
   Plan full = planner.plan(before);
   ASSERT_NE(full.kind, Plan::Kind::kNone);
@@ -303,14 +303,30 @@ TEST_F(ReplanTest, PropertyRepairedPlanNeverWorseThanStaleAndFitsBudget) {
 }
 
 TEST_F(ReplanTest, SolveBoundedPublicEntryAgreesWithSolveOnEasyInstances) {
-  // All-fit and filtering behavior match the exact entry point, so the
-  // repair path cannot select a non-fitting or worthless item.
+  // All-fit and filtering behavior match the exact DP (the 2-tier MCKP,
+  // weights {w, 0}: tier 0 = selected), so the repair path cannot select a
+  // non-fitting or worthless item.
+  KnapsackSolver s;
+  auto exact_dp = [&](const std::vector<KnapsackItem>& items,
+                      std::size_t cap) {
+    std::vector<MckpItem> two_tier;
+    for (const KnapsackItem& it : items)
+      two_tier.push_back(MckpItem{{it.weight, 0.0}, it.bytes});
+    const MckpResult m =
+        s.solve_mckp(two_tier, {cap, KnapsackSolver::kUnbounded});
+    KnapsackResult out;
+    for (std::size_t i = 0; i < items.size(); ++i)
+      if (m.choice[i] == 0) {
+        out.selected.push_back(i);
+        out.total_weight += items[i].weight;
+      }
+    return out;
+  };
   std::vector<KnapsackItem> items{{1.0, kMiB},
                                   {-0.5, kMiB},        // never selected
                                   {2.0, 10 * kMiB},    // larger than capacity
                                   {0.5, 2 * kMiB}};
-  KnapsackSolver s;
-  KnapsackResult exact = s.solve(items, 4 * kMiB);
+  KnapsackResult exact = exact_dp(items, 4 * kMiB);
   KnapsackResult bounded = s.solve_bounded(items, 4 * kMiB);
   EXPECT_EQ(exact.selected, bounded.selected);
   EXPECT_DOUBLE_EQ(exact.total_weight, bounded.total_weight);
@@ -322,7 +338,7 @@ TEST_F(ReplanTest, SolveBoundedPublicEntryAgreesWithSolveOnEasyInstances) {
   for (int i = 0; i < 64; ++i)
     big.push_back(KnapsackItem{rng.uniform(0.1, 1.0),
                                (1 + rng.below(32)) * (kMiB / 8)});
-  KnapsackResult opt = s.solve(big, 8 * kMiB);
+  KnapsackResult opt = exact_dp(big, 8 * kMiB);
   KnapsackResult approx = s.solve_bounded(big, 8 * kMiB);
   EXPECT_GE(approx.total_weight, 0.5 * opt.total_weight);
   EXPECT_LE(approx.total_weight, opt.total_weight + 1e-12);

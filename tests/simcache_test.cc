@@ -319,22 +319,27 @@ TEST_P(CacheAgreement, AnalyticTracksExact) {
                                << " analytic=" << ra.misses;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Patterns, CacheAgreement,
-    ::testing::Values(
-        // Oversized streams: both should miss ~every line.
-        AgreeCase{Pattern::kSequential, 8 * kMiB, 4 * kMiB / 8, 0.05},
-        AgreeCase{Pattern::kSequential, 4 * kMiB, 2 * kMiB / 8, 0.05},
-        AgreeCase{Pattern::kStrided, 8 * kMiB, 32768, 0.05},
-        // Random over oversized region: steady-state miss probability.
-        AgreeCase{Pattern::kRandom, 8 * kMiB, 200000, 0.15},
-        AgreeCase{Pattern::kRandom, 16 * kMiB, 200000, 0.15},
-        AgreeCase{Pattern::kGather, 8 * kMiB, 200000, 0.15},
-        // Pointer chase over oversized region.
-        AgreeCase{Pattern::kPointerChase, 8 * kMiB, 100000, 0.15},
-        // Small region, many passes: cold misses only.
-        AgreeCase{Pattern::kSequential, 256 * kKiB, 8 * 256 * kKiB / 8, 0.10},
-        AgreeCase{Pattern::kRandom, 256 * kKiB, 100000, 0.25}));
+// The test names carry a byte dump of each case, padding included. Static
+// storage zero-initialises that padding, so the names are identical on every
+// run; stack temporaries would leak stack bytes into them.
+constexpr AgreeCase kAgreeCases[] = {
+    // Oversized streams: both should miss ~every line.
+    AgreeCase{Pattern::kSequential, 8 * kMiB, 4 * kMiB / 8, 0.05},
+    AgreeCase{Pattern::kSequential, 4 * kMiB, 2 * kMiB / 8, 0.05},
+    AgreeCase{Pattern::kStrided, 8 * kMiB, 32768, 0.05},
+    // Random over oversized region: steady-state miss probability.
+    AgreeCase{Pattern::kRandom, 8 * kMiB, 200000, 0.15},
+    AgreeCase{Pattern::kRandom, 16 * kMiB, 200000, 0.15},
+    AgreeCase{Pattern::kGather, 8 * kMiB, 200000, 0.15},
+    // Pointer chase over oversized region.
+    AgreeCase{Pattern::kPointerChase, 8 * kMiB, 100000, 0.15},
+    // Small region, many passes: cold misses only.
+    AgreeCase{Pattern::kSequential, 256 * kKiB, 8 * 256 * kKiB / 8, 0.10},
+    AgreeCase{Pattern::kRandom, 256 * kKiB, 100000, 0.25},
+};
+
+INSTANTIATE_TEST_SUITE_P(Patterns, CacheAgreement,
+                         ::testing::ValuesIn(kAgreeCases));
 
 }  // namespace
 }  // namespace unimem::cache

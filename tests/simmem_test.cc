@@ -192,13 +192,16 @@ TEST(HeteroMemory, CopyCostModel) {
 
 TEST(DramArbiter, EnforcesAllowance) {
   DramArbiter arb(kMiB);
-  EXPECT_TRUE(arb.request(512 * kKiB));
-  EXPECT_TRUE(arb.request(512 * kKiB));
-  EXPECT_FALSE(arb.request(1));
-  EXPECT_EQ(arb.available(), 0u);
-  arb.release(512 * kKiB);
-  EXPECT_TRUE(arb.request(256 * kKiB));
-  EXPECT_EQ(arb.granted(), 768 * kKiB);
+  // The single-allowance form meters tier 0 (DRAM) only.
+  EXPECT_TRUE(arb.constrains(0));
+  EXPECT_FALSE(arb.constrains(1));
+  EXPECT_EQ(arb.allowance_tier(0), kMiB);
+  EXPECT_TRUE(arb.request_tier(0, 512 * kKiB));
+  EXPECT_TRUE(arb.request_tier(0, 512 * kKiB));
+  EXPECT_FALSE(arb.request_tier(0, 1));
+  arb.release_tier(0, 512 * kKiB);
+  EXPECT_TRUE(arb.request_tier(0, 256 * kKiB));
+  EXPECT_EQ(arb.granted_tier(0), 768 * kKiB);
 }
 
 TEST(TierBackends, BuiltinsRegisteredAndLookupWorks) {
@@ -283,9 +286,7 @@ TEST(DramArbiter, PerTierAllowances) {
   EXPECT_TRUE(arb.request_tier(1, kMiB));
   EXPECT_EQ(arb.granted_tier(1), 2 * kMiB);
   EXPECT_EQ(arb.allowance_tier(2), DramArbiter::kUnbounded);
-  // The tier-0 shorthands stay the 2-tier reading.
-  EXPECT_EQ(arb.granted(), kMiB);
-  EXPECT_EQ(arb.available(), 0u);
+  EXPECT_EQ(arb.granted_tier(0), kMiB);
 }
 
 TEST(DramArbiter, ConcurrentRequestsStayBounded) {
@@ -295,11 +296,11 @@ TEST(DramArbiter, ConcurrentRequestsStayBounded) {
   for (int t = 0; t < 8; ++t)
     threads.emplace_back([&] {
       for (int i = 0; i < 500; ++i)
-        if (arb.request(kCacheLine)) ++granted;
+        if (arb.request_tier(0, kCacheLine)) ++granted;
     });
   for (auto& t : threads) t.join();
   EXPECT_EQ(granted.load(), 1000);
-  EXPECT_EQ(arb.available(), 0u);
+  EXPECT_EQ(arb.granted_tier(0), arb.allowance_tier(0));
 }
 
 }  // namespace

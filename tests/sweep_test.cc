@@ -1040,5 +1040,29 @@ TEST(Report, EnvDrivenPerReportFiles) {
   EXPECT_NE(ss.str().find("\"k\":\"v2\""), std::string::npos);
 }
 
+TEST(Report, EmptyEnvValueIsReportedNotHonoured) {
+  // An empty value names no file prefix: one stderr line, and nothing but
+  // the aligned table reaches the output stream.
+  ASSERT_EQ(setenv("UNIMEM_CSV", "", 1), 0);
+  std::FILE* out = std::tmpfile();
+  ASSERT_NE(out, nullptr);
+  ::testing::internal::CaptureStderr();
+  {
+    exp::Report rep("Empty Env Report");
+    rep.set_header({"k"});
+    rep.add_row({"v"});
+    rep.print(out);
+  }
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  unsetenv("UNIMEM_CSV");
+  EXPECT_NE(err.find("UNIMEM_CSV is empty"), std::string::npos) << err;
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+  std::rewind(out);
+  std::string printed;
+  for (int c; (c = std::fgetc(out)) != EOF;) printed += static_cast<char>(c);
+  std::fclose(out);
+  EXPECT_EQ(printed.find("csv"), std::string::npos) << printed;
+}
+
 }  // namespace
 }  // namespace unimem::sweep
