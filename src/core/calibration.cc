@@ -9,6 +9,10 @@ namespace unimem::rt {
 
 namespace {
 
+/// Microbenchmark working set (>> LLC) and sampler base seed.
+constexpr std::size_t kRegionBytes = 16 * kMiB;
+constexpr std::uint64_t kSamplerSeed = 7;
+
 struct MicrobenchResult {
   std::uint64_t est_accesses = 0;  ///< from the sampled counters
   double time_fraction = 0;
@@ -58,25 +62,22 @@ MicrobenchResult run_microbench(const cache::AccessDescriptor& d,
 }  // namespace
 
 ModelParams calibrate(const mem::HmsConfig& hms, cache::CacheModel& cache,
-                      const clk::TimingParams& timing,
-                      CalibrationOptions opts) {
+                      const clk::TimingParams& timing) {
   ModelParams p;
-  p.t1_percent = opts.t1_percent;
-  p.t2_percent = opts.t2_percent;
 
   // A scratch buffer to give descriptors real addresses (contents unused).
-  std::vector<std::byte> scratch(opts.region_bytes);
+  std::vector<std::byte> scratch(kRegionBytes);
 
   // --- BW_peak: STREAM over NVM, maximum concurrency (Eq. 1) -------------
   cache::AccessDescriptor stream;
   stream.base = scratch.data();
-  stream.region_bytes = opts.region_bytes;
+  stream.region_bytes = kRegionBytes;
   stream.pattern = cache::Pattern::kSequential;
-  stream.accesses = 2 * (opts.region_bytes / 8);  // two passes over doubles
+  stream.accesses = 2 * (kRegionBytes / 8);  // two passes over doubles
   stream.access_bytes = 8;
 
   MicrobenchResult nvm_stream =
-      run_microbench(stream, hms.nvm, cache, timing, opts.sampler_seed);
+      run_microbench(stream, hms.nvm, cache, timing, kSamplerSeed);
   if (nvm_stream.time_fraction > 0) {
     p.bw_peak = static_cast<double>(nvm_stream.est_accesses) * 64.0 /
                 (nvm_stream.time_fraction * nvm_stream.phase_time_s);
@@ -86,7 +87,7 @@ ModelParams calibrate(const mem::HmsConfig& hms, cache::CacheModel& cache,
 
   // --- CF_bw: STREAM, predicted vs measured on DRAM ----------------------
   MicrobenchResult dram_stream =
-      run_microbench(stream, hms.dram, cache, timing, opts.sampler_seed + 1);
+      run_microbench(stream, hms.dram, cache, timing, kSamplerSeed + 1);
   double predicted_bw_s =
       static_cast<double>(dram_stream.est_accesses) * 64.0 / hms.dram.read_bw;
   p.cf_bw = predicted_bw_s > 0 ? dram_stream.measured_mem_s / predicted_bw_s
@@ -95,13 +96,13 @@ ModelParams calibrate(const mem::HmsConfig& hms, cache::CacheModel& cache,
   // --- CF_lat: pointer chase (single thread, no concurrency) on DRAM -----
   cache::AccessDescriptor chase;
   chase.base = scratch.data();
-  chase.region_bytes = opts.region_bytes;
+  chase.region_bytes = kRegionBytes;
   chase.pattern = cache::Pattern::kPointerChase;
-  chase.accesses = std::max<std::uint64_t>(1, opts.region_bytes / 1024);
+  chase.accesses = std::max<std::uint64_t>(1, kRegionBytes / 1024);
   chase.access_bytes = 8;
 
   MicrobenchResult dram_chase =
-      run_microbench(chase, hms.dram, cache, timing, opts.sampler_seed + 2);
+      run_microbench(chase, hms.dram, cache, timing, kSamplerSeed + 2);
   double predicted_lat_s =
       static_cast<double>(dram_chase.est_accesses) * hms.dram.read_latency_s;
   p.cf_lat = predicted_lat_s > 0

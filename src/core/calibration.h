@@ -20,17 +20,9 @@
 
 namespace unimem::rt {
 
-struct CalibrationOptions {
-  double t1_percent = 80.0;
-  double t2_percent = 10.0;
-  std::size_t region_bytes = 16 * kMiB;   ///< working set (>> LLC)
-  std::uint64_t sampler_seed = 7;
-};
-
 /// Measure BW_peak / CF_bw / CF_lat for the given HMS + cache + timing and
 /// return a ready-to-use ModelParams.
 ModelParams calibrate(const mem::HmsConfig& hms, cache::CacheModel& cache,
-                      const clk::TimingParams& timing,
-                      CalibrationOptions opts = CalibrationOptions{});
+                      const clk::TimingParams& timing);
 
 }  // namespace unimem::rt

@@ -40,9 +40,13 @@ inline const char* sensitivity_name(Sensitivity s) {
   return "?";
 }
 
+/// Sensitivity thresholds (§3.1.2), as percentages of BW_peak: at or
+/// above T1 a unit is bandwidth-sensitive, at or below T2
+/// latency-sensitive.
+inline constexpr double kT1Percent = 80.0;
+inline constexpr double kT2Percent = 10.0;
+
 struct ModelParams {
-  double t1_percent = 80.0;  ///< bandwidth-sensitivity threshold
-  double t2_percent = 10.0;  ///< latency-sensitivity threshold
   double bw_peak = 0;        ///< measured peak NVM bandwidth (bytes/s)
   double cf_bw = 1.0;        ///< constant factor for Eq. 2
   double cf_lat = 1.0;       ///< constant factor for Eq. 3
@@ -67,8 +71,8 @@ class PerformanceModel {
     double bw = consumed_bandwidth(u);
     if (p_.bw_peak <= 0) return Sensitivity::kEither;
     double pct = 100.0 * bw / p_.bw_peak;
-    if (pct >= p_.t1_percent) return Sensitivity::kBandwidth;
-    if (pct <= p_.t2_percent) return Sensitivity::kLatency;
+    if (pct >= kT1Percent) return Sensitivity::kBandwidth;
+    if (pct <= kT2Percent) return Sensitivity::kLatency;
     return Sensitivity::kEither;
   }
 

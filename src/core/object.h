@@ -26,10 +26,11 @@ using ObjectId = std::uint32_t;
 inline constexpr ObjectId kInvalidObject = ~ObjectId{0};
 
 /// Chunk layout constants.  Chunkable objects above the threshold are
-/// ALWAYS stored chunked, under every policy, so the data layout (and thus
-/// workload checksums) is policy-invariant; whether the *planner* may place
-/// chunks independently is a separate switch (RuntimeOptions
-/// enable_chunking, the Fig. 11 ablation).
+/// ALWAYS stored in kChunkBytes chunks, under every policy and option, so
+/// the data layout (and thus workload checksums) is policy-invariant.  The
+/// one chunking switch, RuntimeOptions::enable_chunking (the Fig. 11
+/// ablation), only decides whether the *planner* may place chunks
+/// independently.
 inline constexpr std::size_t kChunkBytes = std::size_t{1} << 20;      // 1 MiB
 inline constexpr std::size_t kChunkThreshold = std::size_t{2} << 20;  // 2 MiB
 

@@ -1,7 +1,5 @@
 #include "core/profiler.h"
 
-#include <algorithm>
-
 #include "common/log.h"
 
 namespace unimem::rt {
@@ -124,15 +122,6 @@ int Profiler::last_reference_before(std::size_t phase, UnitRef u) const {
     if (phases_[idx].references(u)) return static_cast<int>(idx);
   }
   return -1;
-}
-
-std::vector<UnitRef> Profiler::hot_units() const {
-  std::vector<UnitRef> out;
-  for (const auto& ph : phases_)
-    for (const auto& [u, prof] : ph.units)
-      if (std::find(out.begin(), out.end(), u) == out.end()) out.push_back(u);
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 }  // namespace unimem::rt

@@ -93,9 +93,6 @@ class Profiler {
   /// full iteration) that references `u`; -1 when no other phase does.
   int last_reference_before(std::size_t phase, UnitRef u) const;
 
-  /// All units with nonzero estimated accesses anywhere in the iteration.
-  std::vector<UnitRef> hot_units() const;
-
  private:
   const Registry* registry_;
   std::vector<PhaseObservation> phases_;

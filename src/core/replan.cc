@@ -7,6 +7,14 @@
 
 namespace unimem::rt {
 
+namespace {
+
+/// Weights below this floor (seconds of modeled benefit) are noise and
+/// never count as drifted on their own.
+constexpr double kMinWeightS = 1e-9;
+
+}  // namespace
+
 std::map<UnitRef, double> ReplanController::unit_weights(
     const Profiler& prof) const {
   std::map<UnitRef, double> w;
@@ -25,7 +33,7 @@ std::set<UnitRef> ReplanController::drifted_units(
   std::set<UnitRef> drifted;
   auto consider = [&](UnitRef u, double w_old, double w_cur) {
     const double hi = std::max(w_old, w_cur);
-    if (hi < opts_.min_weight_s) return;  // noise floor
+    if (hi < kMinWeightS) return;  // noise floor
     ++report->tracked;
     // Relative to the larger reading: symmetric in direction, and a unit
     // appearing from / vanishing to zero drifts by exactly 1.

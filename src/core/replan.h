@@ -46,9 +46,6 @@ struct ReplanOptions {
   double drift_budget = 0.25;
   /// DRAM bytes the rank plans with (same budget the Planner packs).
   std::size_t dram_budget = 0;
-  /// Weights below this floor (seconds of modeled benefit) are noise and
-  /// never count as drifted on their own.
-  double min_weight_s = 1e-9;
 };
 
 struct DriftReport {

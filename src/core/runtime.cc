@@ -8,6 +8,27 @@
 
 namespace unimem::rt {
 
+namespace {
+
+/// "Obvious variation" (§3.2): an enforced phase whose time moved by more
+/// than this fraction against the same phase last iteration re-profiles.
+constexpr double kReprofileThreshold = 0.10;
+/// Iterations profiled before planning ("a few invocations of each
+/// phase"); more than one averages out sampling noise.
+constexpr int kProfileIterations = 2;
+/// Base seed of the PMU sampler and of every sampled-tier schedule.
+constexpr std::uint64_t kSamplerSeed = 42;
+
+// Modeled runtime-overhead charges (virtual seconds).
+constexpr double kOverheadPerSampleS = 25e-9;  ///< exact: inline handling
+/// Sampled: gate + buffer only; attribution runs out of band.
+constexpr double kOverheadPerSampleSampledS = 2e-9;
+constexpr double kOverheadPerPhaseS = 0.5e-6;  ///< queue status check / sync
+constexpr double kOverheadPerPlanItemS = 1e-6;  ///< modeling + knapsack
+constexpr double kOverheadPlanFixedS = 20e-6;
+
+}  // namespace
+
 Runtime::Runtime(RuntimeOptions opts, mem::HeteroMemory* hms,
                  mem::DramArbiter* arbiter, mpi::Comm* comm)
     : opts_(opts), hms_(hms), comm_(comm), profiler_(nullptr) {
@@ -20,7 +41,7 @@ Runtime::Runtime(RuntimeOptions opts, mem::HeteroMemory* hms,
   profiler_ = Profiler(registry_.get());
   engine_ = std::make_unique<ExecEngine>(hms_, cache_.get(), opts_.timing);
   migrator_ = std::make_unique<MigrationEngine>(registry_.get());
-  sampler_ = std::make_unique<perf::Sampler>(opts_.timing, opts_.sampler_seed);
+  sampler_ = std::make_unique<perf::Sampler>(opts_.timing, kSamplerSeed);
 
   // This rank's share of every constrained tier: the node's arbiter
   // allowance, or the tier's capacity where the arbiter does not meter it,
@@ -36,10 +57,7 @@ Runtime::Runtime(RuntimeOptions opts, mem::HeteroMemory* hms,
   }
 
   // unimem_init: one-time calibration (STREAM + pointer chase, §3.1.2).
-  CalibrationOptions copts;
-  copts.t1_percent = opts_.t1_percent;
-  copts.t2_percent = opts_.t2_percent;
-  model_params_ = calibrate(hms_->config(), *cache_, opts_.timing, copts);
+  model_params_ = calibrate(hms_->config(), *cache_, opts_.timing);
   model_ = std::make_unique<PerformanceModel>(model_params_, hms_->config().dram,
                                               hms_->config().nvm);
   if (opts_.replan_epoch > 0 && opts_.enable_chunking) {
@@ -54,15 +72,9 @@ Runtime::Runtime(RuntimeOptions opts, mem::HeteroMemory* hms,
     replanner_ = std::make_unique<ReplanController>(registry_.get(),
                                                     model_.get(), ropts);
   }
-  if (opts_.profiler_mode == ProfilerMode::kSampled) {
+  if (opts_.sample_period > 0) {
     aggregator_ = std::make_unique<ProfileAggregator>();
-    perf::AdaptiveRate::Options aopts;
-    aopts.base_period = std::max<std::uint64_t>(1, opts_.sample_period_mult);
-    aopts.max_period = opts_.sample_period_max;
-    aopts.high_watermark = opts_.sample_high_watermark;
-    aopts.low_watermark = opts_.sample_low_watermark;
-    aopts.enabled = opts_.adaptive_sampling;
-    adaptive_rate_ = std::make_unique<perf::AdaptiveRate>(aopts);
+    adaptive_rate_ = std::make_unique<perf::AdaptiveRate>(opts_.sample_period);
   }
   if (comm_ != nullptr) comm_->set_hooks(this);
 
@@ -100,11 +112,7 @@ DataObject* Runtime::malloc_object(const std::string& name, std::size_t bytes,
   // promotes the hottest ones at unimem_start.  Chunk layout is policy-
   // invariant (see chunk_bytes_for); enable_chunking only controls whether
   // the planner may place chunks independently.
-  std::size_t cb = opts_.chunk_bytes != 0
-                       ? (traits.chunkable && bytes > kChunkThreshold
-                              ? opts_.chunk_bytes
-                              : 0)
-                       : chunk_bytes_for(traits.chunkable, bytes);
+  const std::size_t cb = chunk_bytes_for(traits.chunkable, bytes);
   // Allocation mutates the backstop arena (NVM on the 2-tier machine):
   // zombie blocks of in-flight fills must land first so the chosen offsets
   // stay in decision order.
@@ -203,7 +211,7 @@ void Runtime::iteration_begin() {
   update_phase_dag();
 
   if (mode_ == Mode::kProfiling &&
-      ++profile_iters_in_row_ < std::max(1, opts_.profile_iterations)) {
+      ++profile_iters_in_row_ < kProfileIterations) {
     // Keep profiling: "a few invocations of each phase" average out the
     // sampling noise of any single iteration.
   } else if (mode_ == Mode::kProfiling) {
@@ -283,14 +291,14 @@ void Runtime::close_phase(bool is_comm, double comm_time) {
       // address-map snapshot.
       perf::SampledConfig scfg;
       scfg.period = adaptive_rate_->period();
-      scfg.seed = perf::schedule_seed(opts_.sampler_seed,
+      scfg.seed = perf::schedule_seed(kSamplerSeed,
                                       comm_ != nullptr ? comm_->rank() : 0,
                                       phase_idx_, iteration_);
       perf::PhaseSamples samples = sampler_->sample_phase(
           phase_windows_, phase_compute_s_, phase_time, scfg);
       profile_samples_ += samples.total_samples;
       charge_overhead(static_cast<double>(samples.miss_addresses.size()) *
-                      opts_.overhead_per_sample_sampled_s);
+                      kOverheadPerSampleSampledS);
       ProfileAggregator::Batch b;
       b.slot = profiler_.record_phase_pending(phase_time);
       b.phase_time_s = phase_time;
@@ -302,12 +310,12 @@ void Runtime::close_phase(bool is_comm, double comm_time) {
       perf::PhaseSamples samples =
           sampler_->sample_phase(phase_windows_, phase_compute_s_, phase_time);
       charge_overhead(static_cast<double>(samples.miss_addresses.size()) *
-                      opts_.overhead_per_sample_s);
+                      kOverheadPerSampleS);
       profiler_.record_phase(samples, phase_time);
     }
   }
   if (mode_ == Mode::kEnforcing) {
-    charge_overhead(opts_.overhead_per_phase_s);
+    charge_overhead(kOverheadPerPhaseS);
     // Variation monitor (§3.2): compare with the same phase last iteration.
     // With the adaptive controller armed, the epoch cadence owns the drift
     // response (a monitor-triggered full re-profile would fight it).
@@ -316,7 +324,7 @@ void Runtime::close_phase(bool is_comm, double comm_time) {
         idx < prev_phase_times_.size()) {
       double prev = prev_phase_times_[idx];
       if (prev > 0 &&
-          std::abs(phase_time - prev) > opts_.reprofile_threshold * prev)
+          std::abs(phase_time - prev) > kReprofileThreshold * prev)
         reprofile_requested_ = true;
     }
   }
@@ -330,7 +338,7 @@ void Runtime::enqueue_phase_migrations(std::size_t phase_idx) {
   std::vector<MigrationEngine::Item> batch;
   batch.reserve(plan_.at_phase[phase_idx].size());
   for (const PlannedMigration& m : plan_.at_phase[phase_idx]) {
-    charge_overhead(opts_.overhead_per_phase_s);
+    charge_overhead(kOverheadPerPhaseS);
     batch.push_back(MigrationEngine::Item{m.unit, m.to, clock().now()});
   }
   if (!batch.empty()) migrator_->enqueue_batch(batch);
@@ -487,21 +495,10 @@ void Runtime::make_plan() {
   }
   Planner planner(registry_.get(), model_.get(), popts);
   plan_ = planner.plan(profiler_);
-  if (!opts_.proactive_migration) {
-    // Ablation: synchronous migration — move everything at the phase that
-    // needs it, nothing is overlapped.
-    std::vector<std::vector<PlannedMigration>> sync(plan_.at_phase.size());
-    for (const auto& v : plan_.at_phase)
-      for (PlannedMigration m : v) {
-        m.trigger_phase = m.needed_phase;
-        sync[m.needed_phase].push_back(m);
-      }
-    plan_.at_phase = std::move(sync);
-  }
   std::size_t items = 0;
   for (const auto& ph : profiler_.phases()) items += ph.units.size();
-  charge_overhead(opts_.overhead_plan_fixed_s +
-                  static_cast<double>(items) * opts_.overhead_per_plan_item_s);
+  charge_overhead(kOverheadPlanFixedS +
+                  static_cast<double>(items) * kOverheadPerPlanItemS);
   if (replanner_ != nullptr) replanner_->observe(profiler_);
   UNIMEM_TRACE_END2("runtime", "plan.solve", clock().now(), "migrations",
                     plan_.migration_count(), "kind",
@@ -541,9 +538,9 @@ void Runtime::finish_epoch_check() {
       plan_ = std::move(d.plan);
       // Only the drifted items were re-scored: charge the bounded repair,
       // not a full planning pass over every (unit, phase) profile.
-      charge_overhead(opts_.overhead_plan_fixed_s +
+      charge_overhead(kOverheadPlanFixedS +
                       static_cast<double>(d.drift.drifted) *
-                          opts_.overhead_per_plan_item_s);
+                          kOverheadPerPlanItemS);
       replanner_->observe(profiler_);
       enforce_iters_since_plan_ = 0;
       break;
@@ -577,7 +574,7 @@ RuntimeStats Runtime::stats() const {
   s.last_drift_fraction = last_drift_fraction_;
   s.profile_samples = profile_samples_;
   s.profile_attributed = profile_attributed_;
-  s.sample_period_mult = adaptive_rate_ != nullptr ? adaptive_rate_->period() : 0;
+  s.sample_period = adaptive_rate_ != nullptr ? adaptive_rate_->period() : 0;
   s.dag_critical_path_s = dag_ready_ ? dag_.critical_path_s() : 0.0;
   s.dag_builds = dag_builds_;
   s.dag_slack_scheduled = plan_.slack_scheduled;

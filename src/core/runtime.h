@@ -41,13 +41,6 @@
 
 namespace unimem::rt {
 
-/// Profiling tier.  kExact consumes every PMU sample inline on the rank
-/// thread (the original offline-planning path).  kSampled gates capture on
-/// a seeded schedule, defers attribution to an aggregation thread, and
-/// adapts its rate — the production-overhead tier (paper §3.1.1's PEBS
-/// framing; heapprofd-style out-of-band processing).
-enum class ProfilerMode { kExact, kSampled };
-
 /// Migration-trigger scheduling (ROADMAP item 3).  kOff keeps the classic
 /// reactive/JIT trigger placement (byte-identical artifacts).  kSlack
 /// exchanges per-rank phase durations at each iteration boundary, builds
@@ -62,17 +55,11 @@ struct RuntimeOptions {
   bool enable_local_search = true;    ///< technique (2)
   bool enable_chunking = true;        ///< technique (3)
   bool enable_initial_placement = true;  ///< technique (4)
-  /// false = synchronous migration at the needed phase (no helper-thread
-  /// overlap) — the ablation of the proactive mechanism.
-  bool proactive_migration = true;
 
   // ---- model / substrate ----------------------------------------------
   bool use_exact_cache = false;  ///< exact LLC sim instead of analytic
   cache::CacheConfig cache{};
   clk::TimingParams timing{};
-  double t1_percent = 80.0;
-  double t2_percent = 10.0;
-  double reprofile_threshold = 0.10;  ///< "obvious variation" (paper: 10%)
 
   // ---- adaptive re-planning (drift-aware incremental DP) ----------------
   /// Re-profile every `replan_epoch` enforcing iterations (while still
@@ -87,38 +74,21 @@ struct RuntimeOptions {
   /// Max fraction of drifted units repaired incrementally; past this the
   /// full knapsack DP re-runs.
   double drift_budget = 0.25;
-  /// Iterations profiled before planning ("a few invocations of each
-  /// phase"); > 1 averages out sampling noise.
-  int profile_iterations = 2;
-  std::uint64_t sampler_seed = 42;
 
   // ---- phase-DAG critical-path scheduling -----------------------------
   DagSchedule dag_schedule = DagSchedule::kOff;
 
-  // ---- profiling tier (profiler_mode = sampled) ------------------------
-  ProfilerMode profiler_mode = ProfilerMode::kExact;
-  /// Base PMU events per captured sample (sampled mode; 1 = capture all).
-  std::uint64_t sample_period_mult = 64;
-  std::uint64_t sample_period_max = 4096;
-  /// Adaptive backoff: widen the period when phases already attribute
-  /// plenty of evidence, narrow it back when evidence runs thin.  Updated
-  /// only at drain barriers, so the period sequence is deterministic.
-  bool adaptive_sampling = true;
-  std::uint64_t sample_high_watermark = 512;
-  std::uint64_t sample_low_watermark = 64;
+  // ---- profiling tier ----------------------------------------------------
+  /// 0 = exact profiler: every PMU sample is consumed inline on the rank
+  /// thread.  N >= 1 = sampled profiler with base period N (PMU events
+  /// per captured sample; 1 captures all): capture is gated on a seeded
+  /// schedule, attribution is deferred to an aggregation thread, and the
+  /// period adapts at drain barriers (perf::AdaptiveRate) — the
+  /// production-overhead tier (paper §3.1.1's PEBS framing).
+  std::uint64_t sample_period = 0;
 
   /// Ranks sharing one node's allowances; each plans with its 1/n share.
   int ranks_per_node = 1;
-  /// Chunk size override for large chunkable objects; 0 = kChunkBytes.
-  std::size_t chunk_bytes = 0;
-
-  // ---- modeled runtime-overhead charges (virtual seconds) --------------
-  double overhead_per_sample_s = 25e-9;   ///< exact: inline sample handling
-  /// sampled: gate + buffer only; attribution runs out of band.
-  double overhead_per_sample_sampled_s = 2e-9;
-  double overhead_per_phase_s = 0.5e-6;   ///< queue status check / sync
-  double overhead_per_plan_item_s = 1e-6; ///< modeling + knapsack per item
-  double overhead_plan_fixed_s = 20e-6;
 };
 
 struct RuntimeStats {
@@ -137,10 +107,10 @@ struct RuntimeStats {
   std::uint64_t full_replans = 0;         ///< epoch checks that re-ran the DP
   double last_drift_fraction = 0;         ///< of the most recent check
 
-  // Sampled profiling tier (profiler_mode = sampled; zero in exact mode).
+  // Sampled profiling tier (sample_period > 0; zero in exact mode).
   std::uint64_t profile_samples = 0;      ///< captured (gated) samples
   std::uint64_t profile_attributed = 0;   ///< samples attributed to units
-  std::uint64_t sample_period_mult = 0;   ///< current adaptive period
+  std::uint64_t sample_period = 0;        ///< current adaptive period
 
   // Phase-DAG slack scheduling (dag_schedule = slack; zero when off).
   double dag_critical_path_s = 0;           ///< of the latest built DAG

@@ -152,12 +152,22 @@ PassResult run_pass(const RunConfig& cfg, Policy policy,
   return out;
 }
 
-/// Planner::plan sends every >2-tier plan to plan_tiered, which reads none
-/// of these knobs; name the first one set rather than ignore it silently.
-/// (replan_epoch is not listed: the re-planner re-solves on any ladder.)
-void reject_ignored_tier_knobs(const RunConfig& cfg) {
-  if (cfg.policy != Policy::kUnimem || cfg.tiers.empty()) return;
+/// Name the first knob the Unimem runtime would ignore rather than run
+/// without it.  The re-planner re-scores single units, so the Runtime
+/// leaves it off when chunking is off (a unit-level repair could split an
+/// all-or-nothing object group).  Planner::plan sends every >2-tier plan to
+/// plan_tiered, which reads none of the search/DAG knobs.  (replan_epoch
+/// is fine on any ladder: the re-planner re-solves there.)
+void reject_ignored_knobs(const RunConfig& cfg) {
+  if (cfg.policy != Policy::kUnimem) return;
   const rt::RuntimeOptions& u = cfg.unimem;
+  const int epoch = cfg.replan_epoch != 0 ? cfg.replan_epoch : u.replan_epoch;
+  if (epoch > 0 && !u.enable_chunking)
+    throw std::invalid_argument(
+        "run_once: replan_epoch=" + std::to_string(epoch) +
+        " has no effect with enable_chunking=false (the re-planner stays "
+        "off under the chunking ablation); drop one of the two knobs");
+  if (cfg.tiers.empty()) return;
   const char* knob =
       u.dag_schedule == rt::DagSchedule::kSlack ? "dag_schedule=slack"
       : !u.enable_global_search                 ? "enable_global_search=false"
@@ -175,7 +185,7 @@ void reject_ignored_tier_knobs(const RunConfig& cfg) {
 }  // namespace
 
 RunResult run_once(const RunConfig& cfg) {
-  reject_ignored_tier_knobs(cfg);
+  reject_ignored_knobs(cfg);
   std::vector<std::string> manual = cfg.manual_dram;
   Policy policy = cfg.policy;
 
@@ -244,15 +254,6 @@ RunResult run_once(const RunConfig& cfg) {
   reg.histogram("runtime.migration_hidden_s")
       ->observe(out.total_copy_s - out.total_exposed_s);
   return out;
-}
-
-double normalized_time(const RunConfig& cfg, double* dram_time_out) {
-  RunConfig dram = cfg;
-  dram.policy = Policy::kDramOnly;
-  RunResult base = run_once(dram);
-  RunResult r = run_once(cfg);
-  if (dram_time_out != nullptr) *dram_time_out = base.time_s;
-  return base.time_s > 0 ? r.time_s / base.time_s : 0.0;
 }
 
 }  // namespace unimem::exp

@@ -75,13 +75,9 @@ struct RunResult {
 /// Run one configuration to completion.  For Policy::kXMen this runs the
 /// offline profiling pass first, then the measured pass.  Throws
 /// std::invalid_argument, before any World exists, for a Policy::kUnimem
-/// run on a topology of more than 2 tiers that sets a knob the N-tier
-/// planner never reads: dag_schedule=slack, or either search technique
-/// switched off.
+/// run that sets a knob the runtime would ignore: a nonzero replan_epoch
+/// with enable_chunking=false, or, on a topology of more than 2 tiers,
+/// dag_schedule=slack or either search technique switched off.
 RunResult run_once(const RunConfig& cfg);
-
-/// Convenience: time of `cfg` normalized to a DRAM-only run of the same
-/// workload/size (the paper normalizes every figure this way).
-double normalized_time(const RunConfig& cfg, double* dram_time_out = nullptr);
 
 }  // namespace unimem::exp

@@ -74,37 +74,34 @@ class SampleGate {
 /// the aggregation thread, so the period sequence is reproducible.
 class AdaptiveRate {
  public:
-  struct Options {
-    std::uint64_t base_period = 64;  ///< configured sampling period
-    std::uint64_t max_period = 4096;
-    /// Mean attributed samples per phase above which the period doubles.
-    std::uint64_t high_watermark = 512;
-    /// ... below which it halves (down to base_period).
-    std::uint64_t low_watermark = 64;
-    bool enabled = true;
-  };
+  /// Widest period the backoff reaches (or the base, when that is wider).
+  static constexpr std::uint64_t kMaxPeriod = 4096;
+  /// Mean attributed samples per phase above which the period doubles.
+  static constexpr std::uint64_t kHighWatermark = 512;
+  /// ... below which it halves (down to the base period).
+  static constexpr std::uint64_t kLowWatermark = 64;
 
-  explicit AdaptiveRate(Options opts)
-      : opts_(opts), period_(std::max<std::uint64_t>(1, opts.base_period)) {
-    opts_.max_period = std::max(opts_.max_period, period_);
-  }
+  explicit AdaptiveRate(std::uint64_t base_period)
+      : base_(std::max<std::uint64_t>(1, base_period)),
+        max_(std::max(kMaxPeriod, base_)),
+        period_(base_) {}
 
   std::uint64_t period() const { return period_; }
 
   /// Feed one profiled iteration's totals (drain barrier).
   void observe_iteration(std::uint64_t attributed_samples,
                          std::uint64_t phases) {
-    if (!opts_.enabled || phases == 0) return;
+    if (phases == 0) return;
     const std::uint64_t per_phase = attributed_samples / phases;
-    if (per_phase > opts_.high_watermark)
-      period_ = std::min(period_ * 2, opts_.max_period);
-    else if (per_phase < opts_.low_watermark)
-      period_ = std::max(period_ / 2,
-                         std::max<std::uint64_t>(1, opts_.base_period));
+    if (per_phase > kHighWatermark)
+      period_ = std::min(period_ * 2, max_);
+    else if (per_phase < kLowWatermark)
+      period_ = std::max(period_ / 2, base_);
   }
 
  private:
-  Options opts_;
+  std::uint64_t base_;
+  std::uint64_t max_;
   std::uint64_t period_;
 };
 

@@ -43,10 +43,10 @@ struct PhaseSamples {
   std::vector<std::uint64_t> miss_addresses;
 };
 
-/// Sampled-tier schedule for one phase (profiler_mode = sampled): only
-/// every ~`period`-th base PMU event is captured, on a SampleGate schedule
-/// seeded per (rank, phase, epoch) — see perfmon/sample_gate.h for the
-/// determinism contract.
+/// Sampled-tier schedule for one phase (RuntimeOptions::sample_period > 0):
+/// only every ~`period`-th base PMU event is captured, on a SampleGate
+/// schedule seeded per (rank, phase, epoch) — see perfmon/sample_gate.h
+/// for the determinism contract.
 struct SampledConfig {
   std::uint64_t period = 64;  ///< base PMU periods per captured sample
   std::uint64_t seed = 0;     ///< schedule_seed(base, rank, phase, epoch)

@@ -26,14 +26,6 @@ enum class Tier : int { kDram = 0, kNvm = 1 };
 inline Tier tier(int index) { return static_cast<Tier>(index); }
 inline int tier_index(Tier t) { return static_cast<int>(t); }
 
-inline const char* tier_name(Tier t) {
-  return t == Tier::kDram ? "DRAM" : "NVM";
-}
-
-inline Tier other_tier(Tier t) {
-  return t == Tier::kDram ? Tier::kNvm : Tier::kDram;
-}
-
 struct HmsConfig {
   TierConfig dram;
   TierConfig nvm;
@@ -46,12 +38,6 @@ struct HmsConfig {
                           std::size_t nvm_cap = 512 * kMiB) {
     return HmsConfig{TierConfig::dram_basis(dram_cap),
                      TierConfig::nvm_scaled(nvm_cap, bw_ratio, lat_mult)};
-  }
-
-  /// DRAM-only system: both tiers are DRAM-speed (placement irrelevant).
-  static HmsConfig dram_only(std::size_t cap = 512 * kMiB) {
-    return HmsConfig{TierConfig::dram_basis(cap),
-                     TierConfig::nvm_scaled(cap, 1.0, 1.0)};
   }
 };
 

@@ -133,16 +133,6 @@ struct NvmTechnology {
   double write_ns_lo, write_ns_hi;
   double rand_read_mbps_lo, rand_read_mbps_hi;
   double rand_write_mbps_lo, rand_write_mbps_hi;
-
-  /// Midpoint tier derived from the published ranges.
-  TierConfig midpoint_tier(std::size_t capacity) const {
-    auto mid = [](double lo, double hi) { return 0.5 * (lo + hi); };
-    return TierConfig{name, capacity,
-                      unimem::ns(mid(read_ns_lo, read_ns_hi)),
-                      unimem::ns(mid(write_ns_lo, write_ns_hi)),
-                      unimem::mbps(mid(rand_read_mbps_lo, rand_read_mbps_hi)),
-                      unimem::mbps(mid(rand_write_mbps_lo, rand_write_mbps_hi))};
-  }
 };
 
 /// The four rows of Table 1.

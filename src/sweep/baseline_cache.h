@@ -2,12 +2,12 @@
 //
 // The paper normalizes every figure to a DRAM-only run of the same
 // (workload, size, network) — historically re-executed by each harness
-// loop for every row, and by normalized_time() for every point.  A
-// DRAM-only run's virtual time is invariant to the NVM bandwidth/latency
-// ratios and the DRAM allowance (the DRAM-only machine runs every tier at
-// DRAM speed and places nothing under the arbiter's allowance), so one
-// baseline serves an entire grid slice.  BaselineService memoizes on
-// exactly the fields that do reach the DRAM-only timing path.
+// loop for every row.  A DRAM-only run's virtual time is invariant to
+// the NVM bandwidth/latency ratios and the DRAM allowance (the DRAM-only
+// machine runs every tier at DRAM speed and places nothing under the
+// arbiter's allowance), so one baseline serves an entire grid slice.
+// BaselineService memoizes on exactly the fields that do reach the
+// DRAM-only timing path.
 //
 // Thread-safe and single-flight: concurrent requests for the same key
 // block on one computation (a shared_future), never duplicate it.

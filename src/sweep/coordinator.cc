@@ -99,13 +99,12 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
     const std::vector<SweepPoint> slice =
         shard_slice(pending, w, opts.workers);
     if (slice.empty()) continue;
-    std::size_t chunk = opts.chunk_points;
-    if (chunk == 0)
-      // With stealing, give every worker a few chunks so there is
-      // something to steal; without it, chunking only adds dispatch
-      // overhead — one task per worker (the `--shards N` topology).
-      chunk = opts.steal ? std::max<std::size_t>(1, slice.size() / 4)
-                         : slice.size();
+    // With stealing, give every worker a few chunks so there is something
+    // to steal; without it, chunking only adds dispatch overhead — one
+    // task per worker (the `--shards N` topology).
+    const std::size_t chunk =
+        opts.steal ? std::max<std::size_t>(1, slice.size() / 4)
+                   : slice.size();
     for (std::size_t b = 0; b < slice.size(); b += chunk) {
       Chunk c;
       c.owner = w;

@@ -66,11 +66,6 @@ struct CoordinatorOptions {
   int workers = 2;
   /// Allow idle workers to take chunks from other workers' queues.
   bool steal = false;
-  /// Points per task; 0 = auto: slice/4 per worker under stealing (so
-  /// every worker has a few chunks to steal or finish early), otherwise
-  /// each worker's whole slice as one task, since chunking would only add
-  /// dispatch overhead.
-  std::size_t chunk_points = 0;
   /// Re-dispatch budget for tasks whose worker died; when exhausted the
   /// task's unfinished points are finalized as failed rows naming the
   /// worker's fate.

@@ -105,81 +105,72 @@ std::vector<SweepPoint> SweepSpec::expand(const std::string& filter) const {
       for (double bw : bws) {
         for (double lat : lats) {
           for (std::size_t dram : drams) {
-            for (int rpn : ranks_per_node) {
-              for (const TechniqueSet& tech : techs) {
-                for (std::uint64_t prof : profs) {
-                 for (rt::DagSchedule dag : dags) {
-                 for (const std::string& topo : topos) {
-                  SweepPoint p;
-                  p.index = index++;
-                  p.cfg.workload = w;
-                  p.cfg.wcfg.cls = cls;
-                  p.cfg.wcfg.iterations = iterations;
-                  p.cfg.wcfg.nranks = nranks;
-                  p.cfg.wcfg.drift_amplitude = drift_amplitude;
-                  p.cfg.wcfg.drift_period = drift_period;
-                  p.cfg.replan_epoch = replan_epoch;
-                  p.cfg.drift_threshold = drift_threshold;
-                  p.cfg.nvm_bw_ratio = bw;
-                  p.cfg.nvm_lat_mult = lat;
-                  p.cfg.dram_capacity = dram;
-                  p.cfg.ranks_per_node = rpn;
-                  p.cfg.policy = policy;
-                  p.cfg.net = net;
-                  p.cfg.unimem = unimem;
-                  p.cfg.unimem.enable_global_search = tech.global_search;
-                  p.cfg.unimem.enable_local_search = tech.local_search;
-                  p.cfg.unimem.enable_chunking = tech.chunking;
-                  p.cfg.unimem.enable_initial_placement =
-                      tech.initial_placement;
-                  if (prof > 0) {
-                    p.cfg.unimem.profiler_mode = rt::ProfilerMode::kSampled;
-                    p.cfg.unimem.sample_period_mult = prof;
-                  }
-                  p.cfg.unimem.dag_schedule = dag;
-                  p.cfg.tiers = topo;
-                  p.normalize = normalize;
+            for (const TechniqueSet& tech : techs) {
+              for (std::uint64_t prof : profs) {
+                for (rt::DagSchedule dag : dags) {
+                  for (const std::string& topo : topos) {
+                    SweepPoint p;
+                    p.index = index++;
+                    p.cfg.workload = w;
+                    p.cfg.wcfg.cls = cls;
+                    p.cfg.wcfg.iterations = iterations;
+                    p.cfg.wcfg.nranks = nranks;
+                    p.cfg.wcfg.drift_amplitude = drift_amplitude;
+                    p.cfg.wcfg.drift_period = drift_period;
+                    p.cfg.replan_epoch = replan_epoch;
+                    p.cfg.drift_threshold = drift_threshold;
+                    p.cfg.nvm_bw_ratio = bw;
+                    p.cfg.nvm_lat_mult = lat;
+                    p.cfg.dram_capacity = dram;
+                    p.cfg.policy = policy;
+                    p.cfg.unimem = unimem;
+                    p.cfg.unimem.enable_global_search = tech.global_search;
+                    p.cfg.unimem.enable_local_search = tech.local_search;
+                    p.cfg.unimem.enable_chunking = tech.chunking;
+                    p.cfg.unimem.enable_initial_placement =
+                        tech.initial_placement;
+                    p.cfg.unimem.sample_period = prof;
+                    p.cfg.unimem.dag_schedule = dag;
+                    p.cfg.tiers = topo;
+                    p.normalize = normalize;
 
-                  p.axis["workload"] = w;
-                  p.axis["policy"] = policy_slug(policy);
-                  if (nvm_bw_ratios.size() > 1)
-                    p.axis["bw"] = sens.nvm_ratios ? fmt("%.3g", bw) : "*";
-                  if (nvm_lat_mults.size() > 1)
-                    p.axis["lat"] = sens.nvm_ratios ? fmt("%.3g", lat) : "*";
-                  if (dram_capacities.size() > 1)
-                    p.axis["dram"] =
-                        sens.dram
-                            ? std::to_string(dram / kMiB) + "MiB"
-                            : "*";
-                  if (ranks_per_node.size() > 1)
-                    p.axis["rpn"] = std::to_string(rpn);
-                  if (techniques.size() > 1)
-                    p.axis["tech"] = sens.techniques ? tech.name : "*";
-                  if (profiler_periods.size() > 1)
-                    p.axis["prof"] =
-                        !sens.profiler
-                            ? "*"
-                            : prof == 0 ? std::string("exact")
-                                        : "s" + std::to_string(prof);
-                  if (dag_schedules.size() > 1)
-                    p.axis["dag"] =
-                        !sens.dag
-                            ? "*"
-                            : dag == rt::DagSchedule::kSlack ? "slack" : "off";
-                  if (topologies.size() > 1)
-                    p.axis["tiers"] =
-                        sens.tiers ? topology_slug(topo) : "*";
+                    p.axis["workload"] = w;
+                    p.axis["policy"] = policy_slug(policy);
+                    if (nvm_bw_ratios.size() > 1)
+                      p.axis["bw"] = sens.nvm_ratios ? fmt("%.3g", bw) : "*";
+                    if (nvm_lat_mults.size() > 1)
+                      p.axis["lat"] = sens.nvm_ratios ? fmt("%.3g", lat) : "*";
+                    if (dram_capacities.size() > 1)
+                      p.axis["dram"] =
+                          sens.dram ? std::to_string(dram / kMiB) + "MiB"
+                                    : "*";
+                    if (techniques.size() > 1)
+                      p.axis["tech"] = sens.techniques ? tech.name : "*";
+                    if (profiler_periods.size() > 1)
+                      p.axis["prof"] =
+                          !sens.profiler
+                              ? "*"
+                              : prof == 0 ? std::string("exact")
+                                          : "s" + std::to_string(prof);
+                    if (dag_schedules.size() > 1)
+                      p.axis["dag"] =
+                          !sens.dag
+                              ? "*"
+                              : dag == rt::DagSchedule::kSlack ? "slack"
+                                                               : "off";
+                    if (topologies.size() > 1)
+                      p.axis["tiers"] =
+                          sens.tiers ? topology_slug(topo) : "*";
 
-                  p.label = w + "/" + p.axis["policy"];
-                  for (const char* key : {"bw", "lat", "dram", "rpn", "tech",
-                                          "prof", "dag", "tiers"}) {
-                    auto it = p.axis.find(key);
-                    if (it != p.axis.end() && it->second != "*")
-                      p.label += "/" + std::string(key) + it->second;
+                    p.label = w + "/" + p.axis["policy"];
+                    for (const char* key : {"bw", "lat", "dram", "tech",
+                                            "prof", "dag", "tiers"}) {
+                      auto it = p.axis.find(key);
+                      if (it != p.axis.end() && it->second != "*")
+                        p.label += "/" + std::string(key) + it->second;
+                    }
+                    emit(p);
                   }
-                  emit(p);
-                 }
-                 }
                 }
               }
             }
@@ -216,7 +207,6 @@ std::vector<std::string> SweepSpec::axis_names() const {
   if (nvm_bw_ratios.size() > 1) add("bw");
   if (nvm_lat_mults.size() > 1) add("lat");
   if (dram_capacities.size() > 1) add("dram");
-  if (ranks_per_node.size() > 1) add("rpn");
   if (techniques.size() > 1) add("tech");
   if (profiler_periods.size() > 1) add("prof");
   if (dag_schedules.size() > 1) add("dag");
@@ -266,7 +256,7 @@ SweepSpec smoke_clamped(SweepSpec spec) {
   // Adaptive-re-planning specs need headroom for at least one full epoch
   // cycle (profile -> plan -> epoch wait -> epoch re-profile -> decision
   // at the next iteration top), or smoke/TSan runs would never reach the
-  // replan path they exist to exercise: with profile_iterations=2 and
+  // replan path they exist to exercise: with two profiled iterations and
   // replan_epoch=E the first decision fires at iteration 4+E+1.
   const int iter_clamp = spec.replan_epoch > 0 ? 4 + spec.replan_epoch + 1 : 3;
   spec.iterations = std::min(spec.iterations, iter_clamp);

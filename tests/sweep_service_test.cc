@@ -54,8 +54,12 @@ exp::RunResult synth_result(std::size_t index) {
 
 /// Fresh per-test scratch directory (stale task artifacts/sidecars from a
 /// previous ctest run would pollute counter aggregation).
+/// Per-process: ctest runs this binary's cases one by one and as a
+/// whole-binary aggregate, possibly at once, and a shared path would let
+/// one process delete the other's artifacts mid-campaign.
 std::string fresh_scratch(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/svc_" + name;
+  const std::string dir = ::testing::TempDir() + "/svc_" + name + "." +
+                          std::to_string(::getpid());
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;

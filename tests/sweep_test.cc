@@ -95,11 +95,10 @@ TEST(SweepSpec, ProfilerAxisOnlyMultipliesUnimemPoints) {
     ASSERT_EQ(p.axis.at("policy"), "unimem");
     const std::string& prof = p.axis.at("prof");
     if (prof == "exact") {
-      EXPECT_EQ(p.cfg.unimem.profiler_mode, rt::ProfilerMode::kExact);
+      EXPECT_EQ(p.cfg.unimem.sample_period, 0u);
     } else {
       ASSERT_EQ(prof[0], 's') << prof;
-      EXPECT_EQ(p.cfg.unimem.profiler_mode, rt::ProfilerMode::kSampled);
-      EXPECT_EQ(p.cfg.unimem.sample_period_mult,
+      EXPECT_EQ(p.cfg.unimem.sample_period,
                 static_cast<std::uint64_t>(std::stoull(prof.substr(1))));
     }
   }
