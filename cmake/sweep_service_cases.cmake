@@ -2,7 +2,8 @@
 # (--profiler/--jobs/--indices reject junk and overflow instead of
 # silently truncating), the --merge coverage/gap heuristics, duplicate
 # shard rejection, torn-last-line --resume, and injected-failure recovery
-# through the coordinator with retry counters in the summary JSON.
+# through the coordinator with retry counters and the forked tasks'
+# metrics in the summary JSON.
 # Invoked by ctest (label sweep-service) as
 #   cmake -DSWEEP_CLI=... -DWORK_DIR=... -P this_file
 foreach(var SWEEP_CLI WORK_DIR)
@@ -84,6 +85,11 @@ cli_expect(1 "unknown launcher"
 cli_expect(1 "launcher excludes shards"
            "${SWEEP_CLI}" --spec ${SPEC} --launcher fork --shard 0/2)
 cli_expect(1 "resume needs jsonl" "${SWEEP_CLI}" --spec ${SPEC} --resume)
+# Retries are the coordinator's re-dispatch; there is no backoff to tune.
+cli_expect(1 "backoff-base is unknown"
+           "${SWEEP_CLI}" --spec ${SPEC} --backoff-base 0.001 --points)
+expect_contains("${last_stderr}" "unknown option '--backoff-base'"
+                "backoff-base is unknown")
 
 # ---- merge heuristics ------------------------------------------------------
 
@@ -144,7 +150,7 @@ expect_same("${WORK_DIR}/j1.jsonl" "${WORK_DIR}/resumed.jsonl"
 # work in the summary JSON, and still emit byte-identical artifacts.
 cli_expect(0 "service recovery"
            "${SWEEP_CLI}" --spec ${SPEC} --launcher fork --workers 2 --steal
-           --retries 3 --inject-fail 0.9:7 --backoff-base 0.001 --quiet
+           --retries 3 --inject-fail 0.9:7 --quiet
            --csv "${WORK_DIR}/svc.csv" --jsonl "${WORK_DIR}/svc.jsonl"
            --summary-json "${WORK_DIR}/svc.json")
 file(READ "${WORK_DIR}/svc.json" summary)
@@ -152,6 +158,8 @@ expect_contains("${summary}" "\"failed\":0" "service recovery summary")
 expect_contains("${summary}" "\"complete\":true" "service recovery summary")
 expect_contains("${summary}" "\"launcher\":\"fork\"" "service recovery summary")
 expect_not_contains("${summary}" "\"retries\":0," "service recovery summary")
+# The forked tasks' engine counters reach the parent's summary.
+expect_contains("${summary}" "\"sweep.points_ok\"" "service recovery summary")
 expect_same("${WORK_DIR}/j1.csv" "${WORK_DIR}/svc.csv" "service recovery csv")
 expect_same("${WORK_DIR}/j1.jsonl" "${WORK_DIR}/svc.jsonl"
             "service recovery jsonl")

@@ -20,11 +20,11 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
+
 namespace unimem::exp {
 
-/// Minimal JSON string escaping (quotes, backslash, control chars) —
-/// shared by Report::to_jsonl and the sweep result store.
-std::string json_escape(const std::string& s);
+using unimem::json_escape;
 
 class Report {
  public:

@@ -21,26 +21,10 @@ namespace {
 
 struct Chunk {
   std::vector<SweepPoint> points;
-  int owner = 0;       ///< worker slot whose slice these points came from
-  int redispatch = 0;  ///< how many times a dying worker handed them back
+  int attempt = 0;  ///< campaign-global attempt number of every point
+  int deaths = 0;   ///< how many times a dying worker handed them back
+  std::string artifact;  ///< set at dispatch: the running task's JSONL
 };
-
-bool read_task_meta(const std::string& path, CampaignOutcome* out) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return false;
-  std::size_t worlds = 0, breq = 0, bcomp = 0, failed = 0, retries = 0;
-  int jobs = 0;
-  const int n = std::fscanf(f, "%zu %zu %zu %zu %d %zu", &worlds, &breq,
-                            &bcomp, &failed, &jobs, &retries);
-  std::fclose(f);
-  if (n != 6) return false;
-  out->worlds_executed += worlds;
-  out->baseline_requests += breq;
-  out->baseline_computed += bcomp;
-  out->retries += retries;
-  out->jobs_used = std::max(out->jobs_used, jobs);
-  return true;
-}
 
 }  // namespace
 
@@ -62,14 +46,18 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
   out.workers = opts.workers;
   out.rows.resize(n);
   std::vector<char> has(n, 0);
-  std::size_t done = 0;
+  std::vector<int> failures(n, 0);  // failed attempts re-dispatched so far
 
   auto finalize = [&](const SweepRow& row, std::size_t pos) {
     has[pos] = 1;
     out.rows[pos] = row;
-    ++done;
+    ++out.done;
     if (!row.ok) ++out.failed;
     if (opts.on_final_row) opts.on_final_row(out.rows[pos]);
+  };
+  // A row is final when it succeeded or its point's retry budget is spent.
+  auto is_final = [&](const SweepRow& row, std::size_t pos) {
+    return row.ok || failures[pos] >= opts.max_point_retries;
   };
 
   // Resume: accept prior ok rows up front (point order), re-run the rest.
@@ -89,7 +77,7 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
   // Deal the remaining points: shard_slice per worker (keeps baseline
   // groups together), then cut each slice into chunks.
   std::vector<SweepPoint> pending;
-  pending.reserve(n - done);
+  pending.reserve(n - out.done);
   for (std::size_t i = 0; i < n; ++i)
     if (!has[i]) pending.push_back(points[i]);
 
@@ -107,7 +95,6 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
                    : slice.size();
     for (std::size_t b = 0; b < slice.size(); b += chunk) {
       Chunk c;
-      c.owner = w;
       c.points.assign(slice.begin() + static_cast<std::ptrdiff_t>(b),
                       slice.begin() + static_cast<std::ptrdiff_t>(
                                           std::min(b + chunk, slice.size())));
@@ -116,7 +103,6 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
   }
 
   std::map<int, Chunk> active;  // slot -> chunk being executed
-  std::map<int, std::string> active_artifact;
   std::uint64_t next_task_id = 0;
 
   auto take_chunk = [&](int slot) -> std::pair<bool, Chunk> {
@@ -154,49 +140,34 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
     LaunchTask task;
     task.slot = slot;
     task.task_id = next_task_id++;
-    task.attempt_base = chunk.redispatch;
+    task.attempt_base = chunk.attempt;
     task.points = chunk.points;
     task.artifact =
         opts.scratch_dir + "/task-" + std::to_string(task.task_id) + ".jsonl";
     task.engine = opts.engine;
     task.engine.on_result = nullptr;
-    if (opts.trace_tasks) {
-      task.trace = task.artifact + ".trace";
-      task.trace_buf = opts.trace_buf;
-    }
     UNIMEM_TRACE_INSTANT2("coordinator",
-                          chunk.redispatch > 0 ? "task.redispatch"
-                                               : "task.dispatch",
+                          chunk.attempt > 0 ? "task.redispatch"
+                                            : "task.dispatch",
                           -1.0, "task", task.task_id, "points",
                           task.points.size());
     opts.launcher->start(task);
-    active_artifact[slot] = task.artifact;
+    chunk.artifact = task.artifact;
     active[slot] = std::move(chunk);
     ++out.tasks;
     return true;
   };
 
-  auto progress = [&](bool complete) {
-    if (!opts.on_progress) return;
-    CampaignProgress p;
-    p.total = n;
-    p.done = done;
-    p.failed = out.failed;
-    p.resumed = out.resumed;
-    p.retries = out.retries;
-    p.steals = out.steals;
-    p.tasks = out.tasks;
-    p.task_retries = out.task_retries;
-    p.complete = complete;
-    opts.on_progress(p);
+  auto progress = [&] {
+    if (opts.on_progress) opts.on_progress(out);
   };
 
   std::vector<int> free_slots;
   for (int w = opts.workers - 1; w >= 0; --w) free_slots.push_back(w);
 
   // Row events can finalize every point before the tasks that ran them
-  // have finished, so keep waiting until each task's sidecar is in too.
-  while (done < n || !active.empty()) {
+  // have finished, so keep waiting until each task's spills are in too.
+  while (out.done < n || !active.empty()) {
     for (std::size_t i = free_slots.size(); i-- > 0;) {
       if (dispatch(free_slots[i]))
         free_slots.erase(free_slots.begin() + static_cast<std::ptrdiff_t>(i));
@@ -211,16 +182,17 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
     if (ait == active.end())
       throw std::logic_error("run_campaign: event for idle slot");
     if (!status.finished) {
-      // A streamed row of a still-running task: final as soon as it lands.
+      // A streamed row of a still-running task: final as soon as it lands,
+      // unless it failed with retry budget left (decided at task end).
       const auto pit = pos_of.find(status.row.index);
-      if (pit != pos_of.end() && !has[pit->second])
+      if (pit != pos_of.end() && !has[pit->second] &&
+          is_final(status.row, pit->second))
         finalize(status.row, pit->second);
       continue;
     }
-    Chunk chunk = std::move(ait->second);
+    const Chunk chunk = std::move(ait->second);
     active.erase(ait);
-    const std::string artifact = active_artifact[slot];
-    active_artifact.erase(slot);
+    const std::string& artifact = chunk.artifact;
     free_slots.push_back(slot);
 
     // Harvest whatever the task managed to write — even a killed worker's
@@ -231,51 +203,53 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
     } catch (const std::exception&) {
       rows.clear();  // no artifact at all: every point is unfinished
     }
-    read_task_meta(artifact + ".meta", &out);
-    if (opts.trace_tasks) {
-      // A dead worker may have spilled nothing; harvest what exists and
-      // let the merge skip unreadable shards.
-      std::FILE* tf = std::fopen((artifact + ".trace").c_str(), "rb");
-      if (tf != nullptr) {
-        std::fclose(tf);
-        out.trace_shards.push_back(artifact + ".trace");
-      }
+    trace::MetricsRegistry::global().absorb(metrics_spill_path(artifact));
+    // A dead worker may have spilled nothing; harvest what exists and let
+    // the merge skip unreadable shards.
+    if (std::FILE* tf = std::fopen(trace_spill_path(artifact).c_str(), "rb")) {
+      std::fclose(tf);
+      out.trace_shards.push_back(trace_spill_path(artifact));
     }
 
     // Points still open; rows already streamed as row events are final.
-    std::set<std::size_t> chunk_indices;
+    std::set<std::size_t> open;
     for (const SweepPoint& p : chunk.points)
-      if (!has[pos_of.at(p.index)]) chunk_indices.insert(p.index);
+      if (!has[pos_of.at(p.index)]) open.insert(p.index);
+    std::set<std::size_t> again;  // points the re-dispatch chunk re-runs
     for (const SweepRow& row : rows) {
-      if (chunk_indices.erase(row.index) == 0) continue;
-      finalize(row, pos_of.at(row.index));
+      if (open.erase(row.index) == 0) continue;
+      const std::size_t pos = pos_of.at(row.index);
+      if (is_final(row, pos)) {
+        finalize(row, pos);
+      } else {
+        ++failures[pos];
+        ++out.retries;
+        again.insert(row.index);
+      }
     }
 
-    if (!chunk_indices.empty()) {
-      // The worker died mid-chunk.  Re-dispatch the unfinished points (to
-      // the same owner's queue; stealing will rebalance if it lags), or —
-      // budget exhausted — finalize them as failures naming the cause.
-      Chunk rest;
-      rest.owner = chunk.owner;
-      rest.redispatch = chunk.redispatch + 1;
-      for (const SweepPoint& p : chunk.points)
-        if (chunk_indices.count(p.index) != 0) rest.points.push_back(p);
+    Chunk retry;
+    retry.attempt = chunk.attempt + 1;
+    retry.deaths = chunk.deaths;
+    if (!open.empty()) {
+      // The worker died mid-chunk.  Re-dispatch the unfinished points, or
+      // — budget exhausted — finalize them as failures naming the cause.
       const std::string cause =
           status.detail.empty() ? "task did not run to completion"
                                 : status.detail;
       Log::warn("sweep worker died (%s) — %zu point(s) unfinished",
-                cause.c_str(), chunk_indices.size());
+                cause.c_str(), open.size());
       UNIMEM_TRACE_INSTANT1("coordinator", "task.dead", -1.0, "unfinished",
-                            chunk_indices.size());
-      out.task_failures.push_back(cause + " — " +
-                                  std::to_string(chunk_indices.size()) +
+                            open.size());
+      out.task_failures.push_back(cause + " — " + std::to_string(open.size()) +
                                   " point(s) unfinished");
-      if (chunk.redispatch < opts.max_task_retries) {
-        queues[static_cast<std::size_t>(rest.owner)].push_back(
-            std::move(rest));
+      if (chunk.deaths < opts.max_task_retries) {
+        ++retry.deaths;
         ++out.task_retries;
+        again.insert(open.begin(), open.end());
       } else {
-        for (const SweepPoint& p : rest.points) {
+        for (const SweepPoint& p : chunk.points) {
+          if (open.count(p.index) == 0) continue;
           SweepRow row;
           row.index = p.index;
           row.label = p.label;
@@ -287,20 +261,29 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
         }
       }
     }
-    progress(false);
+    if (!again.empty()) {
+      // Front of the freed slot's queue: the re-dispatch runs next, on a
+      // slot that is idle now, so it never waits behind a busy worker.
+      for (const SweepPoint& p : chunk.points)
+        if (again.count(p.index) != 0) retry.points.push_back(p);
+      queues[static_cast<std::size_t>(slot)].push_front(std::move(retry));
+    }
+    progress();
   }
 
   out.wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   auto& reg = trace::MetricsRegistry::global();
+  reg.counter("sweep.point_retries")->add(out.retries);
   reg.counter("campaign.tasks")->add(out.tasks);
   reg.counter("campaign.task_retries")->add(out.task_retries);
   reg.counter("campaign.steals")->add(out.steals);
   reg.counter("campaign.resumed")->add(out.resumed);
   reg.counter("campaign.failed_points")->add(out.failed);
   reg.gauge("campaign.wall_s")->set(out.wall_s);
-  progress(true);
+  out.complete = true;
+  progress();
   return out;
 }
 

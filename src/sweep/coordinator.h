@@ -12,14 +12,19 @@
 //   * WORK STEALING — a worker whose own queue drains takes chunks from
 //     the most-loaded sibling's queue tail, so one straggling slice no
 //     longer bounds campaign wall-clock.
-//   * RETRIES — failed points are re-run with deterministic capped
-//     exponential backoff (EngineOptions::max_point_retries inside each
-//     task; RetryBackoff schedules are pure functions of seed/point/
-//     attempt, so recovery is reproducible).
+//   * RETRIES — a task runs each point once.  A failed row whose point
+//     has retry budget left (max_point_retries) is not finalized: the
+//     point joins a re-dispatch chunk with the next campaign-global
+//     attempt number, which runs next on the slot that just freed.
 //   * TASK REASSIGNMENT — a task whose worker DIES (nonzero exit,
-//     signal, lost ssh...) has its unfinished points re-dispatched up to
-//     max_task_retries times; rows the dead task already streamed are
-//     kept (its artifact is read with the crash-tolerant reader).
+//     signal, lost ssh...) has its unfinished points re-dispatched the
+//     same way, up to max_task_retries times; rows the dead task already
+//     streamed are kept (its artifact is read with the crash-tolerant
+//     reader).
+//   * ONE COUNTER CHANNEL — a process-backed task spills its metrics
+//     registry next to its artifact and the coordinator merges it into
+//     this process's registry, so engine counters of every topology meet
+//     in MetricsRegistry::global().
 //   * RESUME — rows from a previous campaign's artifact are accepted
 //     up front and their points never re-run (crash-restart).
 //
@@ -44,19 +49,30 @@
 
 namespace unimem::sweep {
 
-/// Live campaign counters, pushed to on_progress after every task
-/// completion (and once at the end with complete=true).  The CLI renders
-/// this as the live --summary-json.
-struct CampaignProgress {
-  std::size_t total = 0;
-  std::size_t done = 0;  ///< finalized points (ok + failed + resumed)
+/// A campaign's result; also its progress so far (on_progress).  Engine
+/// counters (worlds, baselines, jobs) are not copied here: they live in
+/// MetricsRegistry::global() under "sweep.*".
+struct CampaignOutcome {
+  std::vector<SweepRow> rows;  ///< point (expansion) order
+  std::size_t done = 0;        ///< finalized points (ok + failed + resumed)
+  bool complete = false;       ///< every point finalized, every task in
   std::size_t failed = 0;
   std::size_t resumed = 0;       ///< points satisfied by resume_rows
-  std::size_t retries = 0;       ///< failed point attempts re-run in tasks
+  std::size_t retries = 0;       ///< failed point attempts re-dispatched
   std::size_t steals = 0;        ///< chunks taken from another worker's queue
   std::size_t tasks = 0;         ///< tasks dispatched (incl. re-dispatches)
   std::size_t task_retries = 0;  ///< re-dispatches after a worker died
-  bool complete = false;
+  double wall_s = 0;
+  int workers = 0;
+  /// One entry per task that finished with points missing from its
+  /// artifact: the worker's fate plus how many points it handed back.
+  /// Re-dispatch recovers these; the log says why they happened.
+  std::vector<std::string> task_failures;
+  /// Binary trace shards harvested from finished process-backed tasks
+  /// (spilled while the recorder was on), in harvest order.  The caller
+  /// merges them (trace/export.h) before the scratch directory is
+  /// removed.
+  std::vector<std::string> trace_shards;
 };
 
 struct CoordinatorOptions {
@@ -70,12 +86,16 @@ struct CoordinatorOptions {
   /// task's unfinished points are finalized as failed rows naming the
   /// worker's fate.
   int max_task_retries = 2;
-  /// Per-task engine options.  max_point_retries/backoff ride inside
-  /// (retries happen in the task, concurrently); on_result is ignored —
-  /// rows come back through row events and task artifacts to
-  /// on_final_row.
+  /// Per-point retry budget: a point whose row failed is re-dispatched
+  /// up to this many extra times before its failure row is final.  A
+  /// retried success is bitwise identical to a first-try success —
+  /// attempts are counters (CampaignOutcome::retries), never artifact
+  /// data — so retries preserve golden determinism.
+  int max_point_retries = 0;
+  /// Per-task engine options; on_result is ignored — rows come back
+  /// through row events and task artifacts to on_final_row.
   EngineOptions engine;
-  /// Directory for per-task JSONL artifacts + meta sidecars; must exist.
+  /// Directory for per-task JSONL artifacts and spills; must exist.
   std::string scratch_dir;
   /// Rows from a previous campaign's JSONL (read_jsonl_tolerant): ok rows
   /// whose index matches a point are finalized immediately and not
@@ -88,39 +108,10 @@ struct CoordinatorOptions {
   /// launcher that streams row events (InProcessLauncher) delivers each
   /// row when its point finishes; others at the end of its task.
   std::function<void(const SweepRow&)> on_final_row;
-  std::function<void(const CampaignProgress&)> on_progress;
-  /// Ask each task to spill a per-task trace shard ("<artifact>.trace",
-  /// binary format) for the coordinator to stitch into the campaign
-  /// timeline.  Set this for process-backed launchers only; in-process
-  /// tasks already emit into the coordinator's recorder.
-  bool trace_tasks = false;
-  std::size_t trace_buf = 0;  ///< forwarded to LaunchTask::trace_buf
-};
-
-struct CampaignOutcome {
-  std::vector<SweepRow> rows;  ///< point (expansion) order
-  std::size_t failed = 0;
-  std::size_t resumed = 0;
-  std::size_t retries = 0;
-  std::size_t steals = 0;
-  std::size_t tasks = 0;
-  std::size_t task_retries = 0;
-  double wall_s = 0;
-  int workers = 0;
-  /// Aggregated from task meta sidecars (tasks launched without a
-  /// sidecar-writing body contribute zero).
-  std::size_t worlds_executed = 0;
-  std::size_t baseline_requests = 0;
-  std::size_t baseline_computed = 0;
-  int jobs_used = 0;  ///< widest per-task engine width observed
-  /// One entry per task that finished with points missing from its
-  /// artifact: the worker's fate plus how many points it handed back.
-  /// Re-dispatch recovers these; the log says why they happened.
-  std::vector<std::string> task_failures;
-  /// Binary trace shards harvested from finished tasks (trace_tasks on),
-  /// in harvest order.  The caller merges them (trace/export.h) before
-  /// the scratch directory is removed.
-  std::vector<std::string> trace_shards;
+  /// The campaign so far, after every task completion and once at the
+  /// end with complete=true.  The CLI renders it as the live
+  /// --summary-json.
+  std::function<void(const CampaignOutcome&)> on_progress;
 };
 
 CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstring>
 #include <exception>
@@ -13,22 +12,10 @@
 #include <system_error>
 #include <thread>
 
-#include "common/rng.h"
 #include "trace/metrics.h"
 #include "trace/trace.h"
 
 namespace unimem::sweep {
-
-double RetryBackoff::delay_s(std::size_t index, int attempt) const {
-  if (attempt < 1) return 0.0;
-  const double grown = base_s * std::pow(2.0, attempt - 1);
-  const double capped = std::min(grown, max_s);
-  // Jitter must be a pure function of (seed, index, attempt) so a resumed
-  // or re-run campaign reproduces the exact retry schedule.
-  Rng mix(seed ^ (static_cast<std::uint64_t>(index) * 0x9e3779b97f4a7c15ull) ^
-          (static_cast<std::uint64_t>(attempt) * 0xbf58476d1ce4e5b9ull));
-  return capped * (0.5 + 0.5 * mix.uniform());
-}
 
 SweepEngine::SweepEngine(EngineOptions opts, BaselineService* baselines)
     : opts_(opts), baselines_(baselines != nullptr ? baselines : &owned_) {}
@@ -56,15 +43,14 @@ SweepOutcome SweepEngine::run(const std::vector<SweepPoint>& points) {
 
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> point_worlds{0};
-  std::atomic<std::size_t> point_retries{0};
   std::mutex admit_mu;
   std::condition_variable admit_cv;
   int active_ranks = 0;
   int active_jobs = 0;
   std::mutex result_mu;
 
-  auto run_point_once = [&](const SweepPoint& p, int attempt) {
-    if (opts_.run_point) return opts_.run_point(p, attempt);
+  auto run_point = [&](const SweepPoint& p) {
+    if (opts_.run_point) return opts_.run_point(p, opts_.attempt_base);
     return exp::run_once(p.cfg);
   };
 
@@ -96,61 +82,38 @@ SweepOutcome SweepEngine::run(const std::vector<SweepPoint>& points) {
       row.index = p.index;
       row.label = p.label;
       row.axis = p.axis;
-      // Retry loop: a failing attempt is re-run (after a deterministic
-      // backoff delay) up to max_point_retries extra times.  The row keeps
-      // no memory of earlier attempts — a retried success is bitwise
-      // identical to a first-try success, preserving golden determinism.
-      for (int attempt = 0;; ++attempt) {
-        UNIMEM_TRACE_BEGIN2("sweep", "point", -1.0, "index", p.index,
-                            "attempt",
-                            static_cast<std::uint64_t>(
-                                opts_.attempt_base + attempt));
-        row.ok = false;
-        row.error.clear();
-        row.result = exp::RunResult{};
-        row.baseline_time_s = 0;
-        row.normalized = 0;
-        try {
-          if (p.normalize) {
-            const exp::RunResult base = baselines_->dram_baseline(p.cfg);
-            row.baseline_time_s = base.time_s;
-            // The DRAM-only point IS its own baseline: reuse the memoized
-            // run instead of executing the identical World again.
-            if (p.cfg.policy == exp::Policy::kDramOnly &&
-                !opts_.run_point) {
-              row.result = base;
-            } else {
-              row.result = run_point_once(p, opts_.attempt_base + attempt);
-              point_worlds.fetch_add(1);
-            }
-            row.normalized =
-                base.time_s > 0 ? row.result.time_s / base.time_s : 0.0;
+      UNIMEM_TRACE_BEGIN2("sweep", "point", -1.0, "index", p.index,
+                          "attempt",
+                          static_cast<std::uint64_t>(opts_.attempt_base));
+      try {
+        if (p.normalize) {
+          const exp::RunResult base = baselines_->dram_baseline(p.cfg);
+          row.baseline_time_s = base.time_s;
+          // The DRAM-only point IS its own baseline: reuse the memoized
+          // run instead of executing the identical World again.
+          if (p.cfg.policy == exp::Policy::kDramOnly && !opts_.run_point) {
+            row.result = base;
           } else {
-            row.result = run_point_once(p, opts_.attempt_base + attempt);
+            row.result = run_point(p);
             point_worlds.fetch_add(1);
           }
-          row.ok = true;
-        } catch (const std::exception& e) {
-          row.error = e.what();
-        } catch (...) {
-          row.error = "unknown error";
+          row.normalized =
+              base.time_s > 0 ? row.result.time_s / base.time_s : 0.0;
+        } else {
+          row.result = run_point(p);
+          point_worlds.fetch_add(1);
         }
-        UNIMEM_TRACE_END1("sweep", "point", -1.0, "ok", row.ok ? 1 : 0);
-        // Hand finished events (including those of the world's now-dead
-        // rank threads) to the recorder so ring memory is bounded by the
-        // threads of one point, not the whole sweep.
-        if (trace::on()) trace::TraceRecorder::instance().flush();
-        if (row.ok || attempt >= opts_.max_point_retries) break;
-        point_retries.fetch_add(1);
-        UNIMEM_TRACE_INSTANT2("sweep", "retry", -1.0, "index", p.index,
-                              "attempt",
-                              static_cast<std::uint64_t>(
-                                  opts_.attempt_base + attempt + 1));
-        const double delay =
-            opts_.backoff.delay_s(p.index, opts_.attempt_base + attempt + 1);
-        if (delay > 0)
-          std::this_thread::sleep_for(std::chrono::duration<double>(delay));
+        row.ok = true;
+      } catch (const std::exception& e) {
+        row.error = e.what();
+      } catch (...) {
+        row.error = "unknown error";
       }
+      UNIMEM_TRACE_END1("sweep", "point", -1.0, "ok", row.ok ? 1 : 0);
+      // Hand finished events (including those of the world's now-dead
+      // rank threads) to the recorder so ring memory is bounded by the
+      // threads of one point, not the whole sweep.
+      if (trace::on()) trace::TraceRecorder::instance().flush();
 
       {
         std::lock_guard<std::mutex> lk(result_mu);
@@ -181,7 +144,6 @@ SweepOutcome SweepEngine::run(const std::vector<SweepPoint>& points) {
   }
   for (auto& t : pool) t.join();
 
-  out.retries = point_retries.load();
   out.baseline_requests = baselines_->requests() - base_requests;
   out.baseline_computed = baselines_->computed() - base_computed;
   out.worlds_executed = point_worlds.load() + out.baseline_computed;
@@ -190,11 +152,13 @@ SweepOutcome SweepEngine::run(const std::vector<SweepPoint>& points) {
                    .count();
 
   // Publish engine tallies into the global registry (additive across
-  // engine runs in one process, e.g. the tasks of an inproc campaign).
+  // engine runs in one process, e.g. the tasks of an inproc campaign;
+  // process-backed tasks spill theirs to the coordinator).  Points count
+  // attempts: a retried point adds to points_failed, then points_ok.
   auto& reg = trace::MetricsRegistry::global();
   reg.counter("sweep.points_ok")->add(out.rows.size() - out.failed);
   reg.counter("sweep.points_failed")->add(out.failed);
-  reg.counter("sweep.point_retries")->add(out.retries);
+  reg.histogram("sweep.jobs")->observe(out.jobs_used);
   reg.counter("sweep.worlds_executed")->add(out.worlds_executed);
   reg.counter("sweep.baseline_requests")->add(out.baseline_requests);
   reg.counter("sweep.baseline_computed")->add(out.baseline_computed);

@@ -15,6 +15,8 @@
 //     count (asserted by SweepDeterminism in tests/sweep_test.cc).
 //   * Failure isolation: a throwing job (or a throwing baseline it
 //     depends on) marks its own row failed and the batch keeps going.
+//     Each point runs once; re-running failed points is the campaign
+//     coordinator's decision (coordinator.h), not the engine's.
 #pragma once
 
 #include <cstddef>
@@ -48,29 +50,12 @@ struct SweepOutcome {
   /// Worker threads actually used (options.jobs resolved against the
   /// hardware and clamped to the point count).
   int jobs_used = 0;
-  /// Point attempts that failed and were re-run under
-  /// EngineOptions::max_point_retries.
-  std::size_t retries = 0;
   /// Worlds the engine actually executed: point runs + baseline cache
   /// misses.  A naive serial harness would have executed
   /// rows + baseline_requests worlds.
   std::size_t worlds_executed = 0;
   std::size_t baseline_requests = 0;
   std::size_t baseline_computed = 0;
-};
-
-/// Capped exponential backoff with deterministic per-(point, attempt)
-/// jitter: delay_s() is a pure function of (seed, index, attempt), so a
-/// campaign's retry schedule is reproducible run-to-run — the sweep-layer
-/// twin of perf::schedule_seed's determinism contract.
-struct RetryBackoff {
-  double base_s = 0.05;  ///< delay before the first retry (pre-jitter)
-  double max_s = 5.0;    ///< cap on the exponential growth
-  std::uint64_t seed = 0x5157454550u;  ///< jitter seed ("SWEEP")
-  /// Delay before retry `attempt` (1-based) of point `index`:
-  /// min(max_s, base_s * 2^(attempt-1)) scaled by a seeded jitter factor
-  /// in [0.5, 1.0) so simultaneous retries cannot thundering-herd.
-  double delay_s(std::size_t index, int attempt) const;
 };
 
 struct EngineOptions {
@@ -82,23 +67,15 @@ struct EngineOptions {
   /// Streaming result callback, invoked in completion order; calls are
   /// serialized by the engine.
   std::function<void(const SweepRow&)> on_result;
-  /// Per-point retry budget: a failing point is re-run up to this many
-  /// extra times (with RetryBackoff delays between attempts) before its
-  /// failure row is final.  Retried-then-successful rows are bitwise
-  /// identical to first-try successes — attempts are an engine counter
-  /// (SweepOutcome::retries), never artifact data — so retries preserve
-  /// golden determinism.
-  int max_point_retries = 0;
-  RetryBackoff backoff{};
-  /// First attempt number this engine runs (nonzero when a coordinator
-  /// re-dispatches points it already saw fail, so `run_point` hooks and
-  /// fault-injection schedules observe the campaign-global attempt).
+  /// Attempt number of every point this engine runs: each point runs
+  /// once, and the coordinator re-dispatches failed points (and those of
+  /// dead workers) with the next campaign-global attempt number, so
+  /// `run_point` hooks and fault-injection schedules observe it.
   int attempt_base = 0;
   /// Point execution hook: when set, replaces exp::run_once for the
   /// point's own run (baselines still go through the BaselineService).
-  /// Receives the campaign-global attempt number (attempt_base + local
-  /// attempt).  Tests inject synthetic runners and seeded transient
-  /// faults here; the CLI's --inject-fail rides the same hook.
+  /// Receives attempt_base.  Tests inject synthetic runners and seeded
+  /// transient faults here; the CLI's --inject-fail rides the same hook.
   std::function<exp::RunResult(const SweepPoint&, int attempt)> run_point;
 };
 

@@ -11,6 +11,7 @@
 #include "common/log.h"
 #include "sweep/result_store.h"
 #include "trace/export.h"
+#include "trace/metrics.h"
 #include "trace/trace.h"
 
 namespace unimem::sweep {
@@ -18,11 +19,9 @@ namespace unimem::sweep {
 SweepOutcome run_task_to_artifact(
     const LaunchTask& task, BaselineService* baselines,
     const std::function<void(const SweepRow&)>& on_row) {
-  // Per-task trace shard: restart the recorder so a fork child sheds any
-  // state inherited from the coordinator's recorder, then spill a binary
-  // shard next to the artifact for the coordinator to stitch.  Only
-  // process-backed launchers set task.trace — an in-process task emits
-  // into the shared recorder directly.
+  // Shed whatever a fork child inherited from the coordinator, so the
+  // spills hold this task's own counters and events only.
+  if (!task.metrics.empty()) trace::MetricsRegistry::global().reset();
   if (!task.trace.empty()) trace::TraceRecorder::instance().start(task.trace_buf);
 
   SweepResultStore store;
@@ -44,14 +43,9 @@ SweepOutcome run_task_to_artifact(
                 static_cast<unsigned long long>(task.task_id),
                 task.trace.c_str());
   }
-
-  const std::string meta = task.artifact + ".meta";
-  std::FILE* f = std::fopen(meta.c_str(), "w");
-  if (f == nullptr) throw std::runtime_error("cannot open " + meta);
-  std::fprintf(f, "%zu %zu %zu %zu %d %zu\n", out.worlds_executed,
-               out.baseline_requests, out.baseline_computed, out.failed,
-               out.jobs_used, out.retries);
-  std::fclose(f);
+  if (!task.metrics.empty() &&
+      !trace::MetricsRegistry::global().spill(task.metrics))
+    throw std::runtime_error("cannot write " + task.metrics);
   return out;
 }
 
@@ -116,10 +110,16 @@ std::pair<int, LaunchStatus> InProcessLauncher::wait_any() {
 // ProcessLauncher
 
 void ProcessLauncher::start(const LaunchTask& task) {
+  LaunchTask t = task;
+  t.metrics = metrics_spill_path(t.artifact);
+  if (trace::on()) {
+    t.trace = trace_spill_path(t.artifact);
+    t.trace_buf = trace::TraceRecorder::instance().buf_events();
+  }
   // Flush before forking so buffered output is not duplicated into the
   // child's address space.
   std::fflush(nullptr);
-  const pid_t pid = spawn(task);
+  const pid_t pid = spawn(t);
   slot_of_[pid] = task.slot;
 }
 

@@ -52,7 +52,7 @@ struct LaunchTask {
   int slot = 0;               ///< worker slot the coordinator assigned
   std::uint64_t task_id = 0;  ///< unique within a campaign (artifact names)
   /// Campaign-global attempt number of every point in this task (0 on
-  /// first dispatch; retry chunks carry the point's attempt count).
+  /// first dispatch; a re-dispatch chunk carries the next attempt).
   /// Forwarded to EngineOptions::attempt_base so run_point hooks and
   /// fault-injection schedules see the global attempt even across
   /// process boundaries.
@@ -60,12 +60,25 @@ struct LaunchTask {
   std::vector<SweepPoint> points;
   std::string artifact;  ///< JSONL path the task streams rows to
   EngineOptions engine;  ///< per-task engine options (on_result is ignored)
-  /// Non-empty: the task restarts the trace recorder around its body and
-  /// spills a binary trace shard at this path (process-backed launchers
-  /// only; in-process tasks share the coordinator's recorder).
+  /// Spill paths, set by ProcessLauncher::start and empty for in-process
+  /// tasks, which share the coordinator's registry and recorder.
+  /// Non-empty `metrics`: the task resets the metrics registry it
+  /// inherited and spills its own there (MetricsRegistry::spill).
+  std::string metrics;
+  /// Non-empty: the task restarts the trace recorder with `trace_buf`
+  /// ring slots per thread and spills a binary trace shard here.
   std::string trace;
-  std::size_t trace_buf = 0;  ///< ring slots per thread; 0 = default
+  std::size_t trace_buf = 0;
 };
+
+/// Where a process-backed task spills next to its artifact; the
+/// coordinator harvests whichever of these exist once the task ends.
+inline std::string metrics_spill_path(const std::string& artifact) {
+  return artifact + ".metrics";
+}
+inline std::string trace_spill_path(const std::string& artifact) {
+  return artifact + ".trace";
+}
 
 /// One event from Launcher::wait_any.  A finished task carries the
 /// launcher-level verdict: `ok` means the task body ran to completion;
@@ -80,13 +93,14 @@ struct LaunchStatus {
   SweepRow row;  ///< row events only
 };
 
-/// Task body shared by every launcher: run task.points through a
-/// SweepEngine streaming to task.artifact, then write the
-/// "<artifact>.meta" counter sidecar (read back by the coordinator) so
-/// the campaign can aggregate world/baseline/retry counters.  The task's
-/// on_result is replaced by the artifact stream plus `on_row`, called
-/// (serialized) with each row as it finishes.  `baselines` may be shared
-/// across tasks (in-process launcher); nullptr = task-owned service.
+/// Task body shared by every launcher: run task.points once each through
+/// a SweepEngine streaming to task.artifact, then write the spills the
+/// task names (task.metrics, task.trace).  Rows, spills and the exit
+/// status are everything a task reports; the coordinator decides re-runs
+/// and sums counters.  The task's on_result is replaced by the artifact
+/// stream plus `on_row`, called (serialized) with each row as it
+/// finishes.  `baselines` may be shared across tasks (in-process
+/// launcher); nullptr = task-owned service.
 SweepOutcome run_task_to_artifact(
     const LaunchTask& task, BaselineService* baselines = nullptr,
     const std::function<void(const SweepRow&)>& on_row = nullptr);
@@ -128,9 +142,12 @@ class InProcessLauncher : public Launcher {
 };
 
 /// Shared fork/waitpid machinery for the two process-backed launchers.
-/// The parent must still be effectively single-threaded when start() is
-/// called if the child will spawn threads (the coordinator guarantees
-/// this by never threading itself).
+/// start() alone decides what a task spills: its metrics always (at
+/// metrics_spill_path), plus a trace shard (at trace_spill_path, with the
+/// parent's ring size) while the parent's recorder is on.  The parent
+/// must still be effectively single-threaded when start() is called if
+/// the child will spawn threads (the coordinator guarantees this by
+/// never threading itself).
 class ProcessLauncher : public Launcher {
  public:
   void start(const LaunchTask& task) override;

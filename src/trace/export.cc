@@ -7,34 +7,11 @@
 #include <map>
 #include <utility>
 
+#include "common/json.h"
+
 namespace unimem::trace {
 
 namespace {
-
-// JSON string escaping, local to the exporter so the trace library does
-// not pull in the experiments report code.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 // ---- binary encoding helpers (little-endian, explicit widths) -------------
 

@@ -1,7 +1,14 @@
 #include "trace/metrics.h"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+
+#include "common/json.h"
+#include "common/log.h"
 
 namespace unimem::trace {
 
@@ -36,42 +43,65 @@ std::string json_number(double v) {
   return buf;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-      continue;
-    }
-    out += c;
+bool parse_count(const std::string& s, std::uint64_t* out) {
+  if (s.empty() || s[0] == '-') return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+  if (errno == ERANGE || *end != '\0') return false;
+  *out = v;
+  return true;
+}
+
+bool parse_value(const std::string& s, double* out) {
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  if (s.empty() || *end != '\0' || !std::isfinite(v)) return false;
+  *out = v;
+  return true;
+}
+
+/// One MetricsRegistry::spill line into `staged`; false when malformed.
+bool parse_spill_line(const std::string& line, MetricsRegistry* staged) {
+  std::istringstream in(line);
+  std::string kind, name, f[4], extra;
+  std::uint64_t count = 0;
+  double sum = 0, min = 0, max = 0;
+  if (!(in >> kind >> name)) return false;
+  if (kind == "counter") {
+    if (!(in >> f[0]) || (in >> extra) || !parse_count(f[0], &count))
+      return false;
+    staged->counter(name)->add(count);
+    return true;
   }
-  return out;
+  if (kind != "histogram" || !(in >> f[0] >> f[1] >> f[2] >> f[3]) ||
+      (in >> extra) || !parse_count(f[0], &count) ||
+      !parse_value(f[1], &sum) || !parse_value(f[2], &min) ||
+      !parse_value(f[3], &max) || min > max)
+    return false;
+  staged->histogram(name)->merge(count, sum, min, max);
+  return true;
 }
 
 }  // namespace
 
 void Histogram::observe(double sample) {
   if (!(sample >= 0.0)) sample = 0.0;  // NaN / negative clamp
-  int b = 0;
-  if (sample >= 1.0) {
-    b = static_cast<int>(std::ceil(std::log2(sample + 1e-12))) + 1;
-    if (b >= kBuckets) b = kBuckets - 1;
-    if (b < 1) b = 1;
-  }
-  buckets_[b].fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t prev = count_.fetch_add(1, std::memory_order_relaxed);
-  atomic_add(&sum_, sample);
+  merge(1, sample, sample, sample);
+}
+
+void Histogram::merge(std::uint64_t count, double sum, double min,
+                      double max) {
+  if (count == 0) return;
+  const std::uint64_t prev = count_.fetch_add(count, std::memory_order_relaxed);
+  atomic_add(&sum_, sum);
   if (prev == 0) {
-    // First observation seeds min/max (0-inits would poison min).
-    min_.store(sample, std::memory_order_relaxed);
-    max_.store(sample, std::memory_order_relaxed);
+    // The first samples seed min/max (0-inits would poison min).
+    min_.store(min, std::memory_order_relaxed);
+    max_.store(max, std::memory_order_relaxed);
   } else {
-    atomic_min(&min_, sample);
-    atomic_max(&max_, sample);
+    atomic_min(&min_, min);
+    atomic_max(&max_, max);
   }
 }
 
@@ -167,6 +197,42 @@ void MetricsRegistry::reset() {
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
+}
+
+bool MetricsRegistry::spill(const std::string& path) const {
+  const MetricsSnapshot snap = snapshot();
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "w");
+  if (f == nullptr) return false;
+  for (const auto& [k, v] : snap.counters)
+    std::fprintf(f, "counter %s %llu\n", k.c_str(),
+                 static_cast<unsigned long long>(v));
+  for (const auto& [k, h] : snap.histograms)
+    std::fprintf(f, "histogram %s %llu %.17g %.17g %.17g\n", k.c_str(),
+                 static_cast<unsigned long long>(h.count), h.sum, h.min,
+                 h.max);
+  const bool ok = std::fclose(f) == 0;
+  return ok && std::rename(tmp.c_str(), path.c_str()) == 0;
+}
+
+bool MetricsRegistry::absorb(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return false;
+  // Stage the whole file first: a malformed line anywhere voids it all.
+  MetricsRegistry staged;
+  std::string line;
+  for (std::size_t lineno = 1; std::getline(in, line); ++lineno) {
+    if (!parse_spill_line(line, &staged)) {
+      Log::warn("ignoring malformed metrics spill %s (line %zu)",
+                path.c_str(), lineno);
+      return false;
+    }
+  }
+  const MetricsSnapshot snap = staged.snapshot();
+  for (const auto& [k, v] : snap.counters) counter(k)->add(v);
+  for (const auto& [k, h] : snap.histograms)
+    histogram(k)->merge(h.count, h.sum, h.min, h.max);
+  return true;
 }
 
 }  // namespace unimem::trace

@@ -7,9 +7,9 @@
 // Handles returned by counter()/gauge()/histogram() are stable for the
 // registry's lifetime (node-based storage) and cheap to update from any
 // thread: counters are relaxed atomic adds, gauges atomic stores,
-// histograms log2-bucketed atomic adds.  Snapshots are mutex-consistent
-// for the name table but read live atomic values — good enough for
-// end-of-run export, not a barrier.
+// histograms atomic count/sum/min/max updates.  Snapshots are
+// mutex-consistent for the name table but read live atomic values — good
+// enough for end-of-run export, not a barrier.
 #pragma once
 
 #include <atomic>
@@ -41,25 +41,20 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-/// Log2-bucketed histogram over non-negative samples.  Bucket i counts
-/// samples in [2^(i-1), 2^i) scaled by `unit` (bucket 0: [0, 1)); exact
-/// count/sum/min/max ride along for the summary.
+/// Histogram over non-negative samples, kept as exact count/sum/min/max:
+/// it equals its snapshot, so merging another process's spill is exact.
 class Histogram {
  public:
-  static constexpr int kBuckets = 64;
-
   void observe(double sample);
+  /// Fold in `count` samples summing to `sum` with extremes min/max.
+  void merge(std::uint64_t count, double sum, double min, double max);
 
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum() const { return sum_.load(std::memory_order_relaxed); }
   double min() const { return min_.load(std::memory_order_relaxed); }
   double max() const { return max_.load(std::memory_order_relaxed); }
-  std::uint64_t bucket(int i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
 
  private:
-  std::atomic<std::uint64_t> buckets_[kBuckets] = {};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
   std::atomic<double> min_{0.0};
@@ -98,9 +93,20 @@ class MetricsRegistry {
 
   MetricsSnapshot snapshot() const;
 
-  /// Drop every metric (tests; also the fork-child path where parent
-  /// tallies must not leak into the task's summary).
+  /// Drop every metric (tests; also a process-backed task, whose
+  /// inherited parent tallies must not be spilled back to the parent).
   void reset();
+
+  /// Write every counter and histogram to `path`, one metric per line:
+  /// "counter NAME VALUE" or "histogram NAME COUNT SUM MIN MAX" (gauges
+  /// are process-local and stay out).  Written to PATH.tmp and renamed,
+  /// so a reader sees a whole spill or none.  False on an I/O error.
+  bool spill(const std::string& path) const;
+
+  /// Add the counters and merge the histograms of a spill() file.  A
+  /// missing file contributes nothing; a malformed one contributes
+  /// nothing and logs a warning naming it.  True when merged.
+  bool absorb(const std::string& path);
 
  private:
   mutable std::mutex mu_;

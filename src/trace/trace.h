@@ -122,6 +122,10 @@ class TraceRecorder {
   /// True between start() and stop().
   bool active() const { return on(); }
 
+  /// Ring slots per thread of the most recent start().  Call from the
+  /// thread that started the recorder.
+  std::size_t buf_events() const { return buf_events_; }
+
   /// Drain every ring into the accumulated TraceData (safe while
   /// producers keep emitting; call from one thread at a time).
   void flush();

@@ -1,9 +1,9 @@
-// Sweep service tests: deterministic retry backoff, engine-level point
-// retries (rows byte-identical to first-try successes), the campaign
-// coordinator (work stealing, dead-worker reassignment, resume), the
-// launcher topologies (in-process row streaming, fork, command), the
-// crash-tolerant JSONL reader, CSV label sanitization, and the counters a
-// fork campaign (the `--shards N` topology) aggregates from its sidecars.
+// Sweep service tests: point retries re-dispatched by the coordinator
+// (rows byte-identical to first-try successes), the campaign coordinator
+// (work stealing, dead-worker reassignment, resume), the launcher
+// topologies (in-process row streaming, fork, command), the
+// crash-tolerant JSONL reader, CSV label sanitization, and the metrics a
+// fork campaign (the `--shards N` topology) merges from its tasks' spills.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -26,6 +27,7 @@
 #include "sweep/launcher.h"
 #include "sweep/result_store.h"
 #include "sweep/spec.h"
+#include "trace/metrics.h"
 
 namespace unimem::sweep {
 namespace {
@@ -72,60 +74,56 @@ std::vector<std::string> jsonl_lines(const std::vector<SweepRow>& rows) {
   return out;
 }
 
-// ---- retry backoff --------------------------------------------------------
-
-TEST(RetryBackoff, DeterministicCappedJitteredSchedule) {
-  RetryBackoff b;
-  b.base_s = 0.1;
-  b.max_s = 1.0;
-
-  EXPECT_EQ(b.delay_s(3, 1), b.delay_s(3, 1)) << "pure function of inputs";
-  EXPECT_EQ(b.delay_s(3, 0), 0.0) << "no delay before a first attempt";
-
-  // Nominal delay doubles per attempt until the cap; jitter scales it
-  // into [0.5, 1.0) of nominal.
-  auto expect_window = [&](int attempt, double nominal) {
-    const double d = b.delay_s(7, attempt);
-    EXPECT_GE(d, 0.5 * nominal) << "attempt " << attempt;
-    EXPECT_LT(d, nominal) << "attempt " << attempt;
-  };
-  expect_window(1, 0.1);
-  expect_window(2, 0.2);
-  expect_window(3, 0.4);
-  expect_window(8, 1.0);  // 0.1 * 2^7 = 12.8, capped at max_s
-  expect_window(30, 1.0);  // deep attempts stay capped, no overflow
-
-  // Jitter decorrelates points and attempts (thundering-herd guard), and
-  // the seed is part of the schedule's identity.
-  EXPECT_NE(b.delay_s(0, 1), b.delay_s(1, 1));
-  EXPECT_NE(b.delay_s(0, 1), b.delay_s(0, 2));
-  RetryBackoff other = b;
-  other.seed ^= 0x1234;
-  EXPECT_NE(b.delay_s(0, 1), other.delay_s(0, 1));
+/// Counter `name` of the process-global metrics registry (0 if absent).
+std::uint64_t global_counter(const std::string& name) {
+  const auto snap = trace::MetricsRegistry::global().snapshot();
+  const auto it = snap.counters.find(name);
+  return it != snap.counters.end() ? it->second : 0;
 }
 
-// ---- engine-level point retries -------------------------------------------
+/// Widest engine width any task of this process's campaigns recorded.
+double global_jobs() {
+  const auto snap = trace::MetricsRegistry::global().snapshot();
+  const auto it = snap.histograms.find("sweep.jobs");
+  return it != snap.histograms.end() ? it->second.max : 0.0;
+}
+
+/// `points` as a one-worker in-process campaign with `retries` point
+/// retries.
+CampaignOutcome inproc_campaign(const std::vector<SweepPoint>& points,
+                                const EngineOptions& engine, int retries,
+                                const std::string& scratch) {
+  InProcessLauncher launcher;
+  CoordinatorOptions opts;
+  opts.launcher = &launcher;
+  opts.workers = 1;
+  opts.max_point_retries = retries;
+  opts.engine = engine;
+  opts.scratch_dir = scratch;
+  return run_campaign(points, opts);
+}
+
+// ---- point retries --------------------------------------------------------
 
 TEST(SweepEngine, RetriedRowsAreByteIdenticalToFirstTrySuccesses) {
   const auto points = synth_points(20);
+  const std::string scratch = fresh_scratch("retried");
 
   EngineOptions flaky;
   flaky.jobs = 4;
-  flaky.max_point_retries = 2;
-  flaky.backoff.base_s = 1e-4;
   flaky.run_point = [](const SweepPoint& p, int attempt) {
     if (attempt == 0 && p.index % 3 == 0)
       throw std::runtime_error("injected transient fault");
     return synth_result(p.index);
   };
-  const SweepOutcome a = SweepEngine(flaky).run(points);
+  const CampaignOutcome a = inproc_campaign(points, flaky, 2, scratch);
 
   EngineOptions clean;
   clean.jobs = 4;
   clean.run_point = [](const SweepPoint& p, int) {
     return synth_result(p.index);
   };
-  const SweepOutcome b = SweepEngine(clean).run(points);
+  const CampaignOutcome b = inproc_campaign(points, clean, 2, scratch);
 
   EXPECT_EQ(a.failed, 0u) << "every injected fault recovered";
   EXPECT_EQ(a.retries, 7u) << "one retry per index divisible by 3";
@@ -137,17 +135,24 @@ TEST(SweepEngine, RetriedRowsAreByteIdenticalToFirstTrySuccesses) {
 
 TEST(SweepEngine, RetryBudgetExhaustedKeepsTheFailureRow) {
   const auto points = synth_points(3);
+  const std::string scratch = fresh_scratch("exhausted");
+  std::mutex mu;
+  std::vector<int> attempts;  // of the failing point, in run order
   EngineOptions opts;
   opts.jobs = 2;
-  opts.max_point_retries = 2;
-  opts.backoff.base_s = 1e-4;
-  opts.run_point = [](const SweepPoint& p, int) -> exp::RunResult {
-    if (p.index == 1) throw std::runtime_error("permanent fault");
+  opts.run_point = [&](const SweepPoint& p, int attempt) -> exp::RunResult {
+    if (p.index == 1) {
+      std::lock_guard<std::mutex> lk(mu);
+      attempts.push_back(attempt);
+      throw std::runtime_error("permanent fault");
+    }
     return synth_result(p.index);
   };
-  const SweepOutcome out = SweepEngine(opts).run(points);
+  const CampaignOutcome out = inproc_campaign(points, opts, 2, scratch);
   EXPECT_EQ(out.failed, 1u);
   EXPECT_EQ(out.retries, 2u) << "the whole budget was spent on point 1";
+  EXPECT_EQ(attempts, (std::vector<int>{0, 1, 2}))
+      << "each re-dispatch carries the next campaign-global attempt";
   EXPECT_FALSE(out.rows[1].ok);
   EXPECT_NE(out.rows[1].error.find("permanent fault"), std::string::npos);
   EXPECT_TRUE(out.rows[0].ok);
@@ -164,6 +169,7 @@ TEST(Coordinator, StressCampaignRecoversFaultsStealsWorkStaysDeterministic) {
   const std::size_t kPoints = 10000;
   const auto points = synth_points(kPoints);
   const std::string scratch = fresh_scratch("stress");
+  trace::MetricsRegistry::global().reset();
 
   InProcessLauncher launcher;
   CoordinatorOptions opts;
@@ -172,8 +178,7 @@ TEST(Coordinator, StressCampaignRecoversFaultsStealsWorkStaysDeterministic) {
   opts.steal = true;
   opts.scratch_dir = scratch;
   opts.engine.jobs = 2;
-  opts.engine.max_point_retries = 2;
-  opts.engine.backoff.base_s = 1e-4;
+  opts.max_point_retries = 2;
   // Slot 0's slice (indices 0 mod 4) blocks until every other worker's
   // point has completed, so the drained workers must steal slot 0's queued
   // chunks — deterministic regardless of scheduler or sanitizer slowdown.
@@ -196,11 +201,13 @@ TEST(Coordinator, StressCampaignRecoversFaultsStealsWorkStaysDeterministic) {
 
   std::size_t final_rows = 0;
   opts.on_final_row = [&](const SweepRow&) { ++final_rows; };
-  CampaignProgress last{};
   std::size_t progress_calls = 0;
-  opts.on_progress = [&](const CampaignProgress& p) {
+  bool last_complete = false;
+  std::size_t last_done = 0;
+  opts.on_progress = [&](const CampaignOutcome& p) {
     ++progress_calls;
-    last = p;
+    last_complete = p.complete;
+    last_done = p.done;
   };
 
   const CampaignOutcome out = run_campaign(points, opts);
@@ -217,8 +224,8 @@ TEST(Coordinator, StressCampaignRecoversFaultsStealsWorkStaysDeterministic) {
     // re-dispatch, which legitimately re-runs points and shifts counts.
     EXPECT_TRUE(out.task_failures.empty());
     EXPECT_EQ(out.retries, kPoints / 5) << "one retry per injected point";
-    EXPECT_EQ(out.jobs_used, 2) << "per-task width, aggregated from sidecars";
-    EXPECT_EQ(out.worlds_executed, kPoints)
+    EXPECT_EQ(global_jobs(), 2.0) << "per-task width, not the sum";
+    EXPECT_EQ(global_counter("sweep.worlds_executed"), kPoints)
         << "only successful attempts count as executed worlds";
   } else {
     for (const std::string& f : out.task_failures)
@@ -229,8 +236,8 @@ TEST(Coordinator, StressCampaignRecoversFaultsStealsWorkStaysDeterministic) {
   }
   EXPECT_EQ(final_rows, kPoints);
   EXPECT_GE(progress_calls, out.tasks + 1);
-  EXPECT_TRUE(last.complete);
-  EXPECT_EQ(last.done, kPoints);
+  EXPECT_TRUE(last_complete);
+  EXPECT_EQ(last_done, kPoints);
 
   EngineOptions plain;
   plain.jobs = 4;
@@ -326,18 +333,19 @@ TEST(Coordinator, ForkedWorkerKilledMidTaskIsReassigned) {
 }
 
 // The `--shards N` topology: N fork workers, no stealing, so one task
-// per worker.  Counters come back through the forked sidecars.
+// per worker, plus one re-dispatch task for the failed point.  Engine
+// counters come back through the forked tasks' metrics spills.
 TEST(Coordinator, ForkCampaignReportsPerTaskJobsAndAggregatesRetries) {
   const std::string scratch = fresh_scratch("forkcampaign");
   const auto points = synth_points(6);
+  trace::MetricsRegistry::global().reset();
   ForkLauncher launcher;
   CoordinatorOptions opts;
   opts.launcher = &launcher;
   opts.workers = 2;
+  opts.max_point_retries = 1;
   opts.scratch_dir = scratch;
   opts.engine.jobs = 1;
-  opts.engine.max_point_retries = 1;
-  opts.engine.backoff.base_s = 1e-4;
   opts.engine.run_point = [](const SweepPoint& p, int attempt) {
     if (attempt == 0 && p.index == 2)
       throw std::runtime_error("injected transient fault");
@@ -346,14 +354,36 @@ TEST(Coordinator, ForkCampaignReportsPerTaskJobsAndAggregatesRetries) {
 
   const CampaignOutcome out = run_campaign(points, opts);
   EXPECT_EQ(out.workers, 2);
-  EXPECT_EQ(out.tasks, 2u) << "without stealing each worker runs one task";
-  EXPECT_EQ(out.jobs_used, 1) << "per-task width, not the sum over workers";
-  EXPECT_EQ(out.retries, 1u) << "child retry counters aggregate via sidecars";
-  EXPECT_EQ(out.worlds_executed, points.size());
+  EXPECT_EQ(out.tasks, 3u) << "one task per worker plus the re-dispatch";
+  EXPECT_EQ(global_jobs(), 1.0) << "per-task width, not the sum over workers";
+  EXPECT_EQ(out.retries, 1u) << "the coordinator re-ran the failed point";
+  EXPECT_EQ(global_counter("sweep.points_failed"), 1u)
+      << "the child's failed attempt reached the parent";
+  EXPECT_EQ(global_counter("sweep.worlds_executed"), points.size());
   EXPECT_EQ(out.failed, 0u);
   ASSERT_EQ(out.rows.size(), points.size());
   for (std::size_t i = 0; i < out.rows.size(); ++i)
     EXPECT_EQ(out.rows[i].index, i) << "campaign rows are point-ordered";
+}
+
+TEST(Coordinator, ForkCampaignMetricsReachTheParent) {
+  const std::string scratch = fresh_scratch("forkmetrics");
+  const auto points = synth_points(8);
+  trace::MetricsRegistry::global().reset();
+  ForkLauncher launcher;
+  CoordinatorOptions opts;
+  opts.launcher = &launcher;
+  opts.workers = 2;
+  opts.scratch_dir = scratch;
+  opts.engine.jobs = 1;
+  opts.engine.run_point = [](const SweepPoint& p, int) {
+    return synth_result(p.index);
+  };
+
+  const CampaignOutcome out = run_campaign(points, opts);
+  ASSERT_EQ(out.failed, 0u);
+  EXPECT_EQ(global_counter("sweep.points_ok"), points.size())
+      << "each forked task's registry is merged into the parent's";
 }
 
 // In-process tasks stream: a row reaches on_final_row while its task is
@@ -361,6 +391,7 @@ TEST(Coordinator, ForkCampaignReportsPerTaskJobsAndAggregatesRetries) {
 TEST(Coordinator, InProcessRowsReachFinalSinkBeforeTheirTaskEnds) {
   const std::string scratch = fresh_scratch("stream");
   const auto points = synth_points(3);
+  trace::MetricsRegistry::global().reset();
   InProcessLauncher launcher;
   CoordinatorOptions opts;
   opts.launcher = &launcher;
@@ -393,8 +424,8 @@ TEST(Coordinator, InProcessRowsReachFinalSinkBeforeTheirTaskEnds) {
       << "row 0 was held back until the whole task finished";
   EXPECT_EQ(out.tasks, 1u);
   EXPECT_EQ(out.failed, 0u);
-  EXPECT_EQ(out.worlds_executed, points.size())
-      << "the task sidecar is still read after every row streamed";
+  EXPECT_EQ(global_counter("sweep.worlds_executed"), points.size())
+      << "the coordinator still waits for the task after every row streamed";
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}))
       << "each row finalized exactly once";
 }

@@ -7,6 +7,8 @@
 // that asserts the runtime actually emits phase spans in virtual time.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -432,6 +434,45 @@ TEST(Metrics, JsonIsDeterministicSortedAndStructured) {
   EXPECT_NE(js.find("\"gauges\":{"), std::string::npos);
   EXPECT_NE(js.find("\"histograms\":{"), std::string::npos);
   EXPECT_NE(js.find("\"count\":1"), std::string::npos);
+}
+
+TEST(Metrics, SpillAbsorbMergesCountersAndHistogramsExactly) {
+  // Per-process path: ctest may run this case and the whole binary at once.
+  const std::string path = testing::TempDir() + "/metrics_spill." +
+                           std::to_string(::getpid());
+  MetricsRegistry child;
+  child.counter("sweep.points_ok")->add(5);
+  child.gauge("campaign.wall_s")->set(3.0);  // gauges stay in the process
+  child.histogram("sweep.jobs")->observe(2.0);
+  child.histogram("sweep.jobs")->observe(0.1);
+  ASSERT_TRUE(child.spill(path));
+
+  MetricsRegistry parent;
+  parent.counter("sweep.points_ok")->add(1);
+  parent.histogram("sweep.jobs")->observe(4.0);
+  ASSERT_TRUE(parent.absorb(path));
+  const MetricsSnapshot snap = parent.snapshot();
+  EXPECT_EQ(snap.counters.at("sweep.points_ok"), 6u);
+  EXPECT_TRUE(snap.gauges.empty());
+  const auto& h = snap.histograms.at("sweep.jobs");
+  EXPECT_EQ(h.count, 3u);
+  EXPECT_EQ(h.sum, 4.0 + (2.0 + 0.1)) << "the spill round-trips sums exactly";
+  EXPECT_EQ(h.min, 0.1);
+  EXPECT_EQ(h.max, 4.0);
+
+  // A malformed spill contributes nothing, not even its valid lines.
+  for (const char* bad : {"counter a 1\ncounter b -2\n", "counter a 1 2\n",
+                          "histogram h 1 1 nan 1\n", "histogram h 1 1 2 1\n",
+                          "gauge g 1\n", "counter\n"}) {
+    std::ofstream(path, std::ios::trunc) << bad;
+    MetricsRegistry r;
+    EXPECT_FALSE(r.absorb(path)) << bad;
+    EXPECT_TRUE(r.snapshot().empty()) << bad;
+  }
+  std::remove(path.c_str());
+  MetricsRegistry none;
+  EXPECT_FALSE(none.absorb(path)) << "a missing spill is not an error";
+  EXPECT_TRUE(none.snapshot().empty());
 }
 
 // ---- end to end -----------------------------------------------------------

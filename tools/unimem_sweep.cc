@@ -22,13 +22,15 @@
 // Topology: `--jobs N` is one in-process worker running N jobs,
 // `--shards N` is N forked workers, and `--launcher inproc|fork|cmd[:PREFIX]`
 // with `--workers`/`--steal` picks any other.  Every topology gets
-// `--retries N` per-point retries with deterministic backoff, re-dispatch
-// of tasks whose worker died, `--resume` crash-restart from an existing
-// --jsonl artifact, and a live `--summary-json` rewritten (atomically)
-// after every task.  The cmd launcher re-invokes this binary (optionally
-// through a PREFIX such as "ssh host") with `--indices ... --task-meta`,
-// so any transport that can run a command against a shared filesystem
-// works.
+// `--retries N` re-dispatch of failed points by the coordinator,
+// re-dispatch of tasks whose worker died, `--resume` crash-restart from
+// an existing --jsonl artifact, and a live `--summary-json` rewritten
+// (atomically) after every task.  The cmd launcher re-invokes this binary
+// (optionally through a PREFIX such as "ssh host") with
+// `--indices ... --task-metrics`, so any transport that can run a command
+// against a shared filesystem works.  Process-backed tasks spill their
+// metrics registry, which the coordinator merges, so the summary's
+// `sweep.*` counters cover every topology.
 //
 // Offline sharding: `--shard i/N` runs the i-th deterministic slice of
 // the expansion (point indices stay those of the full expansion) and
@@ -52,6 +54,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/log.h"
@@ -101,7 +104,6 @@ void usage(std::FILE* out) {
       "  --spec NAME          built-in spec to run (see --list)\n"
       "  --jobs N             concurrent jobs per worker (default: hardware\n"
       "                       threads / workers)\n"
-      "  --ranks N            max simulated ranks in flight (default: 4*jobs)\n"
       "  --filter STR         run only points whose label contains STR\n"
       "  --indices I,J,...    run only the named expansion indices\n"
       "  --points             print the expanded point list and exit\n"
@@ -121,8 +123,7 @@ void usage(std::FILE* out) {
       "                       parse_topology ladder such as\n"
       "                       hbm:1MiB,dram:4MiB,nvm:512MiB, or 'classic' for\n"
       "                       the 2-tier machine (collapses the tiers axis)\n"
-      "  --retries N          re-run failed points up to N times with capped\n"
-      "                       deterministic exponential backoff\n"
+      "  --retries N          re-dispatch each failed point up to N times\n"
       "  --launcher KIND      where tasks run: inproc, fork, or cmd[:PREFIX]\n"
       "                       (e.g. cmd:ssh host)\n"
       "  --workers N          coordinator worker slots (default 2; implies\n"
@@ -141,11 +142,9 @@ void usage(std::FILE* out) {
       "fault-injection / internal (used by tests and the cmd launcher):\n"
       "  --inject-fail P[:SEED]  fail each point's first attempt with seeded\n"
       "                          probability P (deterministic per index)\n"
-      "  --backoff-base S        retry backoff base delay in seconds\n"
       "  --attempt-base N        campaign-global attempt number of this task\n"
-      "  --task-meta PATH        run as one cmd-launcher task: rows to --jsonl,\n"
-      "                          counter sidecar to PATH (= the --jsonl path\n"
-      "                          plus .meta)\n",
+      "  --task-metrics PATH     run as one cmd-launcher task: rows to --jsonl,\n"
+      "                          the task's metrics registry spilled to PATH\n",
       out);
 }
 
@@ -194,15 +193,14 @@ struct Args {
   std::string tiers;     ///< --tiers SPEC|classic ("" = spec default)
   bool have_tiers = false;
   std::string csv, jsonl, summary_json;
-  std::string launcher;   ///< "" = derived from --jobs/--shards
-  std::string task_meta;  ///< --task-meta sidecar path ("" = none)
-  std::string trace;      ///< --trace output path ("" = tracing off)
-  unsigned long long trace_buf = 0;  ///< --trace-buf (0 = default ring)
+  std::string launcher;      ///< "" = derived from --jobs/--shards
+  std::string task_metrics;  ///< --task-metrics spill path ("" = no task)
+  std::string trace;         ///< --trace output path ("" = tracing off)
+  std::size_t trace_buf = 0;  ///< --trace-buf (0 = default ring)
   std::vector<std::string> merge_inputs;
   std::vector<std::size_t> indices;  ///< --indices selection ("" = all)
   bool have_indices = false;
   int jobs = 0;
-  int ranks = 0;
   int shard = -1, nshards = 0;  ///< --shard I/N
   int fork_shards = 0;          ///< --shards N
   int retries = 0;
@@ -210,7 +208,6 @@ struct Args {
   int attempt_base = 0;
   double inject_fail = 0.0;
   std::uint64_t inject_seed = 20177;  ///< conf_sc_WuHL17 vintage
-  double backoff_base = -1.0;         ///< < 0 = RetryBackoff default
   bool steal = false, resume = false;
   bool list = false, points = false, smoke = false, quiet = false;
   bool merge = false;
@@ -225,6 +222,21 @@ bool parse(int argc, char** argv, Args& a) {
         return nullptr;
       }
       return argv[++i];
+    };
+    // Integer flags: one strict parse and one error format, "FLAG wants
+    // WANTS (got 'V')".
+    auto int_value = [&](const char* flag, long long lo, long long hi,
+                         const char* wants, auto* out) {
+      const char* v = value(flag);
+      if (v == nullptr) return false;
+      long long n = 0;
+      if (!parse_i64(v, lo, hi, &n)) {
+        std::fprintf(stderr, "unimem_sweep: %s wants %s (got '%s')\n", flag,
+                     wants, v);
+        return false;
+      }
+      *out = static_cast<std::remove_reference_t<decltype(*out)>>(n);
+      return true;
     };
     if (arg == "--help" || arg == "-h") {
       usage(stdout);
@@ -301,22 +313,18 @@ bool parse(int argc, char** argv, Args& a) {
       const char* v = value("--summary-json");
       if (v == nullptr) return false;
       a.summary_json = v;
-    } else if (arg == "--task-meta") {
-      const char* v = value("--task-meta");
+    } else if (arg == "--task-metrics") {
+      const char* v = value("--task-metrics");
       if (v == nullptr) return false;
-      a.task_meta = v;
+      a.task_metrics = v;
     } else if (arg == "--trace") {
       const char* v = value("--trace");
       if (v == nullptr) return false;
       a.trace = v;
     } else if (arg == "--trace-buf") {
-      const char* v = value("--trace-buf");
-      if (v == nullptr) return false;
-      if (!parse_u64(v, 1, 1ull << 30, &a.trace_buf)) {
-        std::fprintf(stderr, "unimem_sweep: --trace-buf wants events in "
-                     "[1, 2^30] (got '%s')\n", v);
+      if (!int_value("--trace-buf", 1, 1ll << 30, "events in [1, 2^30]",
+                     &a.trace_buf))
         return false;
-      }
     } else if (arg == "--launcher") {
       const char* v = value("--launcher");
       if (v == nullptr) return false;
@@ -330,63 +338,19 @@ bool parse(int argc, char** argv, Args& a) {
         return false;
       }
     } else if (arg == "--jobs") {
-      const char* v = value("--jobs");
-      if (v == nullptr) return false;
-      long long n = 0;
-      if (!parse_i64(v, 0, 1 << 20, &n)) {
-        std::fprintf(stderr, "unimem_sweep: --jobs wants an integer >= 0 "
-                     "(got '%s')\n", v);
+      if (!int_value("--jobs", 0, 1 << 20, "an integer >= 0", &a.jobs))
         return false;
-      }
-      a.jobs = static_cast<int>(n);
-    } else if (arg == "--ranks") {
-      const char* v = value("--ranks");
-      if (v == nullptr) return false;
-      long long n = 0;
-      if (!parse_i64(v, 0, 1 << 20, &n)) {
-        std::fprintf(stderr, "unimem_sweep: --ranks wants an integer >= 0 "
-                     "(got '%s')\n", v);
-        return false;
-      }
-      a.ranks = static_cast<int>(n);
     } else if (arg == "--retries") {
-      const char* v = value("--retries");
-      if (v == nullptr) return false;
-      long long n = 0;
-      if (!parse_i64(v, 0, 1000, &n)) {
-        std::fprintf(stderr, "unimem_sweep: --retries wants an integer in "
-                     "[0, 1000] (got '%s')\n", v);
+      if (!int_value("--retries", 0, 1000, "an integer in [0, 1000]",
+                     &a.retries))
         return false;
-      }
-      a.retries = static_cast<int>(n);
     } else if (arg == "--workers") {
-      const char* v = value("--workers");
-      if (v == nullptr) return false;
-      long long n = 0;
-      if (!parse_i64(v, 1, 1 << 16, &n)) {
-        std::fprintf(stderr, "unimem_sweep: --workers wants an integer >= 1 "
-                     "(got '%s')\n", v);
+      if (!int_value("--workers", 1, 1 << 16, "an integer >= 1", &a.workers))
         return false;
-      }
-      a.workers = static_cast<int>(n);
     } else if (arg == "--attempt-base") {
-      const char* v = value("--attempt-base");
-      if (v == nullptr) return false;
-      long long n = 0;
-      if (!parse_i64(v, 0, 1 << 20, &n)) {
-        std::fprintf(stderr, "unimem_sweep: --attempt-base wants an integer "
-                     ">= 0 (got '%s')\n", v);
+      if (!int_value("--attempt-base", 0, 1 << 20, "an integer >= 0",
+                     &a.attempt_base))
         return false;
-      }
-      a.attempt_base = static_cast<int>(n);
-    } else if (arg == "--backoff-base") {
-      const char* v = value("--backoff-base");
-      if (v == nullptr) return false;
-      if (!parse_f64(v, 0.0, 3600.0, &a.backoff_base)) {
-        std::fprintf(stderr, "unimem_sweep: --backoff-base wants seconds in "
-                     "[0, 3600] (got '%s')\n", v);
-        return false;
-      }
     } else if (arg == "--inject-fail") {
       const char* v = value("--inject-fail");
       if (v == nullptr) return false;
@@ -439,15 +403,8 @@ bool parse(int argc, char** argv, Args& a) {
         return false;
       }
     } else if (arg == "--shards") {
-      const char* v = value("--shards");
-      if (v == nullptr) return false;
-      long long n = 0;
-      if (!parse_i64(v, 1, 1 << 16, &n)) {
-        std::fprintf(stderr, "unimem_sweep: --shards wants N >= 1 (got '%s')\n",
-                     v);
+      if (!int_value("--shards", 1, 1 << 16, "N >= 1", &a.fork_shards))
         return false;
-      }
-      a.fork_shards = static_cast<int>(n);
     } else if (arg == "--merge") {
       a.merge = true;
     } else if (a.merge && !arg.empty() && arg[0] != '-') {
@@ -478,10 +435,9 @@ bool parse(int argc, char** argv, Args& a) {
                  "coordinator owns the topology)\n");
     return false;
   }
-  if (!a.task_meta.empty() &&
-      (a.jsonl.empty() || a.task_meta != a.jsonl + ".meta")) {
-    std::fprintf(stderr, "unimem_sweep: --task-meta must be the --jsonl "
-                 "path plus .meta\n");
+  if (!a.task_metrics.empty() && a.jsonl.empty()) {
+    std::fprintf(stderr, "unimem_sweep: --task-metrics needs --jsonl PATH "
+                 "(the task's artifact)\n");
     return false;
   }
   if (a.resume && a.jsonl.empty()) {
@@ -504,7 +460,7 @@ std::string self_exe(const char* argv0) {
 }
 
 /// The cmd launcher's task command line: re-invoke this binary with the
-/// run-shaping flags of `a` plus the task's points, artifact and sidecar.
+/// run-shaping flags of `a` plus the task's points, artifact and spills.
 std::vector<std::string> task_argv(const std::string& self, const Args& a,
                                    const unimem::sweep::LaunchTask& t) {
   std::vector<std::string> v{self, "--spec", a.spec, "--quiet"};
@@ -517,12 +473,6 @@ std::vector<std::string> task_argv(const std::string& self, const Args& a,
   if (!a.dag.empty()) flag("--dag", a.dag);
   if (a.have_tiers) flag("--tiers", a.tiers.empty() ? "classic" : a.tiers);
   flag("--jobs", std::to_string(t.engine.jobs));
-  if (t.engine.max_inflight_ranks > 0)
-    flag("--ranks", std::to_string(t.engine.max_inflight_ranks));
-  if (t.engine.max_point_retries > 0)
-    flag("--retries", std::to_string(t.engine.max_point_retries));
-  if (a.backoff_base >= 0)
-    flag("--backoff-base", std::to_string(a.backoff_base));
   if (a.inject_fail > 0)
     flag("--inject-fail", std::to_string(a.inject_fail) + ":" +
                               std::to_string(a.inject_seed));
@@ -532,7 +482,7 @@ std::vector<std::string> task_argv(const std::string& self, const Args& a,
     // Binary shard spilled next to the artifact; the coordinator
     // harvests and the parent stitches it into the campaign trace.
     flag("--trace", t.trace);
-    if (t.trace_buf > 0) flag("--trace-buf", std::to_string(t.trace_buf));
+    flag("--trace-buf", std::to_string(t.trace_buf));
   }
   std::string idx;
   for (const unimem::sweep::SweepPoint& p : t.points) {
@@ -541,18 +491,25 @@ std::vector<std::string> task_argv(const std::string& self, const Args& a,
   }
   flag("--indices", idx);
   flag("--jsonl", t.artifact);
-  flag("--task-meta", t.artifact + ".meta");
+  flag("--task-metrics", t.metrics);
   return v;
 }
 
-/// The one --summary-json writer.  Live (`final_out` null): the campaign
-/// counters so far, rewritten after every task.  Final: the same fields
-/// plus the engine aggregates, finished_at and the metrics snapshot.
-/// Written to PATH.tmp and renamed, so a reader never sees a torn file.
+/// Counter "sweep.NAME" of a registry snapshot; 0 when never published.
+unsigned long long sweep_counter(const unimem::trace::MetricsSnapshot& m,
+                                 const char* name) {
+  const auto it = m.counters.find(std::string("sweep.") + name);
+  return it != m.counters.end() ? it->second : 0;
+}
+
+/// The one --summary-json writer.  Live (`o.complete` false): the
+/// campaign counters so far, rewritten after every task.  Final: the same
+/// fields plus the engine aggregates from the metrics registry,
+/// finished_at and the registry snapshot.  Written to PATH.tmp and
+/// renamed, so a reader never sees a torn file.
 bool write_summary(const std::string& path, const Args& a,
-                   const char* launcher, int workers,
-                   const unimem::sweep::CampaignProgress& p,
-                   const unimem::sweep::CampaignOutcome* final_out) {
+                   const char* launcher,
+                   const unimem::sweep::CampaignOutcome& o) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "w");
   if (f == nullptr) return false;
@@ -562,21 +519,24 @@ bool write_summary(const std::string& path, const Args& a,
       "\"done\":%zu,\"failed\":%zu,\"resumed\":%zu,\"retries\":%zu,"
       "\"steals\":%zu,\"tasks\":%zu,\"task_retries\":%zu,\"workers\":%d,"
       "\"launcher\":\"%s\",\"steal\":%s,\"complete\":%s,\"host_cpus\":%u",
-      kSummarySchemaVersion, a.spec.c_str(), p.total, p.done, p.failed,
-      p.resumed, p.retries, p.steals, p.tasks, p.task_retries, workers,
-      launcher, a.steal ? "true" : "false", p.complete ? "true" : "false",
+      kSummarySchemaVersion, a.spec.c_str(), o.rows.size(), o.done, o.failed,
+      o.resumed, o.retries, o.steals, o.tasks, o.task_retries, o.workers,
+      launcher, a.steal ? "true" : "false", o.complete ? "true" : "false",
       std::thread::hardware_concurrency());
-  if (final_out != nullptr) {
-    const unimem::sweep::CampaignOutcome& o = *final_out;
-    const std::string metrics =
-        unimem::trace::MetricsRegistry::global().snapshot().to_json();
+  if (o.complete) {
+    const unimem::trace::MetricsSnapshot m =
+        unimem::trace::MetricsRegistry::global().snapshot();
+    const auto jobs = m.histograms.find("sweep.jobs");
     std::fprintf(f,
-                 ",\"jobs\":%d,\"wall_s\":%.6f,\"worlds_executed\":%zu,"
-                 "\"baseline_requests\":%zu,\"baseline_computed\":%zu,"
+                 ",\"jobs\":%d,\"wall_s\":%.6f,\"worlds_executed\":%llu,"
+                 "\"baseline_requests\":%llu,\"baseline_computed\":%llu,"
                  "\"finished_at\":\"%s\",\"metrics\":%s",
-                 o.jobs_used, o.wall_s, o.worlds_executed,
-                 o.baseline_requests, o.baseline_computed,
-                 iso8601_utc_now().c_str(), metrics.c_str());
+                 jobs != m.histograms.end() ? static_cast<int>(jobs->second.max)
+                                            : 0,
+                 o.wall_s, sweep_counter(m, "worlds_executed"),
+                 sweep_counter(m, "baseline_requests"),
+                 sweep_counter(m, "baseline_computed"),
+                 iso8601_utc_now().c_str(), m.to_json().c_str());
   }
   std::fputs("}\n", f);
   const bool ok = std::fclose(f) == 0;
@@ -746,9 +706,6 @@ int run_cli(int argc, char** argv) {
 
   sweep::EngineOptions eopts;
   eopts.jobs = a.jobs;
-  eopts.max_inflight_ranks = a.ranks;
-  eopts.max_point_retries = a.retries;
-  if (a.backoff_base >= 0) eopts.backoff.base_s = a.backoff_base;
   if (a.inject_fail > 0) {
     const double prob = a.inject_fail;
     const std::uint64_t seed = a.inject_seed;
@@ -763,7 +720,7 @@ int run_cli(int argc, char** argv) {
     };
   }
 
-  if (!a.task_meta.empty()) {
+  if (!a.task_metrics.empty()) {
     // One cmd-launcher task: the same body a fork worker runs.  Failed
     // rows are data in the artifact, so the exit code only says whether
     // the task ran to completion.
@@ -772,8 +729,9 @@ int run_cli(int argc, char** argv) {
     task.points = std::move(points);
     task.artifact = a.jsonl;
     task.engine = eopts;
+    task.metrics = a.task_metrics;
     task.trace = a.trace;
-    task.trace_buf = static_cast<std::size_t>(a.trace_buf);
+    task.trace_buf = a.trace_buf;
     sweep::run_task_to_artifact(task);
     return 0;
   }
@@ -834,9 +792,7 @@ int run_cli(int argc, char** argv) {
           a.jsonl.c_str());
   }
 
-  if (!a.trace.empty())
-    trace::TraceRecorder::instance().start(
-        static_cast<std::size_t>(a.trace_buf));
+  if (!a.trace.empty()) trace::TraceRecorder::instance().start(a.trace_buf);
 
   // Rows stream to --jsonl as they finalize (tail-able mid-run, and what
   // a later --resume reads); finish() rewrites it in point order, which
@@ -859,18 +815,13 @@ int run_cli(int argc, char** argv) {
   copts.launcher = launcher.get();
   copts.workers = workers;
   copts.steal = a.steal;
+  copts.max_point_retries = a.retries;
   copts.engine = eopts;
   copts.scratch_dir = scratch;
-  // In-process tasks emit straight into this process's recorder; the
-  // process launchers need per-task shards to see inside the children.
-  copts.trace_tasks = !a.trace.empty() && kind != "inproc";
-  copts.trace_buf = static_cast<std::size_t>(a.trace_buf);
   copts.on_final_row = [&](const sweep::SweepRow& row) { store.add(row); };
-  sweep::CampaignProgress last;
-  copts.on_progress = [&](const sweep::CampaignProgress& p) {
-    last = p;
-    if (!a.summary_json.empty() && !p.complete)
-      write_summary(a.summary_json, a, launcher->name(), workers, p, nullptr);
+  copts.on_progress = [&](const sweep::CampaignOutcome& o) {
+    if (!a.summary_json.empty() && !o.complete)
+      write_summary(a.summary_json, a, launcher->name(), o);
   };
 
   sweep::CampaignOutcome outcome;
@@ -908,20 +859,20 @@ int run_cli(int argc, char** argv) {
                  std::to_string(points.size()) + " points]")
         .print();
   }
+  const trace::MetricsSnapshot m = trace::MetricsRegistry::global().snapshot();
+  const unsigned long long requests = sweep_counter(m, "baseline_requests");
   std::printf(
       "\nsweep %s [%s, %d workers]: %zu points, %zu failed, %zu resumed, "
       "%zu retries, %zu steals, %zu tasks (%zu re-dispatched), %.2fs wall, "
-      "%zu worlds executed, %zu/%zu baselines memoized\n",
+      "%llu worlds executed, %llu/%llu baselines memoized\n",
       a.spec.c_str(), launcher->name(), outcome.workers, outcome.rows.size(),
       outcome.failed, outcome.resumed, outcome.retries, outcome.steals,
       outcome.tasks, outcome.task_retries, outcome.wall_s,
-      outcome.worlds_executed,
-      outcome.baseline_requests - outcome.baseline_computed,
-      outcome.baseline_requests);
+      sweep_counter(m, "worlds_executed"),
+      requests - sweep_counter(m, "baseline_computed"), requests);
 
   if (!a.summary_json.empty() &&
-      !write_summary(a.summary_json, a, launcher->name(), workers, last,
-                     &outcome)) {
+      !write_summary(a.summary_json, a, launcher->name(), outcome)) {
     std::fprintf(stderr, "unimem_sweep: cannot write %s\n",
                  a.summary_json.c_str());
     return 1;

@@ -14,7 +14,8 @@
 // "fileN/" so same-named threads from different processes stay apart.
 //
 // --filter matches CAT or CAT/NAME as a substring of "cat/name", e.g.
-// "migration" keeps every migration event, "sweep/retry" only retries.
+// "migration" keeps every migration event, "coordinator/task.redispatch"
+// only the re-dispatches of failed points and dead workers' points.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
