@@ -19,7 +19,6 @@
 #include "core/migration.h"
 #include "core/profiler.h"
 #include "core/registry.h"
-#include "core/sampled_profile.h"
 #include "minimpi/comm.h"
 #include "perfmon/sample_gate.h"
 #include "simcache/analytic_cache.h"
@@ -246,25 +245,32 @@ BENCHMARK(BM_ExactCachePointerChaseProduction)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Profiling tiers (BENCH_components.json `profiler_sampled_speedup`): the
-// cost of consuming one PMU miss event.  Exact mode attributes every
-// address inline on the rank thread through the registry's locked interval
-// map; sampled mode pays one countdown-gate check per event, buffers the
-// few captured addresses, and ships them to the ProfileAggregator, which
-// attributes out of band against an immutable snapshot.  Registry shape is
-// production-like: hundreds of chunk-scale objects, so inline attribution
-// walks a deep map with a cache-hostile random stream.
+// cost of consuming one PMU miss event on the rank thread.  Exact mode
+// attributes every address through the registry's locked interval map;
+// sampled mode pays one countdown-gate check per event and attributes only
+// the few captured addresses.  Registry shape is production-like: hundreds
+// of chunk-scale objects, so attribution walks a deep map with a
+// cache-hostile random stream.
 
 constexpr std::size_t kProfObjects = 1024;
 constexpr std::size_t kProfEvents = 1 << 18;
 
-std::vector<std::uint64_t> make_miss_stream(const rt::Registry& reg,
-                                            std::size_t n) {
-  auto snap = reg.addr_snapshot();
+std::vector<rt::DataObject*> make_profiled_objects(rt::Registry& reg) {
+  std::vector<rt::DataObject*> objs;
+  for (std::size_t i = 0; i < kProfObjects; ++i)
+    objs.push_back(reg.create("o" + std::to_string(i), 64 * kKiB, {},
+                              mem::Tier::kNvm));
+  return objs;
+}
+
+std::vector<std::uint64_t> make_miss_stream(
+    const std::vector<rt::DataObject*>& objs, std::size_t n) {
   Rng rng(42);
   std::vector<std::uint64_t> addrs(n);
   for (auto& a : addrs) {
-    const auto& s = (*snap)[rng.below(snap->size())];
-    a = s.lo + rng.below((s.hi - s.lo) / kCacheLine) * kCacheLine;
+    const rt::Chunk& c = objs[rng.below(objs.size())]->chunk(0);
+    a = reinterpret_cast<std::uint64_t>(c.data()) +
+        rng.below(c.bytes / kCacheLine) * kCacheLine;
   }
   return addrs;
 }
@@ -272,13 +278,7 @@ std::vector<std::uint64_t> make_miss_stream(const rt::Registry& reg,
 void BM_ProfilerExactAccessProduction(benchmark::State& state) {
   mem::HeteroMemory hms(mem::HmsConfig::scaled(0.5, 1.0, 16 << 20, 64 << 20));
   rt::Registry reg(&hms, nullptr);
-  for (std::size_t i = 0; i < kProfObjects; ++i)
-    {
-      std::string name = "o";
-      name += std::to_string(i);
-      reg.create(name, 64 * kKiB, {}, mem::Tier::kNvm);
-    }
-  const auto addrs = make_miss_stream(reg, kProfEvents);
+  const auto addrs = make_miss_stream(make_profiled_objects(reg), kProfEvents);
   perf::PhaseSamples s;
   s.total_samples = addrs.size();
   s.total_miss_count = addrs.size();
@@ -297,22 +297,12 @@ BENCHMARK(BM_ProfilerExactAccessProduction)->Unit(benchmark::kMillisecond);
 void BM_ProfilerSampledAccessProduction(benchmark::State& state) {
   mem::HeteroMemory hms(mem::HmsConfig::scaled(0.5, 1.0, 16 << 20, 64 << 20));
   rt::Registry reg(&hms, nullptr);
-  for (std::size_t i = 0; i < kProfObjects; ++i)
-    {
-      std::string name = "o";
-      name += std::to_string(i);
-      reg.create(name, 64 * kKiB, {}, mem::Tier::kNvm);
-    }
-  const auto addrs = make_miss_stream(reg, kProfEvents);
-  auto snap = reg.addr_snapshot();
-  rt::ProfileAggregator agg;
+  const auto addrs = make_miss_stream(make_profiled_objects(reg), kProfEvents);
+  rt::Profiler prof(&reg);
   Rng seeds(7);
-  std::size_t slot = 0;
   for (auto _ : state) {
-    // The timed region is the rank-thread critical path: gate every event,
-    // buffer the captures, hand the batch off.  Aggregation is overlapped
-    // with the next phase's compute in production, so the drain that keeps
-    // the queue bounded here runs untimed.
+    // What the rank thread does at phase close: gate every event, capture
+    // the few that pass, and attribute them.
     perf::SampleGate gate(64, seeds.next());
     perf::PhaseSamples ps;
     ps.total_miss_count = addrs.size();
@@ -321,15 +311,8 @@ void BM_ProfilerSampledAccessProduction(benchmark::State& state) {
       ++ps.total_samples;
       ps.miss_addresses.push_back(a);
     }
-    rt::ProfileAggregator::Batch b;
-    b.slot = slot++;
-    b.phase_time_s = 1.0;
-    b.snapshot = snap;
-    b.samples = std::move(ps);
-    agg.submit(std::move(b));
-    state.PauseTiming();
-    benchmark::DoNotOptimize(agg.drain().size());
-    state.ResumeTiming();
+    prof.begin_iteration();
+    benchmark::DoNotOptimize(prof.record_phase(ps, 1.0));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(addrs.size()));

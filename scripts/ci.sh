@@ -10,9 +10,9 @@
 #                           sweep smoke
 #   scripts/ci.sh asan      ASan+UBSan Debug build -> tier-1
 #   scripts/ci.sh tsan      TSan Debug build -> tier-1 -> sweep smoke
-#                           (minimpi + the migration helper thread + the
-#                           sweep worker pool are the concurrency hot
-#                           spots the TSan pass guards)
+#                           (the minimpi rank threads and the sweep
+#                           worker pool are the concurrency hot spots
+#                           the TSan pass guards)
 #   scripts/ci.sh all       all three stages in order (the default; same
 #                           behavior as the old monolithic script)
 set -euo pipefail

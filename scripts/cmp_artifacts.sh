@@ -23,7 +23,8 @@ for bin in "$parent" "$change"; do
 done
 cd "$(dirname "$0")/.."
 
-specs=(fig11 fig13 table4 replan_drift dag_slack profiler_fidelity tier_ladder)
+specs=(fig4 fig11 fig12 fig13 table4 replan_drift dag_slack profiler_fidelity
+       tier_ladder tier_sensitivity3)
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 

@@ -9,10 +9,6 @@ PlacementFn nvm_only() {
   return [](const std::string&, std::size_t) { return mem::Tier::kNvm; };
 }
 
-PlacementFn dram_only() {
-  return [](const std::string&, std::size_t) { return mem::Tier::kDram; };
-}
-
 PlacementFn manual(std::vector<std::string> dram_names) {
   return [names = std::move(dram_names)](const std::string& n, std::size_t) {
     return std::find(names.begin(), names.end(), n) != names.end()
@@ -81,19 +77,16 @@ void StaticContext::compute(const rt::PhaseWork& work) {
 
   if (opts_.record_profile) {
     // Offline trace collection: exact per-object counts, as PIN would see.
-    for (std::size_t i = 0; i < exec.unit_results.size(); ++i) {
-      const auto& [unit, res] = exec.unit_results[i];
+    for (const auto& [unit, res] : exec.unit_results) {
       auto it = names_.find(unit.object);
       if (it == names_.end()) continue;
       ObjectProfile& p = profiles_[it->second];
       p.misses += res.misses;
       p.serialized_misses += res.serialized_misses;
-      // Pattern attribution from the submitted work (trace analysis).
-      if (i < work.accesses.size()) {
-        // unit_results follow the accesses order but may have more entries
-        // (chunk splits); re-derive pattern from the object access list.
-      }
     }
+    // Pattern attribution from the submitted work (trace analysis):
+    // unit_results can split an access into chunks, so patterns come from
+    // the object access list.
     for (const rt::ObjectAccess& a : work.accesses) {
       if (a.object == nullptr) continue;
       auto it = names_.find(a.object->id());

@@ -31,8 +31,6 @@ using PlacementFn =
 
 /// Everything in NVM.
 PlacementFn nvm_only();
-/// Everything in DRAM (use with an HMS whose DRAM tier is large enough).
-PlacementFn dram_only();
 /// Objects whose name is in `dram_names` go to DRAM, the rest to NVM.
 PlacementFn manual(std::vector<std::string> dram_names);
 

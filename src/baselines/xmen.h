@@ -7,8 +7,11 @@
 // benefit of DRAM placement, and installs ONE static placement.  It does
 // not model data-movement cost, never migrates at runtime, and "assume[s]
 // a homogeneous memory access pattern within a data object" — no per-phase
-// adaptation.  Unimem therefore matches it on phase-stable NPB kernels but
-// beats it on phase-varying codes (Nek5000).
+// adaptation.  The paper reports Unimem matching it on phase-stable NPB
+// kernels and beating it on phase-varying codes (Nek5000).  This
+// reproduction shows the first half only: on the `fig9` spec Unimem is
+// within 4% of X-Men on cg/bt/lu/sp/mg and well ahead on ft (normalized
+// time 1.29 vs 1.84), but X-Men is ahead on nek (1.36 vs Unimem's 1.57).
 //
 // Our implementation grants X-Men exact ground-truth aggregates from the
 // offline pass (PIN sees every access), which is *more* information than

@@ -52,12 +52,6 @@ class IntervalMap {
     for (; it != map_.end() && it->first < hi; ++it) fn(it->second.value);
   }
 
-  /// Invoke `fn(lo, hi, value)` for every interval, in address order.
-  template <typename F>
-  void for_each(F&& fn) const {
-    for (const auto& [lo, e] : map_) fn(lo, e.hi, e.value);
-  }
-
   std::size_t size() const { return map_.size(); }
   bool empty() const { return map_.empty(); }
   void clear() { map_.clear(); }

@@ -1,25 +1,10 @@
 #include "core/migration.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "trace/trace.h"
 
 namespace unimem::rt {
-
-MigrationEngine::MigrationEngine(Registry* registry)
-    : registry_(registry),
-      pending_src_in_tier_(registry->hms().num_tiers(), 0),
-      helper_([this] { copy_worker(); }) {}
-
-MigrationEngine::~MigrationEngine() {
-  {
-    std::lock_guard<std::mutex> lk(copy_mu_);
-    stop_ = true;
-  }
-  copy_cv_.notify_all();
-  helper_.join();
-}
 
 void MigrationEngine::enqueue(UnitRef unit, mem::Tier to, double enqueue_vt) {
   enqueue_batch({Item{unit, to, enqueue_vt}});
@@ -58,25 +43,23 @@ void MigrationEngine::process(std::deque<Request> ready) {
     const mem::Tier from = registry_->unit_tier(req.unit);
     double done_vt = std::max(req.enqueue_vt, last_completion_vt_);
     if (from != req.to) {
-      // Zombie source blocks in the destination tier must land before we
-      // allocate there, both so the space is actually reclaimable and so
-      // the first-fit offset (an address the exact cache model can feel)
-      // never depends on helper-thread timing.
-      quiesce(req.to);
-      auto copy = registry_->migrate_start(req.unit, req.to);
-      if (copy.has_value()) {
-        const double copy_s =
-            registry_->hms().copy_seconds(copy->bytes, from, req.to);
+      const std::size_t bytes = registry_->unit_bytes(req.unit);
+      // Wall-clock-only span (vt < 0): the physical copy has no virtual
+      // timestamp of its own — its modeled cost is charged below.  A move
+      // whose destination is full is a short span of its own.
+      UNIMEM_TRACE_BEGIN2("migration", "copy", -1.0, "object", req.unit.object,
+                          "bytes", bytes);
+      const bool moved = registry_->migrate(req.unit, req.to);
+      UNIMEM_TRACE_END("migration", "copy", -1.0);
+      if (moved) {
+        const double copy_s = registry_->hms().copy_seconds(bytes, from, req.to);
         done_vt += copy_s;
         ++stats_.migrations;
-        stats_.bytes_moved += copy->bytes;
+        stats_.bytes_moved += bytes;
         stats_.copy_time_s += copy_s;
         progress = true;
-        // Commit point: the decision (destination block, completion vt)
-        // is final here, on the rank thread, in virtual order.
         UNIMEM_TRACE_INSTANT2("migration", "commit", done_vt, "object",
-                              req.unit.object, "bytes", copy->bytes);
-        submit_copy(*copy);
+                              req.unit.object, "bytes", bytes);
       } else if (req.retries_left > 0) {
         // Destination full: a later request may free the space (an
         // eviction ordered after us); try again behind it.
@@ -92,65 +75,7 @@ void MigrationEngine::process(std::deque<Request> ready) {
   }
 }
 
-void MigrationEngine::submit_copy(const Registry::PendingCopy& copy) {
-  {
-    std::lock_guard<std::mutex> lk(copy_mu_);
-    copies_.push_back(copy);
-    ++copy_pending_[copy.unit];
-    ++pending_src_in_tier_[static_cast<int>(copy.from)];
-  }
-  copy_cv_.notify_all();
-}
-
-void MigrationEngine::copy_worker() {
-  bool track_named = false;
-  std::unique_lock<std::mutex> lk(copy_mu_);
-  for (;;) {
-    copy_cv_.wait(lk, [&] { return stop_ || !copies_.empty(); });
-    if (copies_.empty()) {
-      if (stop_) return;
-      continue;
-    }
-    Registry::PendingCopy c = copies_.front();
-    copies_.pop_front();
-    lk.unlock();
-    if (trace::on() && !track_named) {
-      trace::set_thread_track("migration-helper", 100);
-      track_named = true;
-    }
-    // Wall-clock-only span (vt < 0): the physical copy has no virtual
-    // timestamp of its own — its modeled cost was charged at commit.
-    UNIMEM_TRACE_BEGIN2("migration", "copy", -1.0, "object", c.unit.object,
-                        "bytes", c.bytes);
-    std::memcpy(c.dst, c.src, c.bytes);
-    registry_->finish_migration(c);
-    UNIMEM_TRACE_END("migration", "copy", -1.0);
-    lk.lock();
-    if (--copy_pending_[c.unit] == 0) copy_pending_.erase(c.unit);
-    --pending_src_in_tier_[static_cast<int>(c.from)];
-    copy_cv_.notify_all();
-  }
-}
-
-void MigrationEngine::wait_copies_drained() {
-  std::unique_lock<std::mutex> lk(copy_mu_);
-  copy_cv_.wait(lk, [&] { return copies_.empty() && copy_pending_.empty(); });
-}
-
-void MigrationEngine::quiesce(mem::Tier tier) {
-  std::unique_lock<std::mutex> lk(copy_mu_);
-  copy_cv_.wait(
-      lk, [&] { return pending_src_in_tier_[static_cast<int>(tier)] == 0; });
-}
-
-void MigrationEngine::quiesce_all() { wait_copies_drained(); }
-
-double MigrationEngine::wait_for(UnitRef unit) {
-  {
-    std::unique_lock<std::mutex> lk(copy_mu_);
-    copy_cv_.wait(lk,
-                  [&] { return copy_pending_.find(unit) == copy_pending_.end(); });
-  }
+double MigrationEngine::wait_for(UnitRef unit) const {
   auto it = completion_vt_.find(unit);
   return it == completion_vt_.end() ? 0.0 : it->second;
 }
@@ -165,7 +90,6 @@ double MigrationEngine::drain() {
     completion_vt_[req.unit] = done_vt;
   }
   deferred_.clear();
-  wait_copies_drained();
   return last_completion_vt_;
 }
 

@@ -9,18 +9,16 @@
 // the queue status to determine if all proactive data movement for the
 // current phase is done."
 //
-// Determinism contract: every *decision* — does the move succeed, which
-// tier a unit is in, the virtual completion time, the stats — is made
-// synchronously on the enqueuing (rank) thread, in enqueue order, so the
-// modeled outcome is a pure function of virtual-time events and never of
-// host scheduling.  The helper std::thread performs only the physical
-// memcpy between tier arenas and the source-block release; anything that
-// touches payload bytes first fences on wait_for() (compute(), the PMPI
-// pre-op hook, DataObject::chunk_span), which blocks until the copy is
-// done.  Virtual timing: a request enqueued at virtual time t completes at
+// The helper thread is modeled in virtual time, not run as a host thread:
+// a request enqueued at virtual time t completes at
 //     max(t, previous request completion) + size / copy_bw,
 // and a phase that needs the unit earlier than that waits for the
-// remainder — the exposed (non-overlapped) migration cost.
+// remainder — the exposed (non-overlapped) migration cost.  Every
+// decision (does the move succeed, the completion time, the stats) and
+// the physical payload copy itself happen on the enqueuing (rank) thread,
+// in enqueue order, at the commit point.  The modeled outcome is a pure
+// function of virtual-time events, and the payload is never in flight
+// when the application or an MPI op touches it.
 //
 // A fill can be submitted before the eviction that frees its space (plan
 // wrap across the iteration boundary); a failed move is retried — a
@@ -29,12 +27,9 @@
 // consulting wall-clock queue state.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "core/object.h"
@@ -66,8 +61,7 @@ struct MigrationStats {
 
 class MigrationEngine {
  public:
-  explicit MigrationEngine(Registry* registry);
-  ~MigrationEngine();
+  explicit MigrationEngine(Registry* registry) : registry_(registry) {}
 
   MigrationEngine(const MigrationEngine&) = delete;
   MigrationEngine& operator=(const MigrationEngine&) = delete;
@@ -79,8 +73,8 @@ class MigrationEngine {
   };
 
   /// Submit one movement request at virtual time `enqueue_vt`.  The
-  /// decision (and the completion-time math) happens before this returns;
-  /// only the payload copy is left to the helper thread.
+  /// decision, the completion-time math and the copy all happen before
+  /// this returns.
   void enqueue(UnitRef unit, mem::Tier to, double enqueue_vt);
 
   /// Submit a phase's requests as one FIFO batch: a move that fails
@@ -88,28 +82,14 @@ class MigrationEngine {
   /// retried within the batch (and once more in later batches).
   void enqueue_batch(const std::vector<Item>& items);
 
-  /// Block the calling thread until every physical copy for `unit` is
-  /// done; returns the virtual completion time of the last decided
-  /// request for it (0.0 when none was decided).  The caller charges
-  /// max(0, result - now) to its clock — the exposed cost.
-  double wait_for(UnitRef unit);
+  /// Virtual completion time of the last decided request for `unit` (0.0
+  /// when none was decided).  The caller charges max(0, result - now) to
+  /// its clock — the exposed cost.
+  double wait_for(UnitRef unit) const;
 
-  /// Resolve any still-deferred requests (terminally, as failed), block
-  /// until the copy queue is fully drained, and return the virtual
-  /// completion time of the last processed request.
+  /// Resolve any still-deferred requests (terminally, as failed) and
+  /// return the virtual completion time of the last processed request.
   double drain();
-
-  /// Block until no pending physical copy has its SOURCE in `tier`.
-  /// Arena free-lists are first-fit: a zombie source block landing at a
-  /// host-scheduling-dependent point between two allocations in the same
-  /// tier would make the chosen offsets (and therefore the addresses an
-  /// address-sensitive cache model sees) nondeterministic.  Every
-  /// decision path that allocates in a tier quiesces it first, so all
-  /// arena mutations happen in decision order.
-  void quiesce(mem::Tier tier);
-
-  /// Block until every pending physical copy is done (both tiers).
-  void quiesce_all();
 
   /// Record exposed waiting time (kept here so Table 4's %overlap is
   /// computed in one place).
@@ -125,33 +105,15 @@ class MigrationEngine {
     int retries_left = 2;
   };
 
-  /// Decide a batch (plus any earlier deferred requests) in FIFO order on
-  /// the calling thread.  Runs retry waves until no wave makes progress.
+  /// Decide and commit a batch (plus any earlier deferred requests) in
+  /// FIFO order.  Runs retry waves until no wave makes progress.
   void process(std::deque<Request> ready);
-  void submit_copy(const Registry::PendingCopy& copy);
-  /// Block until the helper has no outstanding physical copies (used to
-  /// reclaim source blocks when a destination arena looks full).
-  void wait_copies_drained();
-  void copy_worker();
 
   Registry* registry_;
-
-  // Decision state: owned by the enqueuing (rank) thread; never touched
-  // by the helper.
   std::deque<Request> deferred_;
   std::map<UnitRef, double> completion_vt_;
   double last_completion_vt_ = 0;
   MigrationStats stats_;
-
-  // Copy state: shared with the helper thread, guarded by copy_mu_.
-  mutable std::mutex copy_mu_;
-  std::condition_variable copy_cv_;
-  std::deque<Registry::PendingCopy> copies_;
-  std::map<UnitRef, int> copy_pending_;  ///< outstanding copies per unit
-  /// Outstanding zombie frees per tier, sized to the HMS's tier count.
-  std::vector<int> pending_src_in_tier_;
-  bool stop_ = false;
-  std::thread helper_;
 };
 
 }  // namespace unimem::rt

@@ -13,7 +13,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -79,14 +79,12 @@ class DataObject {
   Chunk& chunk(std::size_t i) { return *chunks_[i]; }
   const Chunk& chunk(std::size_t i) const { return *chunks_[i]; }
 
-  /// Typed view of chunk `i`'s payload.  Blocks on in-flight migrations of
-  /// the chunk first (see set_access_fence): the span the caller gets
-  /// back is stable until the caller itself reaches the next phase
-  /// boundary, since migrations are only enqueued from the owning rank's
-  /// thread at boundaries.
+  /// Typed view of chunk `i`'s payload.  The span stays valid until the
+  /// owning rank reaches its next phase boundary: migrations run only on
+  /// that rank's thread, at boundaries, and copy the payload before they
+  /// return.
   template <typename T>
   std::span<T> chunk_span(std::size_t i) {
-    sync_for_access(i);
     Chunk& c = *chunks_[i];
     return {static_cast<T*>(c.data()), c.bytes / sizeof(T)};
   }
@@ -95,18 +93,6 @@ class DataObject {
   template <typename T>
   std::span<T> as_span() {
     return chunk_span<T>(0);
-  }
-
-  /// Install the runtime's migration fence: a callback that blocks until
-  /// no migration of the given chunk is queued or in flight.
-  void set_access_fence(std::function<void(const DataObject&, std::size_t)> fence) {
-    fence_ = std::move(fence);
-  }
-
-  /// Block until in-flight migrations of chunk `i` are done (no-op for
-  /// objects without a fence, e.g. registry-direct test objects).
-  void sync_for_access(std::size_t i) const {
-    if (fence_) fence_(*this, i);
   }
 
   /// True when every chunk currently lives in `t`.
@@ -126,8 +112,6 @@ class DataObject {
   /// Programmer-registered aliases repointed on migration (whole-object,
   /// offset 0 — matching the paper's unimem_malloc alias registration).
   std::vector<void**> aliases_;
-  /// Runtime-installed migration fence (see set_access_fence).
-  std::function<void(const DataObject&, std::size_t)> fence_;
 };
 
 /// Identifies a migratable unit inside the registry.

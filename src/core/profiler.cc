@@ -4,28 +4,8 @@
 
 namespace unimem::rt {
 
-std::map<UnitRef, UnitPhaseProfile> apportion_profile(
-    const std::map<UnitRef, std::uint64_t>& counts, std::uint64_t attributed,
-    std::uint64_t total_samples, std::uint64_t total_miss_count,
-    double phase_time_s) {
-  std::map<UnitRef, UnitPhaseProfile> out;
-  if (attributed == 0 || total_samples == 0) return out;
-  for (const auto& [unit, n] : counts) {
-    UnitPhaseProfile p;
-    // Apportion the precise aggregate miss counter by sample share.
-    p.est_accesses = static_cast<std::uint64_t>(
-        static_cast<double>(total_miss_count) * static_cast<double>(n) /
-        static_cast<double>(attributed));
-    p.time_fraction =
-        static_cast<double>(n) / static_cast<double>(total_samples);
-    p.phase_time_s = phase_time_s;
-    if (p.est_accesses > 0) out.emplace(unit, p);
-  }
-  return out;
-}
-
-void Profiler::record_phase(const perf::PhaseSamples& samples,
-                            double phase_time_s) {
+std::uint64_t Profiler::record_phase(const perf::PhaseSamples& samples,
+                                    double phase_time_s) {
   PhaseObservation obs;
   obs.phase_time_s = phase_time_s;
 
@@ -39,21 +19,21 @@ void Profiler::record_phase(const perf::PhaseSamples& samples,
     }
   }
 
-  obs.units = apportion_profile(counts, attributed, samples.total_samples,
-                                samples.total_miss_count, phase_time_s);
+  if (attributed > 0 && samples.total_samples > 0) {
+    for (const auto& [unit, n] : counts) {
+      UnitPhaseProfile p;
+      // Apportion the precise aggregate miss counter by sample share.
+      p.est_accesses = static_cast<std::uint64_t>(
+          static_cast<double>(samples.total_miss_count) *
+          static_cast<double>(n) / static_cast<double>(attributed));
+      p.time_fraction = static_cast<double>(n) /
+                        static_cast<double>(samples.total_samples);
+      p.phase_time_s = phase_time_s;
+      if (p.est_accesses > 0) obs.units.emplace(unit, p);
+    }
+  }
   phases_.push_back(std::move(obs));
-}
-
-std::size_t Profiler::record_phase_pending(double phase_time_s) {
-  PhaseObservation obs;
-  obs.phase_time_s = phase_time_s;
-  phases_.push_back(std::move(obs));
-  return phases_.size() - 1;
-}
-
-void Profiler::fill_phase(std::size_t slot,
-                          std::map<UnitRef, UnitPhaseProfile> units) {
-  phases_.at(slot).units = std::move(units);
+  return attributed;
 }
 
 void Profiler::record_comm_phase(double phase_time_s) {

@@ -29,17 +29,6 @@ struct PhaseObservation {
   bool references(UnitRef u) const { return units.count(u) != 0; }
 };
 
-/// Apportion one phase's PMU evidence into per-unit profiles: the precise
-/// aggregate miss counter is split by each unit's share of attributed
-/// address samples, and time_fraction is Eq. 1's samples-with-data /
-/// total-samples.  Shared by the inline (exact) and deferred (sampled)
-/// attribution paths so both produce identical profiles for identical
-/// evidence.
-std::map<UnitRef, UnitPhaseProfile> apportion_profile(
-    const std::map<UnitRef, std::uint64_t>& counts, std::uint64_t attributed,
-    std::uint64_t total_samples, std::uint64_t total_miss_count,
-    double phase_time_s);
-
 /// Outcome of Profiler::fold (see below).
 enum class FoldStatus {
   kOk,            ///< every recorded phase participated in the average
@@ -54,20 +43,16 @@ class Profiler {
   /// Forget the previous iteration's observations.
   void begin_iteration() { phases_.clear(); }
 
-  /// Record one computation phase from its sample stream.
-  void record_phase(const perf::PhaseSamples& samples, double phase_time_s);
+  /// Record one computation phase from its sample stream: the precise
+  /// aggregate miss counter is split by each unit's share of attributed
+  /// address samples, and time_fraction is Eq. 1's samples-with-data /
+  /// total-samples.  Returns the number of address samples attributed to
+  /// a unit.
+  std::uint64_t record_phase(const perf::PhaseSamples& samples,
+                             double phase_time_s);
 
   /// Record a communication phase (no object attribution).
   void record_comm_phase(double phase_time_s);
-
-  /// Sampled-tier support: append an empty computation-phase observation
-  /// now (keeping the phase sequence in program order) and fill in its
-  /// per-unit profiles later, once out-of-band attribution finishes.
-  /// Returns the slot index to pass to fill_phase.  Both calls must come
-  /// from the rank thread; only the aggregator's *own* state is touched
-  /// off-thread.
-  std::size_t record_phase_pending(double phase_time_s);
-  void fill_phase(std::size_t slot, std::map<UnitRef, UnitPhaseProfile> units);
 
   const std::vector<PhaseObservation>& phases() const { return phases_; }
   std::size_t phase_count() const { return phases_.size(); }

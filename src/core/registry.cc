@@ -102,88 +102,38 @@ void Registry::add_alias(ObjectId id, void** alias) {
 void Registry::map_unit(const Chunk& c, UnitRef ref) {
   auto lo = reinterpret_cast<std::uint64_t>(c.data());
   addr_map_.insert(lo, lo + c.bytes, ref);
-  ++addr_version_;
 }
 
 void Registry::unmap_unit(const Chunk& c) {
   addr_map_.erase(reinterpret_cast<std::uint64_t>(c.data()));
-  ++addr_version_;
 }
 
 bool Registry::migrate(UnitRef unit, mem::Tier to) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (objects_.at(unit.object)->chunk(unit.chunk).current_tier() == to)
-      return true;
-  }
-  // The synchronous form is the split form with the copy done inline.
-  std::optional<PendingCopy> pc = migrate_start(unit, to);
-  if (!pc.has_value()) return false;
-  std::memcpy(pc->dst, pc->src, pc->bytes);
-  finish_migration(*pc);
-  return true;
-}
-
-std::optional<Registry::PendingCopy> Registry::migrate_start(UnitRef unit,
-                                                             mem::Tier to) {
   std::lock_guard<std::mutex> lk(mu_);
   auto& obj = objects_.at(unit.object);
   Chunk& c = obj->chunk(unit.chunk);
   const mem::Tier from = c.current_tier();
+  if (from == to) return true;
 
   void* dst = allocate_in(to, c.bytes);
-  if (dst == nullptr) return std::nullopt;
-
-  PendingCopy pc;
-  pc.unit = unit;
-  pc.src = c.data();
-  pc.dst = dst;
-  pc.bytes = c.bytes;
-  pc.from = from;
+  if (dst == nullptr) return false;
+  void* src = c.data();
+  std::memcpy(dst, src, c.bytes);
 
   unmap_unit(c);
   c.ptr.store(dst, std::memory_order_release);
   c.tier.store(static_cast<int>(to), std::memory_order_release);
   map_unit(c, unit);
-  // Allowance accounting follows the decision, not the copy: the allowance
-  // is a placement budget, and placement just changed.
-  if (arbiter_ != nullptr) arbiter_->release_tier(mem::tier_index(from), c.bytes);
+  release_in(from, src, c.bytes);
 
   if (unit.chunk == 0)
     for (void** a : obj->aliases_) *a = dst;
-  return pc;
-}
-
-void Registry::finish_migration(const PendingCopy& c) {
-  // Arena-only release (the arbiter part happened in migrate_start);
-  // arenas carry their own locks, so the helper thread never contends
-  // with registry users here.
-  hms_->deallocate(c.from, c.src);
+  return true;
 }
 
 std::optional<UnitRef> Registry::attribute(std::uint64_t addr) const {
   std::lock_guard<std::mutex> lk(mu_);
   return addr_map_.find(addr);
-}
-
-std::uint64_t Registry::addr_version() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return addr_version_;
-}
-
-std::shared_ptr<const Registry::AddrSnapshot> Registry::addr_snapshot() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (snapshot_version_ != addr_version_) {
-    auto snap = std::make_shared<AddrSnapshot>();
-    snap->reserve(addr_map_.size());
-    addr_map_.for_each([&](std::uint64_t lo, std::uint64_t hi,
-                           const UnitRef& u) {
-      snap->push_back(AddrSpan{lo, hi, u});
-    });
-    snapshot_cache_ = std::move(snap);
-    snapshot_version_ = addr_version_;
-  }
-  return snapshot_cache_;
 }
 
 DataObject* Registry::get(ObjectId id) {

@@ -44,56 +44,14 @@ class Registry {
   /// Register a programmer-visible alias pointer to be repointed on moves.
   void add_alias(ObjectId id, void** alias);
 
-  /// Move one unit to `to`.  Returns false (no state change) when the
-  /// destination cannot hold it (arena full or arbiter refuses).  Safe to
-  /// call from the helper thread concurrently with profiler lookups.
+  /// Move one unit to `to`: allocate in the destination, copy the
+  /// payload, repoint the chunk, its aliases and the address map, and free
+  /// the source.  Returns false (no state change) when the destination
+  /// cannot hold it (arena full or arbiter refuses).
   bool migrate(UnitRef unit, mem::Tier to);
-
-  /// Split migration, decision half (see MigrationEngine): allocate in
-  /// `to`, repoint the chunk/aliases/address map, and move the DRAM
-  /// *accounting* (arbiter grant) — all synchronously, so tier state and
-  /// grant decisions are a pure function of the caller's (virtual) order.
-  /// The payload still lives at `src`; the caller must memcpy dst <- src
-  /// and then call finish_migration, which frees the source arena block.
-  /// Returns nullopt (no state change) when the destination cannot hold
-  /// the unit.  Precondition: the unit is not already in `to`.
-  struct PendingCopy {
-    UnitRef unit;
-    void* src = nullptr;
-    void* dst = nullptr;
-    std::size_t bytes = 0;
-    mem::Tier from = mem::Tier::kNvm;
-  };
-  std::optional<PendingCopy> migrate_start(UnitRef unit, mem::Tier to);
-
-  /// Physical-completion half: release the source arena block.  (The
-  /// arbiter accounting already moved in migrate_start.)  Takes no
-  /// registry lock — safe from the copy helper thread.
-  void finish_migration(const PendingCopy& c);
 
   /// Attribute a sampled miss address to a unit, if it belongs to one.
   std::optional<UnitRef> attribute(std::uint64_t addr) const;
-
-  /// One row of an attribution snapshot: unit mapped at [lo, hi).
-  struct AddrSpan {
-    std::uint64_t lo = 0;
-    std::uint64_t hi = 0;
-    UnitRef unit;
-  };
-  using AddrSnapshot = std::vector<AddrSpan>;
-
-  /// Monotonic counter bumped whenever the address map changes (create /
-  /// destroy / migrate).  Lets deferred-attribution callers cheaply decide
-  /// whether a cached addr_snapshot() is still current.
-  std::uint64_t addr_version() const;
-
-  /// Immutable copy of the address map, sorted by `lo`.  Sampled-mode
-  /// profiling attributes miss addresses off the rank thread against the
-  /// snapshot taken when the phase closed: migrations repoint the live map
-  /// synchronously on the rank thread (and freed ranges can be reused), so
-  /// a live lookup at drain time would misattribute.  The snapshot pins the
-  /// phase's own view.
-  std::shared_ptr<const AddrSnapshot> addr_snapshot() const;
 
   DataObject* get(ObjectId id);
   const DataObject* get(ObjectId id) const;
@@ -131,11 +89,6 @@ class Registry {
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<DataObject>> objects_;
   IntervalMap<UnitRef> addr_map_;
-  std::uint64_t addr_version_ = 0;  // guarded by mu_
-  /// Cache: snapshot of addr_map_ at version snapshot_version_ (guarded by
-  /// mu_; shared_ptr hands out immutable views without copying per call).
-  mutable std::shared_ptr<const AddrSnapshot> snapshot_cache_;
-  mutable std::uint64_t snapshot_version_ = ~0ull;
 };
 
 }  // namespace unimem::rt

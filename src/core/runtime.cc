@@ -21,7 +21,9 @@ constexpr std::uint64_t kSamplerSeed = 42;
 
 // Modeled runtime-overhead charges (virtual seconds).
 constexpr double kOverheadPerSampleS = 25e-9;  ///< exact: inline handling
-/// Sampled: gate + buffer only; attribution runs out of band.
+/// Sampled: the production tier's gate + buffer cost.  Its attribution is
+/// modeled as out of band, so it is not charged, although the simulator
+/// runs it inline when the phase closes.
 constexpr double kOverheadPerSampleSampledS = 2e-9;
 constexpr double kOverheadPerPhaseS = 0.5e-6;  ///< queue status check / sync
 constexpr double kOverheadPerPlanItemS = 1e-6;  ///< modeling + knapsack
@@ -72,10 +74,8 @@ Runtime::Runtime(RuntimeOptions opts, mem::HeteroMemory* hms,
     replanner_ = std::make_unique<ReplanController>(registry_.get(),
                                                     model_.get(), ropts);
   }
-  if (opts_.sample_period > 0) {
-    aggregator_ = std::make_unique<ProfileAggregator>();
+  if (opts_.sample_period > 0)
     adaptive_rate_ = std::make_unique<perf::AdaptiveRate>(opts_.sample_period);
-  }
   if (comm_ != nullptr) comm_->set_hooks(this);
 
   // The Runtime is constructed on its rank's thread (see run_once): name
@@ -113,30 +113,11 @@ DataObject* Runtime::malloc_object(const std::string& name, std::size_t bytes,
   // invariant (see chunk_bytes_for); enable_chunking only controls whether
   // the planner may place chunks independently.
   const std::size_t cb = chunk_bytes_for(traits.chunkable, bytes);
-  // Allocation mutates the backstop arena (NVM on the 2-tier machine):
-  // zombie blocks of in-flight fills must land first so the chosen offsets
-  // stay in decision order.
-  const mem::Tier backstop = hms_->backstop_tier();
-  migrator_->quiesce(backstop);
-  DataObject* obj = registry_->create(name, bytes, traits, backstop, cb);
-  // Raw app accesses (checksum taps, fill patterns) go through
-  // chunk_span(); fence them against the migration helper so the app
-  // never reads or writes a chunk mid-copy.  Virtual time is not charged:
-  // the modeled cost of these taps stays inside the declared phases.
-  obj->set_access_fence([this](const DataObject& o, std::size_t chunk) {
-    migrator_->wait_for(UnitRef{o.id(), static_cast<std::uint32_t>(chunk)});
-  });
-  return obj;
+  return registry_->create(name, bytes, traits, hms_->backstop_tier(), cb);
 }
 
 void Runtime::free_object(DataObject* obj) {
   if (obj == nullptr) return;
-  // The blocks return to the arenas: every physical copy still in flight
-  // must land first — copies of this object for payload safety, and any
-  // zombie source block so the free-list mutations stay in decision
-  // order.  No virtual-time charge: frees sit outside the declared
-  // phases, like the raw access taps.
-  migrator_->quiesce_all();
   registry_->destroy(obj->id());
 }
 
@@ -199,12 +180,9 @@ void Runtime::iteration_begin() {
     return;
   }
   // Close the tail phase of the previous iteration.
-  close_phase(false, 0.0);
-  // Sampled tier: the iteration boundary is the drain barrier — results
-  // land in the Profiler and the adaptive rate steps, both on the rank
-  // thread at this fixed point (deterministic regardless of when the
-  // aggregation thread actually ran).
-  flush_sampled_profile();
+  close_phase(false);
+  // Sampled tier: the adaptive rate steps once per iteration boundary.
+  step_sample_rate();
   // Slack mode: refresh the phase DAG from the iteration just closed.
   // Must run at this unconditional point — it contains collectives, and
   // ranks' mode/drift decisions below may diverge.
@@ -251,8 +229,8 @@ void Runtime::iteration_begin() {
 }
 
 void Runtime::end() {
-  close_phase(false, 0.0);
-  flush_sampled_profile();
+  close_phase(false);
+  step_sample_rate();
   double done_vt = migrator_->drain();
   double waited = clock().wait_until(done_vt);
   migrator_->add_exposed_wait(waited);
@@ -272,11 +250,10 @@ void Runtime::open_phase() {
                       "phase", phase_idx_);
 }
 
-void Runtime::close_phase(bool is_comm, double comm_time) {
+void Runtime::close_phase(bool is_comm) {
   const double phase_time = clock().now() - phase_open_vt_;
   UNIMEM_TRACE_END2("runtime", "phase", clock().now(), "is_comm",
                     is_comm ? 1 : 0, "phase", phase_idx_);
-  (void)comm_time;
   ++phases_executed_;
   cur_phase_times_.push_back(phase_time);
   cur_phase_kinds_.push_back(is_comm ? 1 : 0);
@@ -284,11 +261,10 @@ void Runtime::close_phase(bool is_comm, double comm_time) {
   if (mode_ == Mode::kProfiling || epoch_profiling_) {
     if (is_comm) {
       profiler_.record_comm_phase(phase_time);
-    } else if (aggregator_ != nullptr) {
+    } else if (adaptive_rate_ != nullptr) {
       // Sampled tier: gate the capture on a per-(rank, phase, epoch)
-      // seeded schedule, charge only the cheap on-thread cost, and defer
-      // attribution to the aggregation thread against the phase's own
-      // address-map snapshot.
+      // seeded schedule, charge only the cheap per-sample cost, and
+      // attribute the captured samples.
       perf::SampledConfig scfg;
       scfg.period = adaptive_rate_->period();
       scfg.seed = perf::schedule_seed(kSamplerSeed,
@@ -299,13 +275,11 @@ void Runtime::close_phase(bool is_comm, double comm_time) {
       profile_samples_ += samples.total_samples;
       charge_overhead(static_cast<double>(samples.miss_addresses.size()) *
                       kOverheadPerSampleSampledS);
-      ProfileAggregator::Batch b;
-      b.slot = profiler_.record_phase_pending(phase_time);
-      b.phase_time_s = phase_time;
-      b.snapshot = registry_->addr_snapshot();
-      b.samples = std::move(samples);
-      aggregator_->submit(std::move(b));
-      batches_pending_ = true;
+      const std::uint64_t attributed =
+          profiler_.record_phase(samples, phase_time);
+      profile_attributed_ += attributed;
+      rate_attributed_ += attributed;
+      ++rate_phases_;
     } else {
       perf::PhaseSamples samples =
           sampler_->sample_phase(phase_windows_, phase_compute_s_, phase_time);
@@ -345,7 +319,7 @@ void Runtime::enqueue_phase_migrations(std::size_t phase_idx) {
 }
 
 void Runtime::phase_boundary() {
-  close_phase(false, 0.0);
+  close_phase(false);
   ++phase_idx_;
   if (mode_ == Mode::kEnforcing) enqueue_phase_migrations(phase_idx_);
   open_phase();
@@ -363,26 +337,25 @@ void Runtime::wait_for_buffer(const void* buf, std::size_t bytes) {
 
 void Runtime::on_pre_op(const mpi::OpInfo& info) {
   if (!started_) return;
-  // Correctness mirror of compute(): minimpi is about to memcpy the op's
-  // buffers, so any in-flight migration of their owning units must finish
-  // first (otherwise the helper thread's copy races the op).  Applies to
-  // non-blocking calls too — an eager isend reads its payload right away.
+  // Mirror of compute(): minimpi is about to memcpy the op's buffers, so
+  // the op waits (in virtual time) for outstanding migrations of their
+  // owning units.  Applies to non-blocking calls too — an eager isend
+  // reads its payload right away.
   wait_for_buffer(info.read_buf, info.read_bytes);
   wait_for_buffer(info.write_buf, info.write_bytes);
   if (!info.blocking) return;
   // The blocking MPI call ends the computation phase and is itself a
   // communication phase.  The comm phase's own planned migrations are NOT
-  // enqueued here: the helper could start copying a unit while the op
-  // memcpys the same buffer (the wait above only covers already-enqueued
-  // work).  They are issued in on_post_op, once the op's copies are done.
-  close_phase(false, 0.0);
+  // enqueued here: a unit the op reads or writes must not start moving
+  // before the op is done.  They are issued in on_post_op.
+  close_phase(false);
   ++phase_idx_;
   open_phase();
 }
 
 void Runtime::on_post_op(const mpi::OpInfo& info) {
   if (!started_ || !info.blocking) return;
-  close_phase(true, 0.0);
+  close_phase(true);
   ++phase_idx_;
   if (mode_ == Mode::kEnforcing) {
     enqueue_phase_migrations(phase_idx_ - 1);  // deferred from on_pre_op
@@ -395,9 +368,10 @@ void Runtime::on_post_op(const mpi::OpInfo& info) {
 // Compute
 
 void Runtime::compute(const PhaseWork& work) {
-  // Correctness: a phase must not run while its objects are in flight.
-  // Wait for any outstanding migration of units this work touches; the
-  // remainder of the copy is the exposed (non-overlapped) cost.
+  // A phase must not run while its objects are in flight: wait (in
+  // virtual time) for any outstanding migration of units this work
+  // touches; the remainder of the copy is the exposed (non-overlapped)
+  // cost.
   for (const ObjectAccess& a : work.accesses) {
     if (a.object == nullptr) continue;
     for (std::uint32_t c = 0; c < a.object->chunk_count(); ++c) {
@@ -418,20 +392,11 @@ void Runtime::compute(const PhaseWork& work) {
 // ---------------------------------------------------------------------------
 // Planning
 
-void Runtime::flush_sampled_profile() {
-  if (aggregator_ == nullptr || !batches_pending_) return;
-  batches_pending_ = false;
-  UNIMEM_TRACE_BEGIN("profiler", "drain", clock().now());
-  std::vector<ProfileAggregator::SlotProfile> results = aggregator_->drain();
-  UNIMEM_TRACE_END1("profiler", "drain", clock().now(), "batches",
-                    results.size());
-  std::uint64_t attributed = 0;
-  for (auto& r : results) {
-    attributed += r.attributed;
-    profiler_.fill_phase(r.slot, std::move(r.units));
-  }
-  profile_attributed_ += attributed;
-  adaptive_rate_->observe_iteration(attributed, results.size());
+void Runtime::step_sample_rate() {
+  if (adaptive_rate_ == nullptr || rate_phases_ == 0) return;
+  adaptive_rate_->observe_iteration(rate_attributed_, rate_phases_);
+  rate_attributed_ = 0;
+  rate_phases_ = 0;
 }
 
 void Runtime::update_phase_dag() {
@@ -480,7 +445,6 @@ void Runtime::update_phase_dag() {
 }
 
 void Runtime::make_plan() {
-  flush_sampled_profile();  // defensive: fold must see completed profiles
   UNIMEM_TRACE_BEGIN1("runtime", "plan.solve", clock().now(), "iter",
                       iteration_);
   profiler_.fold(static_cast<std::size_t>(std::max(1, profile_iters_in_row_)));
@@ -509,7 +473,6 @@ void Runtime::make_plan() {
 }
 
 void Runtime::finish_epoch_check() {
-  flush_sampled_profile();  // defensive: decide() must see completed profiles
   ++replan_checks_;
   // Slack mode: only drift referenced in a critical-path phase justifies a
   // repair; off-path drift stays on the cheap keep-stale path.

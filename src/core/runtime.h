@@ -5,10 +5,15 @@
 //   iteration 1             : phase profiling via sampled counters
 //   end of iteration 1      : model + knapsack -> local & global plans,
 //                             pick the predicted-better one
-//   iterations 2..N         : enforce; helper thread migrates proactively
-//                             at trigger phases; phases wait only for
-//                             not-yet-finished moves (exposed cost)
+//   iterations 2..N         : enforce; the modeled helper thread migrates
+//                             proactively at trigger phases; phases wait
+//                             only for not-yet-finished moves (exposed
+//                             cost)
 //   any phase drifts > 10%  : re-profile next iteration and re-plan
+//
+// A Runtime runs only on its rank's thread: migrations copy at commit
+// (core/migration.h) and sampled profiles attribute when their phase
+// closes.
 //
 // Phase boundaries are discovered transparently through minimpi's PMPI
 // hooks: every *blocking* MPI call ends the current computation phase and
@@ -30,7 +35,6 @@
 #include "core/profiler.h"
 #include "core/registry.h"
 #include "core/replan.h"
-#include "core/sampled_profile.h"
 #include "minimpi/comm.h"
 #include "minimpi/pmpi.h"
 #include "perfmon/sample_gate.h"
@@ -82,9 +86,9 @@ struct RuntimeOptions {
   /// 0 = exact profiler: every PMU sample is consumed inline on the rank
   /// thread.  N >= 1 = sampled profiler with base period N (PMU events
   /// per captured sample; 1 captures all): capture is gated on a seeded
-  /// schedule, attribution is deferred to an aggregation thread, and the
-  /// period adapts at drain barriers (perf::AdaptiveRate) — the
-  /// production-overhead tier (paper §3.1.1's PEBS framing).
+  /// schedule, only captured samples are attributed, and the period adapts
+  /// at iteration boundaries (perf::AdaptiveRate) — the production-overhead
+  /// tier (paper §3.1.1's PEBS framing).
   std::uint64_t sample_period = 0;
 
   /// Ranks sharing one node's allowances; each plans with its 1/n share.
@@ -127,9 +131,9 @@ struct RuntimeStats {
 class Runtime final : public Context, public mpi::PmpiHooks {
  public:
   /// `comm` may be nullptr (single-rank); `arbiter` may be nullptr (then
-  /// each tier's capacity bounds placement).  unimem_init: spawns the
-  /// helper thread and calibrates the model (every construction re-runs
-  /// the calibration; nothing is cached across Runtimes).
+  /// each tier's capacity bounds placement).  unimem_init: calibrates the
+  /// model (every construction re-runs the calibration; nothing is cached
+  /// across Runtimes).
   Runtime(RuntimeOptions opts, mem::HeteroMemory* hms,
           mem::DramArbiter* arbiter, mpi::Comm* comm);
   ~Runtime() override;
@@ -169,18 +173,16 @@ class Runtime final : public Context, public mpi::PmpiHooks {
 
   clk::VirtualClock& clock();
   const clk::VirtualClock& clock() const;
-  void close_phase(bool is_comm, double comm_time);
+  void close_phase(bool is_comm);
   void open_phase();
-  /// Block until in-flight migrations of every unit overlapping
-  /// [buf, buf+bytes) are done, charging the exposed wait (the MPI-path
-  /// twin of compute()'s wait — see on_pre_op).
+  /// Charge the exposed wait for outstanding migrations of every unit
+  /// overlapping [buf, buf+bytes) (the MPI-path twin of compute()'s wait —
+  /// see on_pre_op).
   void wait_for_buffer(const void* buf, std::size_t bytes);
   void enqueue_phase_migrations(std::size_t phase_idx);
-  /// Drain barrier for sampled-mode profiling: fold the aggregator's
-  /// finished results back into the Profiler and update the adaptive
-  /// rate.  No-op in exact mode or when nothing is pending.  Must run
-  /// before the profile is consumed (fold/plan/replan) or cleared.
-  void flush_sampled_profile();
+  /// Sampled tier: feed the phases sampled since the last call to the
+  /// adaptive rate.  No-op in exact mode or when none were sampled.
+  void step_sample_rate();
   /// Slack mode only: exchange the just-closed iteration's per-rank phase
   /// durations (symmetric collectives, PMPI hooks suppressed), build the
   /// phase DAG, and run the CPM pass.  Called unconditionally at the
@@ -205,10 +207,11 @@ class Runtime final : public Context, public mpi::PmpiHooks {
   std::unique_ptr<MigrationEngine> migrator_;
   std::unique_ptr<perf::Sampler> sampler_;
   Profiler profiler_;
-  /// Sampled tier only (nullptr in exact mode: true zero-cost path).
-  std::unique_ptr<ProfileAggregator> aggregator_;
+  /// Sampled tier only (nullptr in exact mode).
   std::unique_ptr<perf::AdaptiveRate> adaptive_rate_;
-  bool batches_pending_ = false;
+  /// Sampled phases, and their attributed samples, since step_sample_rate.
+  std::uint64_t rate_phases_ = 0;
+  std::uint64_t rate_attributed_ = 0;
   std::uint64_t profile_samples_ = 0;
   std::uint64_t profile_attributed_ = 0;
   ModelParams model_params_;

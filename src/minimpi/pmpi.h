@@ -57,10 +57,10 @@ struct OpInfo {
   /// merged into the immediately following phase.
   bool blocking = true;
   /// Application buffers this rank's call reads/writes (exactly what a
-  /// PMPI wrapper sees).  The Unimem hook holds the op until in-flight
-  /// migrations of the owning data units complete — the same "a phase
-  /// must not run while its objects are in flight" rule compute phases
-  /// follow; without it the helper thread's copy races the op's memcpy.
+  /// PMPI wrapper sees).  The Unimem hook charges the op the virtual wait
+  /// for outstanding migrations of the owning data units — the same "a
+  /// phase must not run while its objects are in flight" rule compute
+  /// phases follow.
   const void* read_buf = nullptr;
   std::size_t read_bytes = 0;
   const void* write_buf = nullptr;

@@ -2,16 +2,15 @@
 //
 // The exact profiler consumes every PMU sample inline; that is fine for
 // offline planning but unaffordable always-on.  Sampled mode does the
-// minimal amount of work on the rank thread — a countdown gate decides
-// which PMU events are even captured, captured addresses are buffered and
-// attributed out of band (heapprofd-style, see core/sampled_profile.h) —
-// and an adaptive controller widens the sampling period when phases
-// already attribute plenty of evidence.
+// less work per PMU event — a countdown gate decides which events are even
+// captured, and only the captured addresses are attributed when the phase
+// closes — and an adaptive controller widens the sampling period when
+// phases already attribute plenty of evidence.
 //
 // Determinism contract: every schedule is seeded per (rank, phase, epoch)
 // via schedule_seed(), so the captured sample set is a pure function of
-// the point's configuration — never of host thread timing — and sweep
-// artifacts stay byte-identical across --jobs counts and shard merges.
+// the point's configuration, and sweep artifacts stay byte-identical
+// across --jobs counts and shard merges.
 #pragma once
 
 #include <algorithm>
@@ -69,9 +68,8 @@ class SampleGate {
 /// Adaptive sample-rate controller (heapprofd-style backoff): when the
 /// profile is already statistically solid — many attributed samples per
 /// phase — widen the period to shed overhead; when evidence is thin,
-/// narrow it back toward the configured base.  Updated ONLY at
-/// deterministic drain barriers (end of a profiled iteration), never from
-/// the aggregation thread, so the period sequence is reproducible.
+/// narrow it back toward the configured base.  Updated only at the end of
+/// a profiled iteration, so the period sequence is reproducible.
 class AdaptiveRate {
  public:
   /// Widest period the backoff reaches (or the base, when that is wider).
@@ -88,7 +86,7 @@ class AdaptiveRate {
 
   std::uint64_t period() const { return period_; }
 
-  /// Feed one profiled iteration's totals (drain barrier).
+  /// Feed one profiled iteration's totals.
   void observe_iteration(std::uint64_t attributed_samples,
                          std::uint64_t phases) {
     if (phases == 0) return;

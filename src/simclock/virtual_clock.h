@@ -20,7 +20,8 @@ class VirtualClock {
   }
 
   /// Jump forward to absolute time `t` if `t` is in the future; no-op
-  /// otherwise.  Used when waiting on another rank or a helper thread.
+  /// otherwise.  Used when waiting on another rank or on a modeled
+  /// migration.
   /// Returns the amount of time actually waited.
   double wait_until(double t) {
     double waited = std::max(0.0, t - now_s_);

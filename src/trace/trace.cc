@@ -204,7 +204,7 @@ void TraceRecorder::flush() {
 }
 
 TraceData TraceRecorder::stop() {
-  // Disable first so producers quiesce, then take the tail.  An emit that
+  // Disable first so producers stop emitting, then take the tail.  An emit that
   // raced past the flag check lands in a ring we still drain here (the
   // push itself is lock-free and safe); one that arrives later is lost,
   // which is the documented drop-don't-block contract.

@@ -10,7 +10,6 @@ namespace {
 
 TEST(PlacementFns, Basics) {
   EXPECT_EQ(nvm_only()("anything", 1), mem::Tier::kNvm);
-  EXPECT_EQ(dram_only()("anything", 1), mem::Tier::kDram);
   auto m = manual({"a", "b"});
   EXPECT_EQ(m("a", 1), mem::Tier::kDram);
   EXPECT_EQ(m("c", 1), mem::Tier::kNvm);

@@ -224,22 +224,5 @@ TEST_F(ProfilerTest, FoldRejectsPhaseKindMismatch) {
   EXPECT_EQ(prof_.phase_count(), 4u);  // untouched
 }
 
-TEST_F(ProfilerTest, PendingPhaseFilledLater) {
-  DataObject* o = reg_.create("o", kMiB, {}, mem::Tier::kNvm);
-  // Sampled-tier shape: the observation is appended in program order
-  // (keeping comm/compute interleaving intact) and populated after
-  // out-of-band attribution.
-  std::size_t slot = prof_.record_phase_pending(1e-3);
-  prof_.record_comm_phase(1e-4);
-  ASSERT_EQ(prof_.phase_count(), 2u);
-  EXPECT_TRUE(prof_.phases()[slot].units.empty());
-  std::map<UnitRef, UnitPhaseProfile> units;
-  units[UnitRef{o->id(), 0}] = UnitPhaseProfile{5000, 0.25, 1e-3};
-  prof_.fill_phase(slot, units);
-  EXPECT_EQ(prof_.phases()[slot].units.at(UnitRef{o->id(), 0}).est_accesses,
-            5000u);
-  EXPECT_FALSE(prof_.phases()[slot].is_communication);
-}
-
 }  // namespace
 }  // namespace unimem::rt

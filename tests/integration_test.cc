@@ -132,10 +132,11 @@ TEST(Integration, UnimemCompetitiveWithXMenOnPhaseVaryingNek) {
   RunResult uni = run_once(cfg);
   cfg.policy = Policy::kNvmOnly;
   RunResult nvm = run_once(cfg);
-  // Paper §5 reports Unimem 10% better than X-Men on Nek5000.  Our
-  // reproduction reaches parity (within 5%) — see EXPERIMENTS.md for why
-  // the rotation-enforcement gap keeps the full 10% out of reach — while
-  // both beat NVM-only decisively.  Note X-Men here is conservatively
+  // Paper §5 reports Unimem 10% better than X-Men on Nek5000.  This
+  // reproduction does not show that win: at this class-A, 20-iteration
+  // scale Unimem stays within 5% of X-Men, and on the full-scale `fig9`
+  // nek point X-Men is ahead (normalized time 1.36 vs 1.57; see
+  // baselines/xmen.h).  Both beat NVM-only decisively.  Note X-Men here is
   // granted exact (PIN-grade) profiles; Unimem works from sampled ones.
   EXPECT_LT(uni.time_s, xmen.time_s * 1.05);
   EXPECT_LT(uni.time_s, nvm.time_s);

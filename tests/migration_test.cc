@@ -1,6 +1,6 @@
-// Tests for the helper-thread migration engine: FIFO processing, virtual
-// completion times, overlap accounting (Table 4's %overlap), and failure
-// handling.
+// Tests for the migration engine (the paper's helper thread, modeled in
+// virtual time): FIFO processing, virtual completion times, overlap
+// accounting (Table 4's %overlap), and failure handling.
 #include <gtest/gtest.h>
 
 #include "core/migration.h"
@@ -155,12 +155,11 @@ TEST_F(MigrationTest, DecisionsAreSynchronousWithEnqueue) {
   // The determinism contract: tier state and completion time are decided
   // by enqueue order alone.  Immediately after enqueue returns — no
   // drain, no wait — the logical location has already changed and the
-  // payload is intact behind the physical-copy fence (wait_for).
+  // payload has been copied.
   DataObject* o = reg_.create("x", kMiB, {}, mem::Tier::kNvm);
   o->as_span<double>()[7] = 3.5;
   eng_.enqueue(UnitRef{o->id(), 0}, mem::Tier::kDram, 0.0);
   EXPECT_EQ(o->chunk(0).current_tier(), mem::Tier::kDram);
-  eng_.wait_for(UnitRef{o->id(), 0});
   EXPECT_EQ(o->as_span<double>()[7], 3.5);
 }
 

@@ -3,6 +3,9 @@
 // placement, the C API, and the variation monitor.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <iterator>
+
 #include "core/runtime.h"
 #include "minimpi/comm.h"
 
@@ -94,6 +97,33 @@ TEST(Runtime, EnforcementPlacesHotObjectInDram) {
     RuntimeStats s = rt.stats();
     EXPECT_GE(s.migration.migrations, 1u);
     EXPECT_NE(s.plan_kind, Plan::Kind::kNone);
+  });
+}
+
+/// Threads of this process, as the kernel lists them.
+std::ptrdiff_t host_threads() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                       std::filesystem::directory_iterator{});
+}
+
+TEST(Runtime, OwnsNoHostThreads) {
+  // Migrations copy at commit and sampled profiles attribute at phase
+  // close, both on the rank thread: a Runtime that profiles, plans and
+  // migrates starts no thread of its own.
+  TestRig rig;
+  mpi::World world(1);
+  world.run([&](mpi::Comm& comm) {
+    const std::ptrdiff_t before = host_threads();
+    RuntimeOptions opts;
+    opts.enable_initial_placement = false;  // force runtime migrations
+    opts.sample_period = 64;
+    Runtime rt(opts, &rig.hms, &rig.arbiter, &comm);
+    DataObject* hot = rt.malloc_object("hot", 2 * kMiB);
+    DataObject* cold = rt.malloc_object("cold", 2 * kMiB);
+    run_app(rt, comm, 5, hot, cold, 1 << 19);
+    EXPECT_GE(rt.stats().migration.migrations, 1u);
+    EXPECT_GT(rt.stats().profile_samples, 0u);
+    EXPECT_EQ(host_threads(), before);
   });
 }
 

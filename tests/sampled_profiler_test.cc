@@ -1,7 +1,5 @@
 // Sampled profiling tier: gate/seed determinism, adaptive-rate control,
-// statistical fidelity of the thinned sample stream, out-of-band
-// aggregation equivalence, and snapshot-based attribution correctness
-// under migration.
+// and statistical fidelity of the thinned sample stream.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +8,6 @@
 
 #include "core/profiler.h"
 #include "core/registry.h"
-#include "core/sampled_profile.h"
 #include "perfmon/sample_gate.h"
 #include "perfmon/sampler.h"
 
@@ -72,7 +69,7 @@ TEST(AdaptiveRate, BacksOffAndRecovers) {
 }
 
 // ---------------------------------------------------------------------------
-// Sampled stream fidelity + aggregation
+// Sampled stream fidelity
 
 class SampledProfilerTest : public ::testing::Test {
  protected:
@@ -151,108 +148,6 @@ TEST_F(SampledProfilerTest, EstAccessesConvergeToMissShares) {
     sum_a += est_a;
   }
   EXPECT_NEAR(sum_a / kSeeds, 300000.0, 0.04 * 300000.0);
-}
-
-TEST_F(SampledProfilerTest, AggregatorMatchesInlineAttribution) {
-  // Identical evidence through the deferred path and the inline path must
-  // produce identical per-unit profiles.
-  DataObject* a = reg_.create("a", kMiB, {}, mem::Tier::kNvm);
-  DataObject* b = reg_.create("b", kMiB, {}, mem::Tier::kNvm);
-  std::vector<perf::MemWindow> w{window_for(a, 60000, 2e-3),
-                                 window_for(b, 20000, 1e-3)};
-  perf::Sampler sampler(clk::TimingParams{});
-  perf::SampledConfig cfg{4, 777};
-  perf::PhaseSamples s = sampler.sample_phase(w, 1e-3, 4e-3, cfg);
-  ASSERT_FALSE(s.miss_addresses.empty());
-
-  Profiler inline_prof(&reg_);
-  inline_prof.record_phase(s, 4e-3);
-
-  Profiler deferred_prof(&reg_);
-  ProfileAggregator agg;
-  ProfileAggregator::Batch batch;
-  batch.slot = deferred_prof.record_phase_pending(4e-3);
-  batch.samples = s;
-  batch.phase_time_s = 4e-3;
-  batch.snapshot = reg_.addr_snapshot();
-  agg.submit(std::move(batch));
-  auto results = agg.drain();
-  ASSERT_EQ(results.size(), 1u);
-  deferred_prof.fill_phase(results[0].slot, std::move(results[0].units));
-
-  const auto& pi = inline_prof.phases()[0].units;
-  const auto& pd = deferred_prof.phases()[0].units;
-  ASSERT_EQ(pi.size(), pd.size());
-  for (const auto& [u, prof] : pi) {
-    const auto it = pd.find(u);
-    ASSERT_NE(it, pd.end());
-    EXPECT_EQ(prof.est_accesses, it->second.est_accesses);
-    EXPECT_DOUBLE_EQ(prof.time_fraction, it->second.time_fraction);
-  }
-}
-
-TEST_F(SampledProfilerTest, SnapshotPinsAttributionAcrossMigration) {
-  // The batch snapshot must keep attributing the phase's addresses to the
-  // unit that owned them when the phase closed, even after a migration
-  // repoints the live address map (and the old range could be reused).
-  DataObject* o = reg_.create("o", kMiB, {}, mem::Tier::kNvm);
-  const auto old_base = reinterpret_cast<std::uint64_t>(o->chunk(0).data());
-  auto snap = reg_.addr_snapshot();
-
-  perf::PhaseSamples s;
-  s.total_samples = 100;
-  s.total_miss_count = 5000;
-  for (int i = 0; i < 50; ++i) s.miss_addresses.push_back(old_base + 64 * i);
-
-  ASSERT_TRUE(reg_.migrate(UnitRef{o->id(), 0}, mem::Tier::kDram));
-  // Live map no longer covers the old NVM range...
-  EXPECT_FALSE(reg_.attribute(old_base).has_value());
-
-  // ...but the snapshot taken at phase close still does.
-  ProfileAggregator agg;
-  ProfileAggregator::Batch batch;
-  batch.slot = 0;
-  batch.samples = std::move(s);
-  batch.phase_time_s = 1e-3;
-  batch.snapshot = snap;
-  agg.submit(std::move(batch));
-  auto results = agg.drain();
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].attributed, 50u);
-  EXPECT_EQ(results[0].units.at(UnitRef{o->id(), 0}).est_accesses, 5000u);
-}
-
-TEST_F(SampledProfilerTest, AddrVersionTracksMapChanges) {
-  const std::uint64_t v0 = reg_.addr_version();
-  DataObject* o = reg_.create("o", kMiB, {}, mem::Tier::kNvm);
-  const std::uint64_t v1 = reg_.addr_version();
-  EXPECT_GT(v1, v0);
-  auto s1 = reg_.addr_snapshot();
-  EXPECT_EQ(s1.get(), reg_.addr_snapshot().get());  // cached while unchanged
-  ASSERT_TRUE(reg_.migrate(UnitRef{o->id(), 0}, mem::Tier::kDram));
-  EXPECT_GT(reg_.addr_version(), v1);
-  EXPECT_NE(s1.get(), reg_.addr_snapshot().get());
-}
-
-TEST_F(SampledProfilerTest, DrainReturnsSlotSortedResults) {
-  DataObject* o = reg_.create("o", kMiB, {}, mem::Tier::kNvm);
-  auto snap = reg_.addr_snapshot();
-  const auto base = reinterpret_cast<std::uint64_t>(o->chunk(0).data());
-  ProfileAggregator agg;
-  for (std::size_t slot : {std::size_t{2}, std::size_t{0}, std::size_t{1}}) {
-    ProfileAggregator::Batch b;
-    b.slot = slot;
-    b.samples.total_samples = 10;
-    b.samples.total_miss_count = 100;
-    b.samples.miss_addresses = {base};
-    b.phase_time_s = 1e-3;
-    b.snapshot = snap;
-    agg.submit(std::move(b));
-  }
-  auto results = agg.drain();
-  ASSERT_EQ(results.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(results[i].slot, i);
-  EXPECT_TRUE(agg.drain().empty());  // barrier consumed the results
 }
 
 }  // namespace

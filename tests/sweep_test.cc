@@ -582,8 +582,8 @@ TEST(SweepEngine, SweepDeterminismAcrossJobCounts) {
 
 // The exact cache model is address-sensitive (set indexing by line
 // address), so this config would catch any arena offset that depends on
-// helper-thread timing — the zombie-free race the per-tier quiescing in
-// MigrationEngine exists to prevent.  Tight DRAM maximizes churn.
+// host timing rather than migration decision order.  Tight DRAM
+// maximizes churn.
 TEST(SweepEngine, DeterministicWithExactCacheAndTightDram) {
   SweepSpec s = tiny_spec();
   s.workloads = {"nek", "cg"};
@@ -696,10 +696,9 @@ TEST(SweepGoldenDeterminism, Fig12AndFig4AcrossJobsAndShards) {
   }
 }
 
-// Sampled profiling moves attribution onto a background thread; the
-// determinism contract (sampling schedules seeded per (rank, phase, epoch),
-// adaptive-rate updates only at drain barriers) must keep sweep artifacts a
-// pure function of the spec.  One exact + one sampled point per workload of
+// Sampled profiling's determinism contract (sampling schedules seeded per
+// (rank, phase, epoch), adaptive-rate updates only at iteration
+// boundaries) must keep sweep artifacts a pure function of the spec.  One exact + one sampled point per workload of
 // the smoke-clamped profiler_fidelity spec, run serial / 4-way threaded /
 // 2-way sharded-and-merged — byte-identical every way.
 TEST(SweepGoldenDeterminism, SampledProfilerAcrossJobsAndShards) {
