@@ -1,6 +1,6 @@
 // Table 1: NVM performance characteristics (from the NVMDB survey), plus
 // the derived simulator tier configurations used across the evaluation.
-#include "bench_common.h"
+#include "experiments/report.h"
 #include "simmem/tier_config.h"
 
 int main() {

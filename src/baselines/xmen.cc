@@ -8,7 +8,8 @@ namespace unimem::baseline {
 
 std::vector<std::string> xmen_placement(
     const std::map<std::string, ObjectProfile>& profiles,
-    const mem::HmsConfig& hms, std::size_t dram_budget) {
+    const mem::TierConfig& dram, const mem::TierConfig& nvm,
+    std::size_t dram_budget) {
   struct Cand {
     std::string name;
     double density = 0;  ///< benefit per byte
@@ -25,19 +26,19 @@ std::vector<std::string> xmen_placement(
     switch (p.dominant_pattern()) {
       case cache::Pattern::kSequential:
       case cache::Pattern::kStrided:
-        nvm_s = bytes_moved / hms.nvm.read_bw;
-        dram_s = bytes_moved / hms.dram.read_bw;
+        nvm_s = bytes_moved / nvm.read_bw;
+        dram_s = bytes_moved / dram.read_bw;
         break;
       case cache::Pattern::kPointerChase:
-        nvm_s = p.serialized_misses * hms.nvm.read_latency_s;
-        dram_s = p.serialized_misses * hms.dram.read_latency_s;
+        nvm_s = p.serialized_misses * nvm.read_latency_s;
+        dram_s = p.serialized_misses * dram.read_latency_s;
         break;
       case cache::Pattern::kRandom:
       case cache::Pattern::kGather:
-        nvm_s = std::max(bytes_moved / hms.nvm.read_bw,
-                         p.serialized_misses * hms.nvm.read_latency_s);
-        dram_s = std::max(bytes_moved / hms.dram.read_bw,
-                          p.serialized_misses * hms.dram.read_latency_s);
+        nvm_s = std::max(bytes_moved / nvm.read_bw,
+                         p.serialized_misses * nvm.read_latency_s);
+        dram_s = std::max(bytes_moved / dram.read_bw,
+                          p.serialized_misses * dram.read_latency_s);
         break;
     }
     double benefit = nvm_s - dram_s;

@@ -24,15 +24,18 @@
 #include <vector>
 
 #include "baselines/static_context.h"
-#include "simmem/hetero_memory.h"
+#include "simmem/tier_config.h"
 
 namespace unimem::baseline {
 
 /// Compute the X-Men static placement from offline object profiles:
 /// benefit-per-byte greedy packing of the DRAM budget, with benefit =
-/// pattern-dependent estimated stall reduction.
+/// pattern-dependent estimated stall reduction of moving an object from
+/// the backstop `nvm` to the fastest tier `dram`.  X-Men models a 2-tier
+/// machine only; run_once rejects it on deeper ladders.
 std::vector<std::string> xmen_placement(
     const std::map<std::string, ObjectProfile>& profiles,
-    const mem::HmsConfig& hms, std::size_t dram_budget);
+    const mem::TierConfig& dram, const mem::TierConfig& nvm,
+    std::size_t dram_budget);
 
 }  // namespace unimem::baseline

@@ -1,7 +1,7 @@
 // Minimal leveled logging to stderr.  The runtime is a library: it stays
 // quiet below the warn threshold unless asked.
 //
-// Severity is filtered by the UNIMEM_LOG env var (or set_level()):
+// Severity is filtered by the UNIMEM_LOG env var, read once:
 //   names:   off | error | warn | info | debug
 //   numbers: 0=off, 1=info, 2=debug   (legacy scheme, kept for compat)
 // Default is `warn`: operational notes that previously went to stderr
@@ -27,12 +27,13 @@ enum class LogLevel : int {
 
 class Log {
  public:
-  static LogLevel level() { return mutable_level(); }
-
-  static void set_level(LogLevel lvl) { mutable_level() = lvl; }
+  static LogLevel level() {
+    static const LogLevel lvl = from_env();
+    return lvl;
+  }
 
   static bool enabled(LogLevel lvl) {
-    return static_cast<int>(mutable_level()) >= static_cast<int>(lvl);
+    return static_cast<int>(level()) >= static_cast<int>(lvl);
   }
 
   template <typename... Args>
@@ -56,11 +57,6 @@ class Log {
   }
 
  private:
-  static LogLevel& mutable_level() {
-    static LogLevel lvl = from_env();
-    return lvl;
-  }
-
   static LogLevel from_env() {
     const char* e = std::getenv("UNIMEM_LOG");
     if (e == nullptr) return LogLevel::kWarn;

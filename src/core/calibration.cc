@@ -30,13 +30,7 @@ MicrobenchResult run_microbench(const cache::AccessDescriptor& d,
   cache.reset();
   cache::AccessResult r = cache.process(d, timing.default_mlp);
 
-  const double bw = 1.0 / ((1.0 - d.write_fraction) / tier.read_bw +
-                           d.write_fraction / tier.write_bw);
-  const double lat = (1.0 - d.write_fraction) * tier.read_latency_s +
-                     d.write_fraction * tier.write_latency_s;
-  const double mem_s =
-      std::max(static_cast<double>(r.bytes_from_memory()) / bw,
-               r.serialized_misses * lat);
+  const double mem_s = ExecEngine::mem_time(r, tier, d.write_fraction);
 
   // A microbenchmark phase: negligible compute, one memory window.
   perf::Sampler sampler(timing, seed);
@@ -61,7 +55,8 @@ MicrobenchResult run_microbench(const cache::AccessDescriptor& d,
 
 }  // namespace
 
-ModelParams calibrate(const mem::HmsConfig& hms, cache::CacheModel& cache,
+ModelParams calibrate(const mem::TierConfig& dram, const mem::TierConfig& nvm,
+                      cache::CacheModel& cache,
                       const clk::TimingParams& timing) {
   ModelParams p;
 
@@ -77,19 +72,19 @@ ModelParams calibrate(const mem::HmsConfig& hms, cache::CacheModel& cache,
   stream.access_bytes = 8;
 
   MicrobenchResult nvm_stream =
-      run_microbench(stream, hms.nvm, cache, timing, kSamplerSeed);
+      run_microbench(stream, nvm, cache, timing, kSamplerSeed);
   if (nvm_stream.time_fraction > 0) {
     p.bw_peak = static_cast<double>(nvm_stream.est_accesses) * 64.0 /
                 (nvm_stream.time_fraction * nvm_stream.phase_time_s);
   } else {
-    p.bw_peak = hms.nvm.read_bw;  // degenerate (no samples): fall back
+    p.bw_peak = nvm.read_bw;  // degenerate (no samples): fall back
   }
 
   // --- CF_bw: STREAM, predicted vs measured on DRAM ----------------------
   MicrobenchResult dram_stream =
-      run_microbench(stream, hms.dram, cache, timing, kSamplerSeed + 1);
+      run_microbench(stream, dram, cache, timing, kSamplerSeed + 1);
   double predicted_bw_s =
-      static_cast<double>(dram_stream.est_accesses) * 64.0 / hms.dram.read_bw;
+      static_cast<double>(dram_stream.est_accesses) * 64.0 / dram.read_bw;
   p.cf_bw = predicted_bw_s > 0 ? dram_stream.measured_mem_s / predicted_bw_s
                                : 1.0;
 
@@ -102,9 +97,9 @@ ModelParams calibrate(const mem::HmsConfig& hms, cache::CacheModel& cache,
   chase.access_bytes = 8;
 
   MicrobenchResult dram_chase =
-      run_microbench(chase, hms.dram, cache, timing, kSamplerSeed + 2);
+      run_microbench(chase, dram, cache, timing, kSamplerSeed + 2);
   double predicted_lat_s =
-      static_cast<double>(dram_chase.est_accesses) * hms.dram.read_latency_s;
+      static_cast<double>(dram_chase.est_accesses) * dram.read_latency_s;
   p.cf_lat = predicted_lat_s > 0
                  ? dram_chase.measured_mem_s / predicted_lat_s
                  : 1.0;

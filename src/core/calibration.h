@@ -7,8 +7,9 @@
 // pointer-chasing benchmark.  "Given a hardware platform, CF_bw and CF_lat
 // need to be calculated only once."
 //
-// We run the same two microbenchmarks through the same cache + sampler
-// machinery the runtime uses online, so the factors absorb exactly the
+// We run the same two microbenchmarks through the same cache model, the
+// same memory-time formula (ExecEngine::mem_time) and the same sampler
+// capture loop the runtime uses online, so the factors absorb exactly the
 // modeling errors the paper's factors absorb (sampling loss, MLP overlap).
 #pragma once
 
@@ -16,13 +17,15 @@
 #include "core/models.h"
 #include "simcache/cache_model.h"
 #include "simclock/timing_params.h"
-#include "simmem/hetero_memory.h"
+#include "simmem/tier_config.h"
 
 namespace unimem::rt {
 
-/// Measure BW_peak / CF_bw / CF_lat for the given HMS + cache + timing and
+/// Measure BW_peak / CF_bw / CF_lat for a machine whose fastest tier is
+/// `dram` and whose backstop is `nvm`, with the given cache + timing, and
 /// return a ready-to-use ModelParams.
-ModelParams calibrate(const mem::HmsConfig& hms, cache::CacheModel& cache,
+ModelParams calibrate(const mem::TierConfig& dram, const mem::TierConfig& nvm,
+                      cache::CacheModel& cache,
                       const clk::TimingParams& timing);
 
 }  // namespace unimem::rt

@@ -8,7 +8,7 @@ namespace unimem::rt {
 
 double ExecEngine::mem_time(const cache::AccessResult& r,
                             const mem::TierConfig& tier,
-                            double write_fraction) const {
+                            double write_fraction) {
   const double bytes = static_cast<double>(r.bytes_from_memory());
   const double bw = 1.0 / ((1.0 - write_fraction) / tier.read_bw +
                            write_fraction / tier.write_bw);

@@ -61,10 +61,11 @@ class ExecEngine {
   /// Model the given work against the objects' *current* placements.
   PhaseExec run(const PhaseWork& work) const;
 
-  /// Memory time of one access result on one tier (exposed for tests and
-  /// for the planner's ground-truth-free sanity checks).
-  double mem_time(const cache::AccessResult& r, const mem::TierConfig& tier,
-                  double write_fraction) const;
+  /// Memory time of one access result on one tier: the formula above.
+  /// Reads no engine state, so offline calibration (core/calibration.h)
+  /// times its microbenchmarks with it too.
+  static double mem_time(const cache::AccessResult& r,
+                         const mem::TierConfig& tier, double write_fraction);
 
   const clk::TimingParams& timing() const { return timing_; }
   cache::CacheModel& cache() { return *cache_; }

@@ -95,13 +95,6 @@ class DataObject {
     return chunk_span<T>(0);
   }
 
-  /// True when every chunk currently lives in `t`.
-  bool fully_in(mem::Tier t) const {
-    for (const auto& c : chunks_)
-      if (c->current_tier() != t) return false;
-    return true;
-  }
-
  private:
   friend class Registry;
   ObjectId id_;

@@ -7,10 +7,16 @@
 
 namespace unimem::rt {
 
-double Planner::no_move_time(const Profiler& prof) const {
+double Planner::no_move_time(const Profiler& prof) {
   double t = 0;
   for (const auto& ph : prof.phases()) t += ph.phase_time_s;
   return t;
+}
+
+std::size_t Planner::first_reference(const GroupProfiles& gp, std::size_t g) {
+  for (std::size_t p = 0; p < gp.size(); ++p)
+    if (gp[p].count(g) != 0) return p;
+  return 0;
 }
 
 std::vector<Planner::Group> Planner::build_groups() const {
@@ -409,12 +415,7 @@ Plan Planner::plan_global(const Profiler& prof,
   for (std::size_t g : selected) {
     if (!group_in_dram(groups[g])) predicted -= benefit[g];
     if (!group_in_dram(groups[g])) {
-      std::size_t first_ref = 0;
-      for (std::size_t p = 0; p < P; ++p)
-        if (gp[p].count(g) != 0) {
-          first_ref = p;
-          break;
-        }
+      const std::size_t first_ref = first_reference(gp, g);
       std::size_t trigger = first_ref;
       std::size_t needed = first_ref;
       double window = overlap_window(gp, phase_times, first_ref, g, &trigger);
@@ -502,12 +503,6 @@ Plan Planner::plan_tiered(const Profiler& prof,
 
   const MckpResult sel = KnapsackSolver().solve_mckp(items, caps);
 
-  auto first_ref = [&](std::size_t g) {
-    for (std::size_t p = 0; p < P; ++p)
-      if (gp[p].count(g) != 0) return p;
-    return std::size_t{0};
-  };
-
   double predicted = no_move_time(prof);
   // Unreferenced groups vacate constrained tiers (the global search's
   // eviction scan, generalized) so the chosen packing actually fits.
@@ -528,7 +523,7 @@ Plan Planner::plan_tiered(const Profiler& prof,
       if ((to > cur) != (pass == 0)) continue;
       for (const UnitRef& u : groups[g].units)
         plan.at_phase[0].push_back(
-            PlannedMigration{u, mem::tier(to), 0, first_ref(g)});
+            PlannedMigration{u, mem::tier(to), 0, first_reference(gp, g)});
       // Symmetric accounting against the profiled placement: moving from
       // `cur` to `to` changes the iteration by benefit lost minus the
       // (cost-netted) weight gained.

@@ -110,8 +110,9 @@ class Planner {
   Plan plan(const Profiler& prof) const;
 
   /// Predicted iteration time if nothing moves (everything stays where the
-  /// profiler saw it) — the baseline both searches must beat.
-  double no_move_time(const Profiler& prof) const;
+  /// profiler saw it) — the baseline both searches, and the re-planner's
+  /// repairs, must beat.
+  static double no_move_time(const Profiler& prof);
 
  private:
   /// A placement group: one chunk (chunking on) or one whole object
@@ -122,6 +123,9 @@ class Planner {
   };
   /// Aggregated (group, phase) profiles, indexed [phase][group].
   using GroupProfiles = std::vector<std::map<std::size_t, UnitPhaseProfile>>;
+
+  /// First phase of the cycle that references group `g`; 0 when none does.
+  static std::size_t first_reference(const GroupProfiles& gp, std::size_t g);
 
   std::vector<Group> build_groups() const;
   GroupProfiles aggregate(const Profiler& prof,

@@ -94,14 +94,4 @@ FoldStatus Profiler::fold(std::size_t periods) {
   return truncated ? FoldStatus::kTruncated : FoldStatus::kOk;
 }
 
-int Profiler::last_reference_before(std::size_t phase, UnitRef u) const {
-  const std::size_t P = phases_.size();
-  if (P == 0) return -1;
-  for (std::size_t back = 1; back < P; ++back) {
-    std::size_t idx = (phase + P - back) % P;
-    if (phases_[idx].references(u)) return static_cast<int>(idx);
-  }
-  return -1;
-}
-
 }  // namespace unimem::rt

@@ -74,10 +74,6 @@ class Profiler {
   ///    period's counts exactly.
   FoldStatus fold(std::size_t periods);
 
-  /// Most recent phase index < `phase` (cyclically, scanning at most one
-  /// full iteration) that references `u`; -1 when no other phase does.
-  int last_reference_before(std::size_t phase, UnitRef u) const;
-
  private:
   const Registry* registry_;
   std::vector<PhaseObservation> phases_;

@@ -25,7 +25,6 @@ std::map<UnitRef, double> ReplanController::unit_weights(
 
 void ReplanController::observe(const Profiler& prof) {
   baseline_w_ = unit_weights(prof);
-  has_baseline_ = true;
 }
 
 std::set<UnitRef> ReplanController::drifted_units(
@@ -63,8 +62,7 @@ Plan ReplanController::repair(const Profiler& prof,
                               double* stale_predicted_s,
                               double* repaired_predicted_s) const {
   const std::size_t P = std::max<std::size_t>(prof.phase_count(), 1);
-  double stale = 0;
-  for (const PhaseObservation& ph : prof.phases()) stale += ph.phase_time_s;
+  const double stale = Planner::no_move_time(prof);
 
   // Warm start: every non-drifted resident keeps its place and its bytes.
   // Only the drifted units — displaced residents and newly hot outsiders —
@@ -178,10 +176,8 @@ ReplanDecision ReplanController::decide(
   UNIMEM_TRACE_INSTANT2("replan", "classify", -1.0, "drifted",
                         d.drift.drifted, "tracked", d.drift.tracked);
 
-  double stale = 0;
-  for (const PhaseObservation& ph : prof.phases()) stale += ph.phase_time_s;
-  d.stale_predicted_s = stale;
-  d.repaired_predicted_s = stale;
+  d.stale_predicted_s = Planner::no_move_time(prof);
+  d.repaired_predicted_s = d.stale_predicted_s;
 
   if (d.drift.drift_fraction() > opts_.drift_budget) {
     // The working set reshuffled wholesale; a bounded patch of the old

@@ -95,7 +95,6 @@ class ReplanController {
   /// keep-stale decision, so drift is always measured against the most
   /// recent accepted knowledge.
   void observe(const Profiler& prof);
-  bool has_baseline() const { return has_baseline_; }
 
   /// Classify the per-unit weight drift of `prof` against the snapshot.
   /// A unit counts as drifted when its weight changed by more than
@@ -127,7 +126,6 @@ class ReplanController {
               const std::set<UnitRef>& drifted, double* stale_predicted_s,
               double* repaired_predicted_s) const;
 
-  const ReplanOptions& options() const { return opts_; }
   const std::map<UnitRef, double>& baseline_weights() const {
     return baseline_w_;
   }
@@ -143,7 +141,6 @@ class ReplanController {
   ReplanOptions opts_;
   KnapsackSolver solver_;
   std::map<UnitRef, double> baseline_w_;
-  bool has_baseline_ = false;
 };
 
 }  // namespace unimem::rt

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "common/log.h"
 #include "trace/trace.h"
@@ -59,9 +60,10 @@ Runtime::Runtime(RuntimeOptions opts, mem::HeteroMemory* hms,
   }
 
   // unimem_init: one-time calibration (STREAM + pointer chase, §3.1.2).
-  model_params_ = calibrate(hms_->config(), *cache_, opts_.timing);
-  model_ = std::make_unique<PerformanceModel>(model_params_, hms_->config().dram,
-                                              hms_->config().nvm);
+  const mem::TierConfig& fast = hms_->tier_config(mem::Tier::kDram);
+  const mem::TierConfig& backstop = hms_->tier_config(hms_->backstop_tier());
+  model_ = std::make_unique<PerformanceModel>(
+      calibrate(fast, backstop, *cache_, opts_.timing), fast, backstop);
   if (opts_.replan_epoch > 0 && opts_.enable_chunking) {
     // The controller re-scores at unit granularity, which equals the
     // planner's group granularity exactly when chunking is on; under the
@@ -261,31 +263,31 @@ void Runtime::close_phase(bool is_comm) {
   if (mode_ == Mode::kProfiling || epoch_profiling_) {
     if (is_comm) {
       profiler_.record_comm_phase(phase_time);
-    } else if (adaptive_rate_ != nullptr) {
-      // Sampled tier: gate the capture on a per-(rank, phase, epoch)
-      // seeded schedule, charge only the cheap per-sample cost, and
-      // attribute the captured samples.
-      perf::SampledConfig scfg;
-      scfg.period = adaptive_rate_->period();
-      scfg.seed = perf::schedule_seed(kSamplerSeed,
-                                      comm_ != nullptr ? comm_->rank() : 0,
-                                      phase_idx_, iteration_);
-      perf::PhaseSamples samples = sampler_->sample_phase(
+    } else {
+      // The exact tier captures every base tick; the sampled tier gates
+      // the capture on a per-(rank, phase, epoch) seeded schedule and is
+      // charged only the cheap per-sample cost.
+      std::optional<perf::SampledConfig> scfg;
+      if (adaptive_rate_ != nullptr)
+        scfg = perf::SampledConfig{
+            adaptive_rate_->period(),
+            perf::schedule_seed(kSamplerSeed,
+                                comm_ != nullptr ? comm_->rank() : 0,
+                                phase_idx_, iteration_)};
+      const perf::PhaseSamples samples = sampler_->sample_phase(
           phase_windows_, phase_compute_s_, phase_time, scfg);
-      profile_samples_ += samples.total_samples;
+      const double per_sample_s =
+          scfg ? kOverheadPerSampleSampledS : kOverheadPerSampleS;
       charge_overhead(static_cast<double>(samples.miss_addresses.size()) *
-                      kOverheadPerSampleSampledS);
+                      per_sample_s);
       const std::uint64_t attributed =
           profiler_.record_phase(samples, phase_time);
-      profile_attributed_ += attributed;
-      rate_attributed_ += attributed;
-      ++rate_phases_;
-    } else {
-      perf::PhaseSamples samples =
-          sampler_->sample_phase(phase_windows_, phase_compute_s_, phase_time);
-      charge_overhead(static_cast<double>(samples.miss_addresses.size()) *
-                      kOverheadPerSampleS);
-      profiler_.record_phase(samples, phase_time);
+      if (scfg) {
+        profile_samples_ += samples.total_samples;
+        profile_attributed_ += attributed;
+        rate_attributed_ += attributed;
+        ++rate_phases_;
+      }
     }
   }
   if (mode_ == Mode::kEnforcing) {

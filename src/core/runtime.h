@@ -163,10 +163,7 @@ class Runtime final : public Context, public mpi::PmpiHooks {
   RuntimeStats stats() const;
   Registry& registry() { return *registry_; }
   const Plan& current_plan() const { return plan_; }
-  const ModelParams& model_params() const { return model_params_; }
   const Profiler& profiler() const { return profiler_; }
-  /// nullptr unless replan_epoch > 0.
-  const ReplanController* replanner() const { return replanner_.get(); }
 
  private:
   enum class Mode { kIdle, kProfiling, kEnforcing };
@@ -214,7 +211,6 @@ class Runtime final : public Context, public mpi::PmpiHooks {
   std::uint64_t rate_attributed_ = 0;
   std::uint64_t profile_samples_ = 0;
   std::uint64_t profile_attributed_ = 0;
-  ModelParams model_params_;
   std::unique_ptr<PerformanceModel> model_;
   std::unique_ptr<ReplanController> replanner_;
   Plan plan_;

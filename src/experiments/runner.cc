@@ -29,57 +29,48 @@ struct Node {
   std::unique_ptr<mem::DramArbiter> arbiter;
 };
 
-/// Build the per-node memory systems for a run.
+/// The machine a run describes, fastest tier first, with the spec'd
+/// capacities of the constrained tiers as per-node allowances: the
+/// explicit ladder, or the classic DRAM+NVM machine as its 2-entry ladder
+/// (the backstop capacity is grown to fit by make_nodes).  The DRAM-only
+/// machine runs its "NVM" tier at DRAM speed and ignores any ladder.
+mem::TopologyConfig machine_topology(const RunConfig& cfg,
+                                     bool dram_speed_everywhere) {
+  if (!cfg.tiers.empty() && !dram_speed_everywhere)
+    return mem::parse_topology(cfg.tiers);
+  return mem::TopologyConfig::dram_nvm(
+      mem::TierConfig::dram_basis(cfg.dram_capacity),
+      dram_speed_everywhere
+          ? mem::TierConfig::nvm_scaled(0, 1.0, 1.0)
+          : mem::TierConfig::nvm_scaled(0, cfg.nvm_bw_ratio,
+                                        cfg.nvm_lat_mult));
+}
+
+/// Build the per-node memory systems for a run.  The arbiter meters
+/// exactly the allowances; every constrained tier's arena carries 2x
+/// slack, because real allocations go through paged virtual memory and
+/// are not defeated by physical contiguity at object granularity; the
+/// backstop is grown to hold every rank's footprint with headroom for
+/// migration churn.
 std::vector<Node> make_nodes(const RunConfig& cfg, bool dram_speed_everywhere) {
   const int nnodes =
       (cfg.wcfg.nranks + cfg.ranks_per_node - 1) / cfg.ranks_per_node;
-  // NVM must hold every rank's footprint with headroom for migration churn.
   const std::size_t nvm_cap =
       static_cast<std::size_t>(cfg.ranks_per_node) *
       (2 * cfg.wcfg.rank_bytes() + 32 * kMiB);
-  // The DRAM *allowance* (what the arbiter enforces and the planner packs)
-  // is cfg.dram_capacity; the backing arena carries 2x slack because real
-  // allocations go through paged virtual memory and are not defeated by
-  // physical contiguity at object granularity.
-  const std::size_t dram_arena = 2 * cfg.dram_capacity + 4 * kMiB;
-  std::vector<Node> nodes(static_cast<std::size_t>(nnodes));
-  if (!cfg.tiers.empty() && !dram_speed_everywhere) {
-    // Explicit N-tier topology.  Spec capacities are per-node *allowances*:
-    // every constrained tier's arena carries the same 2x slack as the
-    // classic DRAM arena, the backstop is grown to hold every rank's
-    // footprint, and the arbiter meters exactly the spec'd allowances.
-    mem::TopologyConfig topo = mem::parse_topology(cfg.tiers);
-    std::vector<std::size_t> allowances(topo.num_tiers(),
-                                        mem::DramArbiter::kUnbounded);
-    for (std::size_t k = 0; k + 1 < topo.num_tiers(); ++k) {
-      allowances[k] = topo.tiers[k].capacity_bytes;
-      topo.tiers[k].capacity_bytes =
-          2 * topo.tiers[k].capacity_bytes + 4 * kMiB;
-    }
-    topo.tiers.back().capacity_bytes =
-        std::max(topo.tiers.back().capacity_bytes, nvm_cap);
-    for (auto& n : nodes) {
-      n.hms = std::make_unique<mem::HeteroMemory>(topo);
-      n.arbiter = std::make_unique<mem::DramArbiter>(allowances);
-    }
-    return nodes;
+  mem::TopologyConfig topo = machine_topology(cfg, dram_speed_everywhere);
+  std::vector<std::size_t> allowances(topo.num_tiers(),
+                                      mem::DramArbiter::kUnbounded);
+  for (std::size_t k = 0; k + 1 < topo.num_tiers(); ++k) {
+    allowances[k] = topo.tiers[k].capacity_bytes;
+    topo.tiers[k].capacity_bytes = 2 * topo.tiers[k].capacity_bytes + 4 * kMiB;
   }
+  topo.tiers.back().capacity_bytes =
+      std::max(topo.tiers.back().capacity_bytes, nvm_cap);
+  std::vector<Node> nodes(static_cast<std::size_t>(nnodes));
   for (auto& n : nodes) {
-    mem::HmsConfig hc;
-    if (dram_speed_everywhere) {
-      // DRAM-only machine: the "NVM" tier runs at DRAM speed; capacity is
-      // irrelevant to timing, placement stays trivially in that tier.
-      hc = mem::HmsConfig{
-          mem::TierConfig::dram_basis(dram_arena),
-          mem::TierConfig::nvm_scaled(nvm_cap, 1.0, 1.0)};
-    } else {
-      hc = mem::HmsConfig{
-          mem::TierConfig::dram_basis(dram_arena),
-          mem::TierConfig::nvm_scaled(nvm_cap, cfg.nvm_bw_ratio,
-                                      cfg.nvm_lat_mult)};
-    }
-    n.hms = std::make_unique<mem::HeteroMemory>(hc);
-    n.arbiter = std::make_unique<mem::DramArbiter>(cfg.dram_capacity);
+    n.hms = std::make_unique<mem::HeteroMemory>(topo);
+    n.arbiter = std::make_unique<mem::DramArbiter>(allowances);
   }
   return nodes;
 }
@@ -152,13 +143,23 @@ PassResult run_pass(const RunConfig& cfg, Policy policy,
   return out;
 }
 
-/// Name the first knob the Unimem runtime would ignore rather than run
-/// without it.  The re-planner re-scores single units, so the Runtime
+/// Name the first knob the run would ignore rather than run without it.
+/// X-Men's placement model prices only the fastest tier against the
+/// backstop, so on a deeper ladder it would place into the top rung with a
+/// 2-tier model.  The re-planner re-scores single units, so the Runtime
 /// leaves it off when chunking is off (a unit-level repair could split an
 /// all-or-nothing object group).  Planner::plan sends every >2-tier plan to
 /// plan_tiered, which reads none of the search/DAG knobs.  (replan_epoch
 /// is fine on any ladder: the re-planner re-solves there.)
 void reject_ignored_knobs(const RunConfig& cfg) {
+  if (cfg.policy == Policy::kXMen && !cfg.tiers.empty()) {
+    const std::size_t tiers = mem::parse_topology(cfg.tiers).num_tiers();
+    if (tiers > 2)
+      throw std::invalid_argument(
+          "run_once: X-Men models a 2-tier machine only, not the " +
+          std::to_string(tiers) + "-tier topology '" + cfg.tiers +
+          "'; use 2 tiers");
+  }
   if (cfg.policy != Policy::kUnimem) return;
   const rt::RuntimeOptions& u = cfg.unimem;
   const int epoch = cfg.replan_epoch != 0 ? cfg.replan_epoch : u.replan_epoch;
@@ -197,12 +198,11 @@ RunResult run_once(const RunConfig& cfg) {
     prof_cfg.wcfg.iterations = std::max(2, cfg.wcfg.iterations / 4);
     PassResult prof =
         run_pass(prof_cfg, Policy::kNvmOnly, {}, /*record_profile=*/true);
-    mem::HmsConfig hc{
-        mem::TierConfig::dram_basis(cfg.dram_capacity),
-        mem::TierConfig::nvm_scaled(0, cfg.nvm_bw_ratio, cfg.nvm_lat_mult)};
+    const mem::TopologyConfig topo = machine_topology(cfg, false);
+    const mem::TierConfig& fast = topo.tiers.front();
     manual = baseline::xmen_placement(
-        prof.profiles, hc,
-        cfg.dram_capacity / static_cast<std::size_t>(cfg.ranks_per_node));
+        prof.profiles, fast, topo.tiers.back(),
+        fast.capacity_bytes / static_cast<std::size_t>(cfg.ranks_per_node));
     policy = Policy::kManual;
   }
 

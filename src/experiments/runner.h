@@ -32,7 +32,9 @@ struct RunConfig {
   /// Explicit N-tier topology spec, e.g. "hbm:1MiB,dram:4MiB,nvm:512MiB"
   /// (parse_topology grammar; capacities are per-node allowances).  Empty
   /// (the default) builds the classic 2-tier DRAM+NVM machine from the
-  /// fields above; DRAM-only baselines always ignore this.  Tier speeds
+  /// fields above, as the 2-entry ladder {dram_basis(dram_capacity),
+  /// nvm_scaled(nvm_bw_ratio, nvm_lat_mult)}; DRAM-only baselines always
+  /// ignore this.  Tier speeds
   /// come from the named backend presets, so nvm_bw_ratio/nvm_lat_mult do
   /// not apply to an explicit topology.
   std::string tiers{};
@@ -73,11 +75,14 @@ struct RunResult {
 };
 
 /// Run one configuration to completion.  For Policy::kXMen this runs the
-/// offline profiling pass first, then the measured pass.  Throws
-/// std::invalid_argument, before any World exists, for a Policy::kUnimem
-/// run that sets a knob the runtime would ignore: a nonzero replan_epoch
-/// with enable_chunking=false, or, on a topology of more than 2 tiers,
-/// dag_schedule=slack or either search technique switched off.
+/// offline profiling pass first, then the measured pass; its placement
+/// model prices the topology's fastest tier against its backstop, within
+/// the fastest tier's allowance.  Throws std::invalid_argument, before any
+/// World exists, for Policy::kXMen on a topology of more than 2 tiers, and
+/// for a Policy::kUnimem run that sets a knob the runtime would ignore: a
+/// nonzero replan_epoch with enable_chunking=false, or, on a topology of
+/// more than 2 tiers, dag_schedule=slack or either search technique
+/// switched off.
 RunResult run_once(const RunConfig& cfg);
 
 }  // namespace unimem::exp

@@ -30,39 +30,21 @@ std::vector<Segment> layout_segments(const std::vector<MemWindow>& windows,
 
 }  // namespace
 
-PhaseSamples Sampler::sample_phase(const std::vector<MemWindow>& windows,
-                                   double compute_time_s,
-                                   double phase_time_s) {
-  PhaseSamples out;
-  const double period = params_.sample_period_s();
-  if (phase_time_s <= 0 || period <= 0) return out;
-
-  for (const auto& w : windows) out.total_miss_count += w.misses;
-
-  const std::vector<Segment> segs = layout_segments(windows, compute_time_s);
-
-  out.total_samples = static_cast<std::uint64_t>(phase_time_s / period);
-  // Jittered sampling start, as on real hardware.
-  double sample_t = rng_.uniform() * period;
-  std::size_t seg_idx = 0;
-  for (std::uint64_t i = 0; i < out.total_samples; ++i, sample_t += period) {
-    while (seg_idx < segs.size() && sample_t >= segs[seg_idx].end) ++seg_idx;
-    if (seg_idx >= segs.size()) break;           // tail of the phase
-    const Segment& s = segs[seg_idx];
-    if (sample_t < s.begin) continue;            // inside the compute segment
-    if (s.w->misses == 0 || s.w->region_bytes == 0) continue;
-    // A memory-bound window keeps misses in flight essentially all the time;
-    // sample a uniformly random line address within the region.
-    std::uint64_t line =
-        rng_.below(std::max<std::uint64_t>(1, s.w->region_bytes / kCacheLine));
-    out.miss_addresses.push_back(s.w->region_base + line * kCacheLine);
-  }
-  return out;
+PhaseSamples Sampler::sample_phase(
+    const std::vector<MemWindow>& windows, double compute_time_s,
+    double phase_time_s, const std::optional<SampledConfig>& cfg) {
+  if (!cfg)
+    return capture(windows, compute_time_s, phase_time_s, rng_, nullptr);
+  // Per-phase RNG: jitter and the capture gate both derive from cfg->seed,
+  // never from the member stream.
+  Rng rng(cfg->seed);
+  SampleGate gate(cfg->period, rng.next());
+  return capture(windows, compute_time_s, phase_time_s, rng, &gate);
 }
 
-PhaseSamples Sampler::sample_phase(const std::vector<MemWindow>& windows,
-                                   double compute_time_s, double phase_time_s,
-                                   const SampledConfig& cfg) {
+PhaseSamples Sampler::capture(const std::vector<MemWindow>& windows,
+                              double compute_time_s, double phase_time_s,
+                              Rng& rng, SampleGate* gate) const {
   PhaseSamples out;
   const double period = params_.sample_period_s();
   if (phase_time_s <= 0 || period <= 0) return out;
@@ -71,22 +53,21 @@ PhaseSamples Sampler::sample_phase(const std::vector<MemWindow>& windows,
 
   const std::vector<Segment> segs = layout_segments(windows, compute_time_s);
 
-  // Per-phase RNG: jitter and the capture gate both derive from cfg.seed,
-  // never from the member stream.
-  Rng rng(cfg.seed);
-  SampleGate gate(cfg.period, rng.next());
   const std::uint64_t base_ticks =
       static_cast<std::uint64_t>(phase_time_s / period);
+  // Jittered sampling start, as on real hardware.
   double sample_t = rng.uniform() * period;
   std::size_t seg_idx = 0;
   for (std::uint64_t i = 0; i < base_ticks; ++i, sample_t += period) {
-    if (!gate.take()) continue;  // event not captured: zero further work
-    ++out.total_samples;         // captured ticks are Eq. 1's denominator
+    if (gate != nullptr && !gate->take()) continue;  // tick not captured
+    ++out.total_samples;  // captured ticks are Eq. 1's denominator
     while (seg_idx < segs.size() && sample_t >= segs[seg_idx].end) ++seg_idx;
     if (seg_idx >= segs.size()) continue;        // tail of the phase
     const Segment& s = segs[seg_idx];
     if (sample_t < s.begin) continue;            // inside the compute segment
     if (s.w->misses == 0 || s.w->region_bytes == 0) continue;
+    // A memory-bound window keeps misses in flight essentially all the time;
+    // sample a uniformly random line address within the region.
     std::uint64_t line =
         rng.below(std::max<std::uint64_t>(1, s.w->region_bytes / kCacheLine));
     out.miss_addresses.push_back(s.w->region_base + line * kCacheLine);

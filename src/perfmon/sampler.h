@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -59,26 +60,32 @@ class Sampler {
 
   /// Emulate sampling over one phase.  The phase timeline is laid out as
   /// `compute_time_s` of computation followed by the memory windows in
-  /// order; each time sample falling inside a window captures a uniformly
-  /// random address within that window's region.
-  PhaseSamples sample_phase(const std::vector<MemWindow>& windows,
-                            double compute_time_s, double phase_time_s);
-
-  /// Sampled-tier emulation of the same phase: the base sample clock still
-  /// ticks every sample_interval_cycles, but only gate-selected ticks are
-  /// captured.  total_samples counts the captured ticks (the denominator
-  /// of Eq. 1's time fraction) and total_miss_count stays the precise
-  /// aggregate counter, so apportioned estimates remain unbiased — just
-  /// noisier by ~sqrt(period).  Uses only `cfg.seed` (never the member
-  /// RNG), so exact-mode streams are bit-identical with or without
-  /// sampled-mode calls interleaved.
+  /// order; the base sample clock ticks every sample_interval_cycles from
+  /// a jittered start, and a captured tick falling inside a window records
+  /// a uniformly random address within that window's region.
+  ///
+  /// Without `cfg` (the exact tier) every base tick is captured and the
+  /// jitter and addresses come from the member RNG.  With `cfg` (the
+  /// sampled tier) only the ticks a SampleGate selects are captured, and
+  /// the jitter, gate and addresses all derive from `cfg->seed` — never
+  /// from the member RNG — so exact-tier streams are bit-identical with or
+  /// without sampled calls interleaved.  Either way one capture loop runs:
+  /// total_samples counts the captured ticks (the denominator of Eq. 1's
+  /// time fraction) and total_miss_count stays the precise aggregate
+  /// counter, so apportioned estimates remain unbiased — just noisier by
+  /// ~sqrt(period) in the sampled tier.
   PhaseSamples sample_phase(const std::vector<MemWindow>& windows,
                             double compute_time_s, double phase_time_s,
-                            const SampledConfig& cfg);
+                            const std::optional<SampledConfig>& cfg = {});
 
   const clk::TimingParams& params() const { return params_; }
 
  private:
+  /// The one capture loop: `gate` == nullptr captures every base tick.
+  PhaseSamples capture(const std::vector<MemWindow>& windows,
+                       double compute_time_s, double phase_time_s, Rng& rng,
+                       SampleGate* gate) const;
+
   clk::TimingParams params_;
   Rng rng_;
 };

@@ -15,7 +15,6 @@ HeteroMemory::HeteroMemory(TopologyConfig cfg)
     std::fprintf(stderr, "HeteroMemory: need at least 2 tiers\n");
     std::abort();
   }
-  cfg_ = HmsConfig{tiers_.front(), tiers_.back()};
   arenas_.reserve(tiers_.size());
   for (const TierConfig& t : tiers_)
     arenas_.push_back(std::make_unique<Arena>(t.capacity_bytes));

@@ -26,6 +26,9 @@ enum class Tier : int { kDram = 0, kNvm = 1 };
 inline Tier tier(int index) { return static_cast<Tier>(index); }
 inline int tier_index(Tier t) { return static_cast<int>(t); }
 
+/// The paper's 2-tier machine as a {DRAM, NVM} pair — a constructor
+/// argument only: a HeteroMemory keeps just its tier list, and code that
+/// needs the fastest tier or the backstop reads tier_config().
 struct HmsConfig {
   TierConfig dram;
   TierConfig nvm;
@@ -43,14 +46,11 @@ struct HmsConfig {
 
 class HeteroMemory {
  public:
-  /// The paper's 2-tier machine.
+  /// The paper's 2-tier machine: the ladder {cfg.dram, cfg.nvm}.
   explicit HeteroMemory(HmsConfig cfg);
   /// An N-tier machine (cfg.tiers.size() >= 2, fastest first, backstop
-  /// last).  config() then reports the synthesized {fastest, backstop}
-  /// pair, which is what the calibration/model layer keys on.
+  /// last).
   explicit HeteroMemory(TopologyConfig cfg);
-
-  const HmsConfig& config() const { return cfg_; }
 
   std::size_t num_tiers() const { return tiers_.size(); }
   /// The unconstrained last tier where every object starts (== kNvm on the
@@ -85,7 +85,6 @@ class HeteroMemory {
   double copy_bandwidth(Tier from, Tier to) const;
 
  private:
-  HmsConfig cfg_;  ///< synthesized {tiers_.front(), tiers_.back()} view
   std::vector<TierConfig> tiers_;
   std::vector<std::unique_ptr<Arena>> arenas_;
 };

@@ -1,7 +1,9 @@
 #include "simmem/tier_config.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -52,7 +54,8 @@ BackendRegistry& backend_registry() {
   return reg;
 }
 
-/// "8MiB" / "512KiB" / "1GiB" / "4096" -> bytes; throws on garbage.
+/// "8MiB" / "512KiB" / "1GiB" / "4096" -> bytes; throws on garbage and on
+/// a count or product that does not fit size_t.
 std::size_t parse_capacity(const std::string& s) {
   std::size_t mult = 1;
   std::string digits = s;
@@ -66,8 +69,12 @@ std::size_t parse_capacity(const std::string& s) {
   if (digits.empty() ||
       digits.find_first_not_of("0123456789") != std::string::npos)
     throw std::invalid_argument("parse_topology: bad capacity '" + s + "'");
-  return static_cast<std::size_t>(std::strtoull(digits.c_str(), nullptr, 10)) *
-         mult;
+  errno = 0;
+  const unsigned long long n = std::strtoull(digits.c_str(), nullptr, 10);
+  if (errno == ERANGE || n > std::numeric_limits<std::size_t>::max() / mult)
+    throw std::invalid_argument("parse_topology: capacity '" + s +
+                                "' overflows size_t");
+  return static_cast<std::size_t>(n) * mult;
 }
 
 }  // namespace

@@ -140,9 +140,9 @@ struct SweepSpec {
 std::vector<SweepPoint> shard_slice(const std::vector<SweepPoint>& points,
                                     int shard, int nshards);
 
-/// Shrink a spec to smoke scale (class S, <=3 iterations, <=2 ranks) —
-/// the SweepSpec twin of bench::smoke().  Applied by the CLI and the
-/// ported harnesses when UNIMEM_BENCH_SMOKE is set in the environment.
+/// Shrink a spec to smoke scale (class S, <=3 iterations, <=2 ranks).
+/// Applied by the CLI and the figure harnesses when UNIMEM_BENCH_SMOKE is
+/// set in the environment.
 SweepSpec smoke_clamped(SweepSpec spec);
 
 /// True when UNIMEM_BENCH_SMOKE is set (any value, even empty).

@@ -65,7 +65,7 @@ TEST(XMen, PacksByBenefitDensity) {
   mk("hot_big", 1100000, 6 * kMiB, cache::Pattern::kSequential);
   mk("cold", 10, 1 * kMiB, cache::Pattern::kSequential);
 
-  auto placed = xmen_placement(profs, hms, 4 * kMiB);
+  auto placed = xmen_placement(profs, hms.dram, hms.nvm, 4 * kMiB);
   // Greedy by density: hot_small first; hot_big does not fit the 4 MiB
   // budget; cold has positive (tiny) benefit so X-Men still packs it.
   ASSERT_FALSE(placed.empty());
@@ -84,18 +84,18 @@ TEST(XMen, LatencyPatternUsesLatencyBenefit) {
   chase.bytes = kMiB;
   chase.misses_by_pattern[cache::Pattern::kPointerChase] = 1000000;
   profs["chase"] = chase;
-  EXPECT_TRUE(xmen_placement(profs, hms, 8 * kMiB).empty());
+  EXPECT_TRUE(xmen_placement(profs, hms.dram, hms.nvm, 8 * kMiB).empty());
 
   // At the 4x-latency config the same object is worth placing.
   mem::HmsConfig hms_lat = mem::HmsConfig::scaled(1.0, 4.0);
-  auto placed = xmen_placement(profs, hms_lat, 8 * kMiB);
+  auto placed = xmen_placement(profs, hms_lat.dram, hms_lat.nvm, 8 * kMiB);
   ASSERT_EQ(placed.size(), 1u);
   EXPECT_EQ(placed[0], "chase");
 }
 
 TEST(XMen, EmptyProfilesGiveEmptyPlacement) {
-  EXPECT_TRUE(
-      xmen_placement({}, mem::HmsConfig::scaled(0.5, 1.0), 8 * kMiB).empty());
+  const mem::HmsConfig hms = mem::HmsConfig::scaled(0.5, 1.0);
+  EXPECT_TRUE(xmen_placement({}, hms.dram, hms.nvm, 8 * kMiB).empty());
 }
 
 TEST(XMen, RespectsBudgetExactly) {
@@ -113,7 +113,7 @@ TEST(XMen, RespectsBudgetExactly) {
     name += std::to_string(i);
     profs[name] = op;
   }
-  auto placed = xmen_placement(profs, hms, 3 * kMiB);
+  auto placed = xmen_placement(profs, hms.dram, hms.nvm, 3 * kMiB);
   EXPECT_EQ(placed.size(), 3u);
 }
 

@@ -155,17 +155,6 @@ TEST_F(ProfilerTest, UnknownAddressesIgnored) {
   EXPECT_TRUE(prof_.phases()[0].units.empty());
 }
 
-TEST_F(ProfilerTest, LastReferenceBeforeWrapsCyclically) {
-  DataObject* a = reg_.create("a", kMiB, {}, mem::Tier::kNvm);
-  DataObject* b = reg_.create("b", kMiB, {}, mem::Tier::kNvm);
-  prof_.record_phase(samples_for(a, 100, 1000), 1e-3);  // phase 0: a
-  prof_.record_comm_phase(1e-4);                        // phase 1
-  prof_.record_phase(samples_for(b, 100, 1000), 1e-3);  // phase 2: b
-  EXPECT_EQ(prof_.last_reference_before(2, UnitRef{a->id(), 0}), 0);
-  EXPECT_EQ(prof_.last_reference_before(0, UnitRef{b->id(), 0}), 2);  // wrap
-  EXPECT_EQ(prof_.last_reference_before(2, UnitRef{b->id(), 0}), -1);
-}
-
 TEST_F(ProfilerTest, FoldAveragesIterations) {
   DataObject* o = reg_.create("o", kMiB, {}, mem::Tier::kNvm);
   // Two profiled iterations of the same 2-phase structure with different

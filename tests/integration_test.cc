@@ -4,10 +4,14 @@
 //   DRAM-only <= Unimem <= NVM-only   (in execution time).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "experiments/runner.h"
+#include "simmem/tier_config.h"
 
 namespace unimem::exp {
 namespace {
@@ -171,6 +175,70 @@ TEST(Integration, TierLadderNeverSlowerThanBackstopOnly) {
   RunResult uni = run_once(cfg);
   EXPECT_DOUBLE_EQ(uni.checksum, backstop.checksum);
   EXPECT_LE(uni.time_s, backstop.time_s * 1.02);
+}
+
+/// Every field of a RunResult, doubles as bit patterns, so EXPECT_EQ on
+/// two fingerprints is bitwise equality.
+std::vector<std::uint64_t> fingerprint(const RunResult& r) {
+  auto bits = [](double d) {
+    std::uint64_t u = 0;
+    std::memcpy(&u, &d, sizeof u);
+    return u;
+  };
+  const rt::RuntimeStats& s = r.stats;
+  return {bits(r.time_s), bits(r.checksum), r.total_migrations,
+          r.total_bytes_moved, bits(r.mean_overhead_percent),
+          bits(r.mean_overlap_percent), bits(r.total_copy_s),
+          bits(r.total_exposed_s), bits(r.dag_critical_path_s),
+          s.migration.migrations, s.migration.failed, s.migration.bytes_moved,
+          bits(s.migration.copy_time_s), bits(s.migration.exposed_wait_s),
+          bits(s.overhead_s), bits(s.total_time_s), s.phases_executed,
+          s.iterations, s.reprofiles, static_cast<std::uint64_t>(s.plan_kind),
+          s.planned_migrations_per_iteration, s.profile_samples,
+          s.profile_attributed};
+}
+
+TEST(Integration, ClassicMachineIsTheTwoTierLadder) {
+  // The classic fields (NVM ratios + DRAM allowance) and an explicit
+  // 2-entry ladder with the same tiers build one machine: every policy
+  // that plans or places on it gives a bitwise-equal result.
+  mem::register_tier_backend("integration-nvm-half-bw", [](std::size_t c) {
+    return mem::TierConfig::nvm_scaled(c, 0.5, 1.0);
+  });
+  for (const char* wl : {"cg", "nek"}) {
+    for (Policy policy : {Policy::kUnimem, Policy::kNvmOnly}) {
+      RunConfig classic = base_cfg(wl);
+      classic.wcfg.cls = 'A';
+      classic.policy = policy;
+      classic.dram_capacity = 4 * kMiB;
+      RunConfig ladder = classic;
+      ladder.tiers = "dram:4MiB,integration-nvm-half-bw:1MiB";
+      const RunResult a = run_once(classic);
+      EXPECT_EQ(fingerprint(a), fingerprint(run_once(ladder)))
+          << wl << " " << policy_name(policy);
+      if (policy == Policy::kUnimem) {
+        EXPECT_GT(a.total_migrations, 0u) << wl;
+      }
+    }
+  }
+}
+
+TEST(Integration, XMenRejectedOnLadderDeeperThanTwoTiers) {
+  // X-Men prices only the fastest tier against the backstop; on a 3-tier
+  // ladder it would place into HBM with a DRAM+NVM model, so run_once
+  // refuses the run.  Two tiers stay legal.
+  RunConfig cfg = base_cfg("cg");
+  cfg.policy = Policy::kXMen;
+  cfg.tiers = "hbm:1MiB,dram:4MiB,nvm:512MiB";
+  try {
+    run_once(cfg);
+    ADD_FAILURE() << "X-Men was accepted on a 3-tier ladder";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("X-Men"), std::string::npos)
+        << e.what();
+  }
+  cfg.tiers = "dram:2MiB,nvm:64MiB";
+  EXPECT_NO_THROW(run_once(cfg));
 }
 
 TEST(Integration, TierLadderRejectsKnobsTheTieredPlannerIgnores) {

@@ -132,7 +132,7 @@ TEST_P(Calibration, RecoversPlatformParameters) {
     cm = std::make_unique<cache::ExactCache>();
   else
     cm = std::make_unique<cache::AnalyticCache>();
-  ModelParams p = calibrate(hms, *cm, timing);
+  ModelParams p = calibrate(hms.dram, hms.nvm, *cm, timing);
   // BW_peak measured via Eq. 1 on a saturating NVM stream ~ NVM read bw.
   EXPECT_NEAR(p.bw_peak, hms.nvm.read_bw, 0.15 * hms.nvm.read_bw);
   // The constant factors correct modest model error; they must be sane.
@@ -148,8 +148,10 @@ INSTANTIATE_TEST_SUITE_P(Caches, Calibration, ::testing::Bool());
 TEST(CalibrationLatencyAxis, PeakTracksNvmConfig) {
   clk::TimingParams timing;
   cache::AnalyticCache cm;
-  ModelParams p_bw = calibrate(mem::HmsConfig::scaled(0.25, 1.0), cm, timing);
-  ModelParams p_lat = calibrate(mem::HmsConfig::scaled(1.0, 4.0), cm, timing);
+  const mem::HmsConfig bw = mem::HmsConfig::scaled(0.25, 1.0);
+  const mem::HmsConfig lat = mem::HmsConfig::scaled(1.0, 4.0);
+  ModelParams p_bw = calibrate(bw.dram, bw.nvm, cm, timing);
+  ModelParams p_lat = calibrate(lat.dram, lat.nvm, cm, timing);
   EXPECT_LT(p_bw.bw_peak, p_lat.bw_peak);  // 1/4 bw NVM has lower peak
 }
 

@@ -20,9 +20,10 @@ class PlannerTest : public ::testing::Test {
         reg_(&hms_, nullptr),
         prof_(&reg_) {
     ModelParams p;
-    p.bw_peak = hms_.config().nvm.read_bw;
-    model_ = std::make_unique<PerformanceModel>(p, hms_.config().dram,
-                                                hms_.config().nvm);
+    p.bw_peak = hms_.tier_config(mem::Tier::kNvm).read_bw;
+    model_ = std::make_unique<PerformanceModel>(
+        p, hms_.tier_config(mem::Tier::kDram),
+        hms_.tier_config(mem::Tier::kNvm));
   }
 
   DataObject* obj(const char* name, std::size_t bytes, bool chunkable = false) {

@@ -26,9 +26,10 @@ class ReplanTest : public ::testing::Test {
       : hms_(mem::HmsConfig::scaled(0.5, 1.0, 32 * kMiB, 128 * kMiB)),
         reg_(&hms_, nullptr) {
     ModelParams p;
-    p.bw_peak = hms_.config().nvm.read_bw;
-    model_ = std::make_unique<PerformanceModel>(p, hms_.config().dram,
-                                                hms_.config().nvm);
+    p.bw_peak = hms_.tier_config(mem::Tier::kNvm).read_bw;
+    model_ = std::make_unique<PerformanceModel>(
+        p, hms_.tier_config(mem::Tier::kDram),
+        hms_.tier_config(mem::Tier::kNvm));
   }
 
   DataObject* obj(const char* name, std::size_t bytes) {

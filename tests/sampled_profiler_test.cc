@@ -119,6 +119,31 @@ TEST_F(SampledProfilerTest, SampledScheduleIsSeedDeterministic) {
   EXPECT_GT(p1.total_samples, 0u);
 }
 
+TEST_F(SampledProfilerTest, PeriodOneMatchesExactCounts) {
+  // A gate of period 1 takes every base tick, so the sampled tier's
+  // capture counts what the exact tier counts: the same ticks, the same
+  // number of in-window captures.  (Only the addresses differ: the two
+  // tiers draw them from different RNG streams.)  The windows include a
+  // compute segment, a miss-free window and a tail past the last window.
+  DataObject* a = reg_.create("a", kMiB, {}, mem::Tier::kNvm);
+  DataObject* b = reg_.create("b", kMiB, {}, mem::Tier::kNvm);
+  std::vector<perf::MemWindow> w{window_for(a, 100000, 2e-3),
+                                 window_for(b, 0, 1e-3),
+                                 window_for(a, 50000, 1e-3)};
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    perf::Sampler exact(clk::TimingParams{}, seed);
+    perf::Sampler gated(clk::TimingParams{}, seed);
+    const perf::SampledConfig every_tick{1, perf::schedule_seed(seed, 0, 0, 0)};
+    const perf::PhaseSamples e = exact.sample_phase(w, 1e-3, 6e-3);
+    const perf::PhaseSamples g = gated.sample_phase(w, 1e-3, 6e-3, every_tick);
+    EXPECT_EQ(g.total_samples, e.total_samples) << seed;
+    EXPECT_EQ(g.miss_addresses.size(), e.miss_addresses.size()) << seed;
+    EXPECT_EQ(g.total_miss_count, e.total_miss_count) << seed;
+    EXPECT_GT(e.miss_addresses.size(), 0u);
+    EXPECT_LT(e.miss_addresses.size(), e.total_samples);
+  }
+}
+
 TEST_F(SampledProfilerTest, EstAccessesConvergeToMissShares) {
   // Ground truth: A carries 3/4 of the misses and of the memory time, B
   // 1/4.  The thinned stream must apportion the precise aggregate counter

@@ -181,12 +181,12 @@ TEST(HeteroMemory, TierOfAndAllocation) {
 TEST(HeteroMemory, CopyCostModel) {
   HeteroMemory hms(HmsConfig::scaled(0.5, 1.0, kMiB, 4 * kMiB));
   // NVM -> DRAM limited by min(nvm.read_bw, dram.write_bw) = nvm.read_bw.
+  const TierConfig& nvm = hms.tier_config(Tier::kNvm);
   double up = hms.copy_seconds(kMiB, Tier::kNvm, Tier::kDram);
-  EXPECT_NEAR(up, static_cast<double>(kMiB) / hms.config().nvm.read_bw, 1e-12);
+  EXPECT_NEAR(up, static_cast<double>(kMiB) / nvm.read_bw, 1e-12);
   // Moving down is limited by NVM write bandwidth (= the slower side).
   double down = hms.copy_seconds(kMiB, Tier::kDram, Tier::kNvm);
-  EXPECT_NEAR(down, static_cast<double>(kMiB) / hms.config().nvm.write_bw,
-              1e-12);
+  EXPECT_NEAR(down, static_cast<double>(kMiB) / nvm.write_bw, 1e-12);
   EXPECT_GT(down, 0.0);
 }
 
@@ -245,6 +245,12 @@ TEST(ParseTopology, LaddersSuffixesAndErrors) {
   EXPECT_THROW(parse_topology("dram:1MiB"), std::invalid_argument);  // < 2
   EXPECT_THROW(parse_topology("bogus:1MiB,nvm:1MiB"), std::invalid_argument);
   EXPECT_THROW(parse_topology("dram:xx,nvm:1MiB"), std::invalid_argument);
+  // Capacities that do not fit size_t: a product that wraps (2^44 MiB =
+  // 2^64 bytes) and a count past ULLONG_MAX.
+  EXPECT_THROW(parse_topology("dram:17592186044416MiB,nvm:1MiB"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_topology("dram:99999999999999999999999,nvm:1MiB"),
+               std::invalid_argument);
 }
 
 TEST(HeteroMemory, NTierTopologyAllocationAndBackstop) {
@@ -252,9 +258,10 @@ TEST(HeteroMemory, NTierTopologyAllocationAndBackstop) {
   HeteroMemory hms(topo);
   EXPECT_EQ(hms.num_tiers(), 3u);
   EXPECT_EQ(hms.backstop_tier(), tier(2));
-  // The synthesized 2-tier view pairs the fastest tier with the backstop.
-  EXPECT_DOUBLE_EQ(hms.config().dram.read_bw, TierConfig::hbm(0).read_bw);
-  EXPECT_EQ(hms.config().nvm.capacity_bytes, 16 * kMiB);
+  // The fastest tier and the backstop are the ladder's ends.
+  EXPECT_DOUBLE_EQ(hms.tier_config(tier(0)).read_bw,
+                   TierConfig::hbm(0).read_bw);
+  EXPECT_EQ(hms.tier_config(hms.backstop_tier()).capacity_bytes, 16 * kMiB);
   // Every tier allocates from its own arena and tier_of() round-trips.
   for (int k = 0; k < 3; ++k) {
     void* p = hms.allocate(tier(k), 1000);
