@@ -1,9 +1,9 @@
 # CLI contract tests for the sweep service layer: strict option parsing
 # (--profiler/--jobs/--indices reject junk and overflow instead of
-# silently truncating), the --merge coverage/gap heuristics, duplicate
-# shard rejection, torn-last-line --resume, and injected-failure recovery
-# through the coordinator with retry counters and the forked tasks'
-# metrics in the summary JSON.
+# silently truncating, and the deleted service flags are unknown), the
+# --merge coverage/gap heuristics, duplicate shard rejection,
+# torn-last-line --resume, and a fork campaign whose summary JSON carries
+# the forked tasks' metrics.
 # Invoked by ctest (label sweep-service) as
 #   cmake -DSWEEP_CLI=... -DWORK_DIR=... -P this_file
 foreach(var SWEEP_CLI WORK_DIR)
@@ -85,11 +85,17 @@ cli_expect(1 "unknown launcher"
 cli_expect(1 "launcher excludes shards"
            "${SWEEP_CLI}" --spec ${SPEC} --launcher fork --shard 0/2)
 cli_expect(1 "resume needs jsonl" "${SWEEP_CLI}" --spec ${SPEC} --resume)
-# Retries are the coordinator's re-dispatch; there is no backoff to tune.
-cli_expect(1 "backoff-base is unknown"
-           "${SWEEP_CLI}" --spec ${SPEC} --backoff-base 0.001 --points)
-expect_contains("${last_stderr}" "unknown option '--backoff-base'"
-                "backoff-base is unknown")
+# Re-dispatch of a dead worker's points is the only re-run; there is no
+# backoff to tune, no point retry, no work stealing, no fault injection,
+# and `--launcher fork --workers N` is the one spelling of N fork workers.
+foreach(flag_value IN ITEMS "--backoff-base;0.001" "--steal" "--retries;1"
+        "--inject-fail;0.5" "--attempt-base;1" "--shards;2")
+  list(GET flag_value 0 flag)
+  cli_expect(1 "${flag} is unknown"
+             "${SWEEP_CLI}" --spec ${SPEC} ${flag_value} --points)
+  expect_contains("${last_stderr}" "unknown option '${flag}'"
+                  "${flag} is unknown")
+endforeach()
 
 # ---- merge heuristics ------------------------------------------------------
 
@@ -143,21 +149,22 @@ expect_same("${WORK_DIR}/j1.csv" "${WORK_DIR}/resumed.csv" "torn resume csv")
 expect_same("${WORK_DIR}/j1.jsonl" "${WORK_DIR}/resumed.jsonl"
             "torn resume jsonl")
 
-# ---- injected-failure recovery through the coordinator ---------------------
+# ---- fork campaign through the coordinator ---------------------------------
 
-# Seeded transient faults on (almost) every point's first attempt; the
-# retry layer must recover the campaign to zero failed rows, count its
-# work in the summary JSON, and still emit byte-identical artifacts.
+# Two fork workers run one task each; the summary JSON counts the
+# campaign and the artifacts stay byte-identical to the --jobs 1 run.
 cli_expect(0 "service recovery"
-           "${SWEEP_CLI}" --spec ${SPEC} --launcher fork --workers 2 --steal
-           --retries 3 --inject-fail 0.9:7 --quiet
+           "${SWEEP_CLI}" --spec ${SPEC} --launcher fork --workers 2 --quiet
            --csv "${WORK_DIR}/svc.csv" --jsonl "${WORK_DIR}/svc.jsonl"
            --summary-json "${WORK_DIR}/svc.json")
 file(READ "${WORK_DIR}/svc.json" summary)
+expect_contains("${summary}" "\"schema_version\":4" "service recovery summary")
 expect_contains("${summary}" "\"failed\":0" "service recovery summary")
+expect_contains("${summary}" "\"tasks\":2," "service recovery summary")
 expect_contains("${summary}" "\"complete\":true" "service recovery summary")
 expect_contains("${summary}" "\"launcher\":\"fork\"" "service recovery summary")
-expect_not_contains("${summary}" "\"retries\":0," "service recovery summary")
+expect_not_contains("${summary}" "\"steal" "service recovery summary")
+expect_not_contains("${summary}" "\"retries\"" "service recovery summary")
 # The forked tasks' engine counters reach the parent's summary.
 expect_contains("${summary}" "\"sweep.points_ok\"" "service recovery summary")
 expect_same("${WORK_DIR}/j1.csv" "${WORK_DIR}/svc.csv" "service recovery csv")

@@ -1,11 +1,11 @@
 # Golden determinism of the unimem_sweep CLI across execution topologies:
 # runs SPEC single-process (--jobs 1), as two --shard I/2 slices stitched
-# back with --merge, as a fork-based --shards 2 run, under the coordinator
-# with each launcher (inproc+steal, fork, cmd self-exec), and as a run
-# killed mid-campaign (simulated by truncating the --jobs 1 artifact to a
-# prefix plus a torn line) finished via --resume — then asserts the
-# CSV/JSONL artifacts of every topology are byte-identical to the
-# --jobs 1 ones.  Invoked by ctest (label sweep-smoke) as
+# back with --merge, under the coordinator with each launcher (inproc,
+# fork, cmd self-exec), and as a run killed mid-campaign (simulated by
+# truncating the --jobs 1 artifact to a prefix plus a torn line) finished
+# via --resume — then asserts the CSV/JSONL artifacts of every topology
+# are byte-identical to the --jobs 1 ones.  Invoked by ctest (label
+# sweep-smoke) as
 #   cmake -DSWEEP_CLI=... -DWORK_DIR=... -DSPEC=fig12 -P this_file
 foreach(var SWEEP_CLI WORK_DIR SPEC)
   if(NOT DEFINED ${var})
@@ -33,17 +33,13 @@ run_cli("${SWEEP_CLI}" --spec ${SPEC} --shard 1/2 --quiet
 run_cli("${SWEEP_CLI}" --merge "${WORK_DIR}/s0.jsonl" "${WORK_DIR}/s1.jsonl"
         --quiet --csv "${WORK_DIR}/merged.csv"
         --jsonl "${WORK_DIR}/merged.jsonl")
-run_cli("${SWEEP_CLI}" --spec ${SPEC} --shards 2 --quiet
-        --csv "${WORK_DIR}/forked.csv" --jsonl "${WORK_DIR}/forked.jsonl")
 
-# Coordinator service topologies: every launcher must reproduce the same
-# bytes, including with work stealing and per-point retries enabled.
-run_cli("${SWEEP_CLI}" --spec ${SPEC} --launcher inproc --workers 2 --steal
-        --retries 1 --quiet
+# Coordinator topologies: every launcher must reproduce the same bytes.
+run_cli("${SWEEP_CLI}" --spec ${SPEC} --launcher inproc --workers 2 --quiet
         --csv "${WORK_DIR}/svc_inproc.csv" --jsonl "${WORK_DIR}/svc_inproc.jsonl")
 run_cli("${SWEEP_CLI}" --spec ${SPEC} --launcher fork --workers 2 --quiet
         --csv "${WORK_DIR}/svc_fork.csv" --jsonl "${WORK_DIR}/svc_fork.jsonl")
-run_cli("${SWEEP_CLI}" --spec ${SPEC} --launcher cmd --workers 2 --steal --quiet
+run_cli("${SWEEP_CLI}" --spec ${SPEC} --launcher cmd --workers 2 --quiet
         --csv "${WORK_DIR}/svc_cmd.csv" --jsonl "${WORK_DIR}/svc_cmd.jsonl")
 
 # Kill-and-resume: fabricate a crash artifact — the first three complete
@@ -57,7 +53,7 @@ file(WRITE "${WORK_DIR}/resumed.jsonl" "${crash_text}")
 run_cli("${SWEEP_CLI}" --spec ${SPEC} --jobs 1 --resume --quiet
         --csv "${WORK_DIR}/resumed.csv" --jsonl "${WORK_DIR}/resumed.jsonl")
 
-foreach(variant merged forked svc_inproc svc_fork svc_cmd resumed)
+foreach(variant merged svc_inproc svc_fork svc_cmd resumed)
   foreach(ext csv jsonl)
     execute_process(
       COMMAND ${CMAKE_COMMAND} -E compare_files
@@ -72,5 +68,5 @@ foreach(variant merged forked svc_inproc svc_fork svc_cmd resumed)
 endforeach()
 message(STATUS
         "sweep_shard_golden: ${SPEC} CSV/JSONL byte-identical across "
-        "--jobs 1, --shard+--merge, --shards 2, the inproc/fork/cmd "
+        "--jobs 1, --shard+--merge, the inproc/fork/cmd "
         "launchers, and a killed-then---resume'd run")

@@ -1,7 +1,7 @@
 # Tracing must be a pure observer: a sweep run with --trace produces
 # byte-identical CSV/JSONL artifacts to an untraced run (virtual clocks
 # are never advanced by emit), both in-process (--jobs) and across forked
-# workers (--launcher fork, --shards) where per-task shards are stitched.  Also
+# workers (--launcher fork) where per-task shards are stitched.  Also
 # validates the exported Chrome JSON structurally (string(JSON)) and
 # round-trips the binary spill through the unimem_trace converter.
 # Invoked by ctest (label sweep-smoke) as
@@ -73,25 +73,15 @@ string(JSON n_svc LENGTH "${svc_js}" "traceEvents")
 if(n_svc LESS 1)
   message(FATAL_ERROR "trace_golden: converted svc.json has no traceEvents")
 endif()
-
-# --shards is the fork launcher too, so it collects per-task trace shards:
-# the stitched timeline must carry "task-N/" tracks from the children.
-run_cli("${SWEEP_CLI}" --spec ${SPEC} --shards 2 --quiet
-        --trace "${WORK_DIR}/shards.trace"
-        --csv "${WORK_DIR}/shards.csv" --jsonl "${WORK_DIR}/shards.jsonl")
-assert_same("${WORK_DIR}/base.csv" "${WORK_DIR}/shards.csv" "shards csv")
-assert_same("${WORK_DIR}/base.jsonl" "${WORK_DIR}/shards.jsonl" "shards jsonl")
-run_cli("${TRACE_CLI}" "${WORK_DIR}/shards.trace"
-        --json "${WORK_DIR}/shards.json")
-file(READ "${WORK_DIR}/shards.json" shards_js)
-string(FIND "${shards_js}" "\"task-" task_pos)
+# The stitched timeline must carry "task-N/" tracks from the children.
+string(FIND "${svc_js}" "\"task-" task_pos)
 if(task_pos EQUAL -1)
   message(FATAL_ERROR
-          "trace_golden: --shards trace has no task- tracks (the forked "
+          "trace_golden: fork launcher trace has no task- tracks (the forked "
           "workers' shards were not stitched)")
 endif()
 
 message(STATUS
         "trace_golden: ${SPEC} CSV/JSONL byte-identical traced vs untraced "
-        "(--jobs, fork launcher, --shards); Chrome JSON validated "
+        "(--jobs, fork launcher); Chrome JSON validated "
         "(${n_events} in-process events, ${n_svc} service events)")

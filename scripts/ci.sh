@@ -63,7 +63,7 @@ stage_release() {
 
   echo "== [release] sweep service =="
   # The coordinator/launcher service layer: strict CLI parsing, merge
-  # heuristics, injected-failure recovery, kill-and-resume, and the
+  # heuristics, a fork campaign's summary, kill-and-resume, and the
   # service_stress spec slice across forked workers.
   ctest --test-dir build -L sweep-service --output-on-failure -j "$JOBS"
 }

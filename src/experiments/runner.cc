@@ -146,19 +146,25 @@ PassResult run_pass(const RunConfig& cfg, Policy policy,
 /// Name the first knob the run would ignore rather than run without it.
 /// X-Men's placement model prices only the fastest tier against the
 /// backstop, so on a deeper ladder it would place into the top rung with a
-/// 2-tier model.  The re-planner re-scores single units, so the Runtime
-/// leaves it off when chunking is off (a unit-level repair could split an
-/// all-or-nothing object group).  Planner::plan sends every >2-tier plan to
-/// plan_tiered, which reads none of the search/DAG knobs.  (replan_epoch
-/// is fine on any ladder: the re-planner re-solves there.)
+/// 2-tier model.  Manual placement puts its manual_dram objects into tier
+/// 0, which on a deeper ladder is not DRAM.  The re-planner re-scores
+/// single units, so the Runtime leaves it off when chunking is off (a
+/// unit-level repair could split an all-or-nothing object group).
+/// Planner::plan sends every >2-tier plan to plan_tiered, which reads none
+/// of the search/DAG knobs.  (replan_epoch is fine on any ladder: the
+/// re-planner re-solves there.)
 void reject_ignored_knobs(const RunConfig& cfg) {
-  if (cfg.policy == Policy::kXMen && !cfg.tiers.empty()) {
+  if ((cfg.policy == Policy::kXMen || cfg.policy == Policy::kManual) &&
+      !cfg.tiers.empty()) {
     const std::size_t tiers = mem::parse_topology(cfg.tiers).num_tiers();
     if (tiers > 2)
       throw std::invalid_argument(
-          "run_once: X-Men models a 2-tier machine only, not the " +
-          std::to_string(tiers) + "-tier topology '" + cfg.tiers +
-          "'; use 2 tiers");
+          std::string("run_once: ") +
+          (cfg.policy == Policy::kXMen
+               ? "X-Men models a 2-tier machine only"
+               : "manual placement puts manual_dram into tier 0, not DRAM,") +
+          " on the " + std::to_string(tiers) + "-tier topology '" +
+          cfg.tiers + "'; use 2 tiers");
   }
   if (cfg.policy != Policy::kUnimem) return;
   const rt::RuntimeOptions& u = cfg.unimem;

@@ -78,11 +78,12 @@ struct RunResult {
 /// offline profiling pass first, then the measured pass; its placement
 /// model prices the topology's fastest tier against its backstop, within
 /// the fastest tier's allowance.  Throws std::invalid_argument, before any
-/// World exists, for Policy::kXMen on a topology of more than 2 tiers, and
-/// for a Policy::kUnimem run that sets a knob the runtime would ignore: a
-/// nonzero replan_epoch with enable_chunking=false, or, on a topology of
-/// more than 2 tiers, dag_schedule=slack or either search technique
-/// switched off.
+/// World exists, for Policy::kXMen or Policy::kManual on a topology of
+/// more than 2 tiers (manual placement puts manual_dram into tier 0, which
+/// is not DRAM there), and for a Policy::kUnimem run that sets a knob the
+/// runtime would ignore: a nonzero replan_epoch with enable_chunking=false,
+/// or, on a topology of more than 2 tiers, dag_schedule=slack or either
+/// search technique switched off.
 RunResult run_once(const RunConfig& cfg);
 
 }  // namespace unimem::exp

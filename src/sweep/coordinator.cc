@@ -1,6 +1,5 @@
 #include "sweep/coordinator.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <deque>
@@ -21,8 +20,7 @@ namespace {
 
 struct Chunk {
   std::vector<SweepPoint> points;
-  int attempt = 0;  ///< campaign-global attempt number of every point
-  int deaths = 0;   ///< how many times a dying worker handed them back
+  int deaths = 0;  ///< how many times a dying worker handed them back
   std::string artifact;  ///< set at dispatch: the running task's JSONL
 };
 
@@ -46,7 +44,6 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
   out.workers = opts.workers;
   out.rows.resize(n);
   std::vector<char> has(n, 0);
-  std::vector<int> failures(n, 0);  // failed attempts re-dispatched so far
 
   auto finalize = [&](const SweepRow& row, std::size_t pos) {
     has[pos] = 1;
@@ -54,10 +51,6 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
     ++out.done;
     if (!row.ok) ++out.failed;
     if (opts.on_final_row) opts.on_final_row(out.rows[pos]);
-  };
-  // A row is final when it succeeded or its point's retry budget is spent.
-  auto is_final = [&](const SweepRow& row, std::size_t pos) {
-    return row.ok || failures[pos] >= opts.max_point_retries;
   };
 
   // Resume: accept prior ok rows up front (point order), re-run the rest.
@@ -74,103 +67,61 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
     ++out.resumed;
   }
 
-  // Deal the remaining points: shard_slice per worker (keeps baseline
-  // groups together), then cut each slice into chunks.
+  // Deal the remaining points: one shard_slice per worker (keeps baseline
+  // groups together), each slice one task.  Afterwards the queue holds
+  // only the re-dispatches of dead workers' points.
   std::vector<SweepPoint> pending;
   pending.reserve(n - out.done);
   for (std::size_t i = 0; i < n; ++i)
     if (!has[i]) pending.push_back(points[i]);
 
-  std::vector<std::deque<Chunk>> queues(
-      static_cast<std::size_t>(opts.workers));
+  std::deque<Chunk> queue;  // tasks waiting for a free slot
   for (int w = 0; w < opts.workers; ++w) {
-    const std::vector<SweepPoint> slice =
-        shard_slice(pending, w, opts.workers);
-    if (slice.empty()) continue;
-    // With stealing, give every worker a few chunks so there is something
-    // to steal; without it, chunking only adds dispatch overhead — one
-    // task per worker (the `--shards N` topology).
-    const std::size_t chunk =
-        opts.steal ? std::max<std::size_t>(1, slice.size() / 4)
-                   : slice.size();
-    for (std::size_t b = 0; b < slice.size(); b += chunk) {
-      Chunk c;
-      c.points.assign(slice.begin() + static_cast<std::ptrdiff_t>(b),
-                      slice.begin() + static_cast<std::ptrdiff_t>(
-                                          std::min(b + chunk, slice.size())));
-      queues[static_cast<std::size_t>(w)].push_back(std::move(c));
-    }
+    Chunk c;
+    c.points = shard_slice(pending, w, opts.workers);
+    if (!c.points.empty()) queue.push_back(std::move(c));
   }
 
   std::map<int, Chunk> active;  // slot -> chunk being executed
   std::uint64_t next_task_id = 0;
 
-  auto take_chunk = [&](int slot) -> std::pair<bool, Chunk> {
-    auto& own = queues[static_cast<std::size_t>(slot)];
-    if (!own.empty()) {
-      Chunk c = std::move(own.front());
-      own.pop_front();
-      return {true, std::move(c)};
-    }
-    if (!opts.steal) return {false, {}};
-    // Steal from the most-loaded sibling's tail (the work its owner
-    // would reach last); ties break toward the lowest slot for
-    // reproducible dispatch decisions.
-    int victim = -1;
-    std::size_t best = 0;
-    for (int w = 0; w < opts.workers; ++w)
-      if (queues[static_cast<std::size_t>(w)].size() > best) {
-        best = queues[static_cast<std::size_t>(w)].size();
-        victim = w;
-      }
-    if (victim < 0) return {false, {}};
-    auto& q = queues[static_cast<std::size_t>(victim)];
-    Chunk c = std::move(q.back());
-    q.pop_back();
-    ++out.steals;
-    UNIMEM_TRACE_INSTANT2("coordinator", "task.steal", -1.0, "thief",
-                          static_cast<std::uint64_t>(slot), "victim",
-                          static_cast<std::uint64_t>(victim));
-    return {true, std::move(c)};
-  };
-
-  auto dispatch = [&](int slot) -> bool {
-    auto [got, chunk] = take_chunk(slot);
-    if (!got) return false;
+  auto dispatch = [&](int slot) {
+    Chunk chunk = std::move(queue.front());
+    queue.pop_front();
     LaunchTask task;
     task.slot = slot;
     task.task_id = next_task_id++;
-    task.attempt_base = chunk.attempt;
     task.points = chunk.points;
     task.artifact =
         opts.scratch_dir + "/task-" + std::to_string(task.task_id) + ".jsonl";
     task.engine = opts.engine;
     task.engine.on_result = nullptr;
     UNIMEM_TRACE_INSTANT2("coordinator",
-                          chunk.attempt > 0 ? "task.redispatch"
-                                            : "task.dispatch",
+                          chunk.deaths > 0 ? "task.redispatch"
+                                           : "task.dispatch",
                           -1.0, "task", task.task_id, "points",
                           task.points.size());
     opts.launcher->start(task);
     chunk.artifact = task.artifact;
     active[slot] = std::move(chunk);
     ++out.tasks;
-    return true;
   };
 
   auto progress = [&] {
     if (opts.on_progress) opts.on_progress(out);
   };
 
+  // Free slots pop from the back: the first tasks go to slots 0, 1, ...,
+  // and a re-dispatch runs on the slot its dead worker just freed.
   std::vector<int> free_slots;
   for (int w = opts.workers - 1; w >= 0; --w) free_slots.push_back(w);
 
   // Row events can finalize every point before the tasks that ran them
   // have finished, so keep waiting until each task's spills are in too.
   while (out.done < n || !active.empty()) {
-    for (std::size_t i = free_slots.size(); i-- > 0;) {
-      if (dispatch(free_slots[i]))
-        free_slots.erase(free_slots.begin() + static_cast<std::ptrdiff_t>(i));
+    while (!queue.empty() && !free_slots.empty()) {
+      dispatch(free_slots.back());
+      free_slots.pop_back();
     }
     if (active.empty())
       throw std::logic_error(
@@ -182,11 +133,9 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
     if (ait == active.end())
       throw std::logic_error("run_campaign: event for idle slot");
     if (!status.finished) {
-      // A streamed row of a still-running task: final as soon as it lands,
-      // unless it failed with retry budget left (decided at task end).
+      // A streamed row of a still-running task: final as soon as it lands.
       const auto pit = pos_of.find(status.row.index);
-      if (pit != pos_of.end() && !has[pit->second] &&
-          is_final(status.row, pit->second))
+      if (pit != pos_of.end() && !has[pit->second])
         finalize(status.row, pit->second);
       continue;
     }
@@ -215,24 +164,11 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
     std::set<std::size_t> open;
     for (const SweepPoint& p : chunk.points)
       if (!has[pos_of.at(p.index)]) open.insert(p.index);
-    std::set<std::size_t> again;  // points the re-dispatch chunk re-runs
-    for (const SweepRow& row : rows) {
-      if (open.erase(row.index) == 0) continue;
-      const std::size_t pos = pos_of.at(row.index);
-      if (is_final(row, pos)) {
-        finalize(row, pos);
-      } else {
-        ++failures[pos];
-        ++out.retries;
-        again.insert(row.index);
-      }
-    }
+    for (const SweepRow& row : rows)
+      if (open.erase(row.index) != 0) finalize(row, pos_of.at(row.index));
 
-    Chunk retry;
-    retry.attempt = chunk.attempt + 1;
-    retry.deaths = chunk.deaths;
     if (!open.empty()) {
-      // The worker died mid-chunk.  Re-dispatch the unfinished points, or
+      // The worker died mid-task.  Re-dispatch the unfinished points, or
       // — budget exhausted — finalize them as failures naming the cause.
       const std::string cause =
           status.detail.empty() ? "task did not run to completion"
@@ -244,9 +180,14 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
       out.task_failures.push_back(cause + " — " + std::to_string(open.size()) +
                                   " point(s) unfinished");
       if (chunk.deaths < opts.max_task_retries) {
-        ++retry.deaths;
+        // Front of the queue: the re-dispatch runs next, on the slot that
+        // just freed, so it never waits behind a busy worker.
+        Chunk retry;
+        retry.deaths = chunk.deaths + 1;
+        for (const SweepPoint& p : chunk.points)
+          if (open.count(p.index) != 0) retry.points.push_back(p);
+        queue.push_front(std::move(retry));
         ++out.task_retries;
-        again.insert(open.begin(), open.end());
       } else {
         for (const SweepPoint& p : chunk.points) {
           if (open.count(p.index) == 0) continue;
@@ -261,13 +202,6 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
         }
       }
     }
-    if (!again.empty()) {
-      // Front of the freed slot's queue: the re-dispatch runs next, on a
-      // slot that is idle now, so it never waits behind a busy worker.
-      for (const SweepPoint& p : chunk.points)
-        if (again.count(p.index) != 0) retry.points.push_back(p);
-      queues[static_cast<std::size_t>(slot)].push_front(std::move(retry));
-    }
     progress();
   }
 
@@ -275,10 +209,8 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   auto& reg = trace::MetricsRegistry::global();
-  reg.counter("sweep.point_retries")->add(out.retries);
   reg.counter("campaign.tasks")->add(out.tasks);
   reg.counter("campaign.task_retries")->add(out.task_retries);
-  reg.counter("campaign.steals")->add(out.steals);
   reg.counter("campaign.resumed")->add(out.resumed);
   reg.counter("campaign.failed_points")->add(out.failed);
   reg.gauge("campaign.wall_s")->set(out.wall_s);

@@ -1,32 +1,27 @@
-// Campaign coordinator: the sweep service's control plane.
+// Campaign coordinator: the sweep CLI's dispatch loop.
 //
 // run_campaign() drives a set of sweep points to completion through a
 // pluggable Launcher (launcher.h).  It is the only way the sweep CLI runs
-// points: `--jobs N` is one in-process worker, `--shards N` is N fork
-// workers without stealing, and `--launcher` picks any topology.  On top
-// of dispatch it is a fault-tolerant service:
+// points: `--jobs N` is one in-process worker and `--launcher` with
+// `--workers N` picks any other topology.  Around dispatch:
 //
-//   * CHUNKED DISPATCH — points are dealt to worker slots with
-//     shard_slice (whole baseline groups stay together), then each slice
-//     is cut into chunks so a finished worker can pick up more work.
-//   * WORK STEALING — a worker whose own queue drains takes chunks from
-//     the most-loaded sibling's queue tail, so one straggling slice no
-//     longer bounds campaign wall-clock.
-//   * RETRIES — a task runs each point once.  A failed row whose point
-//     has retry budget left (max_point_retries) is not finalized: the
-//     point joins a re-dispatch chunk with the next campaign-global
-//     attempt number, which runs next on the slot that just freed.
+//   * ONE TASK PER WORKER — points are dealt to worker slots with
+//     shard_slice (whole baseline groups stay together), and each slot's
+//     slice runs as one task.  A failed row is data: it is final as soon
+//     as it arrives, because a World that threw once throws again.
 //   * TASK REASSIGNMENT — a task whose worker DIES (nonzero exit,
-//     signal, lost ssh...) has its unfinished points re-dispatched the
-//     same way, up to max_task_retries times; rows the dead task already
-//     streamed are kept (its artifact is read with the crash-tolerant
-//     reader).
+//     signal, lost ssh...) has its unfinished points re-dispatched as a
+//     fresh task on the slot that just freed, up to max_task_retries
+//     times; rows the dead task already streamed are kept (its artifact
+//     is read with the crash-tolerant reader).
 //   * ONE COUNTER CHANNEL — a process-backed task spills its metrics
 //     registry next to its artifact and the coordinator merges it into
 //     this process's registry, so engine counters of every topology meet
 //     in MetricsRegistry::global().
 //   * RESUME — rows from a previous campaign's artifact are accepted
-//     up front and their points never re-run (crash-restart).
+//     up front and their points never re-run (crash-restart).  Failed
+//     resume rows re-run, which is how a transient host failure (say,
+//     EAGAIN creating a rank thread) is recovered.
 //
 // The coordinator itself NEVER spawns a thread: it is a single-threaded
 // event loop around Launcher::wait_any().  That is a hard constraint, not
@@ -35,9 +30,10 @@
 // in general).  All parallelism lives inside tasks.
 //
 // Determinism contract: per-point rows are bitwise identical no matter
-// which worker ran them, how often they were retried, or whether the
-// campaign was resumed — so the final point-ordered rows (and any
-// artifact written from them) are byte-identical across every topology.
+// which worker ran them, whether a dead worker's points were re-run, or
+// whether the campaign was resumed — so the final point-ordered rows (and
+// any artifact written from them) are byte-identical across every
+// topology.
 #pragma once
 
 #include <cstddef>
@@ -58,8 +54,6 @@ struct CampaignOutcome {
   bool complete = false;       ///< every point finalized, every task in
   std::size_t failed = 0;
   std::size_t resumed = 0;       ///< points satisfied by resume_rows
-  std::size_t retries = 0;       ///< failed point attempts re-dispatched
-  std::size_t steals = 0;        ///< chunks taken from another worker's queue
   std::size_t tasks = 0;         ///< tasks dispatched (incl. re-dispatches)
   std::size_t task_retries = 0;  ///< re-dispatches after a worker died
   double wall_s = 0;
@@ -78,20 +72,12 @@ struct CampaignOutcome {
 struct CoordinatorOptions {
   Launcher* launcher = nullptr;  ///< required; not owned
   /// Concurrent worker slots (tasks in flight); also the shard_slice
-  /// fan-out that decides chunk ownership.
+  /// fan-out that deals the points, one task per slot.
   int workers = 2;
-  /// Allow idle workers to take chunks from other workers' queues.
-  bool steal = false;
   /// Re-dispatch budget for tasks whose worker died; when exhausted the
   /// task's unfinished points are finalized as failed rows naming the
   /// worker's fate.
   int max_task_retries = 2;
-  /// Per-point retry budget: a point whose row failed is re-dispatched
-  /// up to this many extra times before its failure row is final.  A
-  /// retried success is bitwise identical to a first-try success —
-  /// attempts are counters (CampaignOutcome::retries), never artifact
-  /// data — so retries preserve golden determinism.
-  int max_point_retries = 0;
   /// Per-task engine options; on_result is ignored — rows come back
   /// through row events and task artifacts to on_final_row.
   EngineOptions engine;

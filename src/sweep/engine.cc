@@ -50,7 +50,7 @@ SweepOutcome SweepEngine::run(const std::vector<SweepPoint>& points) {
   std::mutex result_mu;
 
   auto run_point = [&](const SweepPoint& p) {
-    if (opts_.run_point) return opts_.run_point(p, opts_.attempt_base);
+    if (opts_.run_point) return opts_.run_point(p, 0);
     return exp::run_once(p.cfg);
   };
 
@@ -82,9 +82,7 @@ SweepOutcome SweepEngine::run(const std::vector<SweepPoint>& points) {
       row.index = p.index;
       row.label = p.label;
       row.axis = p.axis;
-      UNIMEM_TRACE_BEGIN2("sweep", "point", -1.0, "index", p.index,
-                          "attempt",
-                          static_cast<std::uint64_t>(opts_.attempt_base));
+      UNIMEM_TRACE_BEGIN1("sweep", "point", -1.0, "index", p.index);
       try {
         if (p.normalize) {
           const exp::RunResult base = baselines_->dram_baseline(p.cfg);
@@ -154,7 +152,7 @@ SweepOutcome SweepEngine::run(const std::vector<SweepPoint>& points) {
   // Publish engine tallies into the global registry (additive across
   // engine runs in one process, e.g. the tasks of an inproc campaign;
   // process-backed tasks spill theirs to the coordinator).  Points count
-  // attempts: a retried point adds to points_failed, then points_ok.
+  // runs: one per point, plus the re-runs of a dead worker's points.
   auto& reg = trace::MetricsRegistry::global();
   reg.counter("sweep.points_ok")->add(out.rows.size() - out.failed);
   reg.counter("sweep.points_failed")->add(out.failed);

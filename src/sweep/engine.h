@@ -15,8 +15,9 @@
 //     count (asserted by SweepDeterminism in tests/sweep_test.cc).
 //   * Failure isolation: a throwing job (or a throwing baseline it
 //     depends on) marks its own row failed and the batch keeps going.
-//     Each point runs once; re-running failed points is the campaign
-//     coordinator's decision (coordinator.h), not the engine's.
+//     Each point runs once: a World is deterministic, so a point that
+//     threw would throw again.  Only a dead worker's points re-run
+//     (coordinator.h), and --resume re-runs failed rows.
 #pragma once
 
 #include <cstddef>
@@ -67,16 +68,12 @@ struct EngineOptions {
   /// Streaming result callback, invoked in completion order; calls are
   /// serialized by the engine.
   std::function<void(const SweepRow&)> on_result;
-  /// Attempt number of every point this engine runs: each point runs
-  /// once, and the coordinator re-dispatches failed points (and those of
-  /// dead workers) with the next campaign-global attempt number, so
-  /// `run_point` hooks and fault-injection schedules observe it.
-  int attempt_base = 0;
   /// Point execution hook: when set, replaces exp::run_once for the
   /// point's own run (baselines still go through the BaselineService).
-  /// Receives attempt_base.  Tests inject synthetic runners and seeded
-  /// transient faults here; the CLI's --inject-fail rides the same hook.
-  std::function<exp::RunResult(const SweepPoint&, int attempt)> run_point;
+  /// Tests inject synthetic runners here; perfbench times Worlds here.
+  /// The int argument is always 0: it is kept only because perfbench
+  /// binds a two-argument lambda.
+  std::function<exp::RunResult(const SweepPoint&, int)> run_point;
 };
 
 class SweepEngine {

@@ -27,7 +27,6 @@ SweepOutcome run_task_to_artifact(
   SweepResultStore store;
   store.stream_jsonl(task.artifact);
   EngineOptions eopts = task.engine;
-  eopts.attempt_base = task.attempt_base;
   eopts.on_result = [&](const SweepRow& row) {
     store.add(row);
     if (on_row) on_row(row);

@@ -13,7 +13,7 @@
 // Three topologies:
 //   * InProcessLauncher — one std::thread per task, shared BaselineService.
 //   * ForkLauncher      — fork(); the child runs the task body and _exit()s,
-//                         owning its whole address space (`--shards N`).
+//                         owning its whole address space.
 //   * CommandLauncher   — fork()+exec of an argv the caller builds per
 //                         task (ssh-style: any prefix like {"ssh","host"}
 //                         in front of a sweep CLI invocation).  The child
@@ -51,12 +51,6 @@ namespace unimem::sweep {
 struct LaunchTask {
   int slot = 0;               ///< worker slot the coordinator assigned
   std::uint64_t task_id = 0;  ///< unique within a campaign (artifact names)
-  /// Campaign-global attempt number of every point in this task (0 on
-  /// first dispatch; a re-dispatch chunk carries the next attempt).
-  /// Forwarded to EngineOptions::attempt_base so run_point hooks and
-  /// fault-injection schedules see the global attempt even across
-  /// process boundaries.
-  int attempt_base = 0;
   std::vector<SweepPoint> points;
   std::string artifact;  ///< JSONL path the task streams rows to
   EngineOptions engine;  ///< per-task engine options (on_result is ignored)
@@ -96,11 +90,11 @@ struct LaunchStatus {
 /// Task body shared by every launcher: run task.points once each through
 /// a SweepEngine streaming to task.artifact, then write the spills the
 /// task names (task.metrics, task.trace).  Rows, spills and the exit
-/// status are everything a task reports; the coordinator decides re-runs
-/// and sums counters.  The task's on_result is replaced by the artifact
-/// stream plus `on_row`, called (serialized) with each row as it
-/// finishes.  `baselines` may be shared across tasks (in-process
-/// launcher); nullptr = task-owned service.
+/// status are everything a task reports; the coordinator re-runs a dead
+/// worker's points and sums counters.  The task's on_result is replaced
+/// by the artifact stream plus `on_row`, called (serialized) with each
+/// row as it finishes.  `baselines` may be shared across tasks
+/// (in-process launcher); nullptr = task-owned service.
 SweepOutcome run_task_to_artifact(
     const LaunchTask& task, BaselineService* baselines = nullptr,
     const std::function<void(const SweepRow&)>& on_row = nullptr);

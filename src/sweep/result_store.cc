@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <iterator>
@@ -220,10 +221,16 @@ class LineCursor {
     return v;
   }
 
+  /// Digits only: strtoull alone would also take leading whitespace and
+  /// a sign (wrapping "-1" to ULLONG_MAX) and clamp overflow silently.
   unsigned long long unsigned_int() {
+    if (pos_ >= s_.size() ||
+        std::isdigit(static_cast<unsigned char>(s_[pos_])) == 0)
+      fail("expected integer");
+    errno = 0;
     char* end = nullptr;
     const unsigned long long v = std::strtoull(s_.c_str() + pos_, &end, 10);
-    if (end == s_.c_str() + pos_) fail("expected integer");
+    if (errno == ERANGE) fail("integer out of range");
     pos_ = static_cast<std::size_t>(end - s_.c_str());
     return v;
   }

@@ -444,10 +444,10 @@ SweepSpec make_spec(const std::string& name) {
     // Coordinator stress grid (not a paper figure): 10 bandwidths x 10
     // latencies x 100 DRAM capacities = 10,000 points of the cheapest
     // world we can run (class-S single-rank single-iteration CG under
-    // manual placement with nothing placed), sized to exercise the sweep
-    // service's dispatch/steal/retry/resume machinery, not the simulator.
-    // Tests drive it with a synthetic run_point hook; smoke CI runs a
-    // --filter slice through the real CLI.
+    // manual placement with nothing placed), sized to exercise the
+    // coordinator's dispatch, dead-worker re-dispatch and resume, not the
+    // simulator.  Smoke CI runs a --filter slice through the real CLI, and
+    // perfbench's tiny_worlds workload runs a seeded slice of it.
     s.title = "Sweep service stress: 10k-point synthetic campaign";
     s.workloads = {"cg"};
     s.policies = {exp::Policy::kManual};

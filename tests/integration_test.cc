@@ -241,6 +241,25 @@ TEST(Integration, XMenRejectedOnLadderDeeperThanTwoTiers) {
   EXPECT_NO_THROW(run_once(cfg));
 }
 
+TEST(Integration, ManualRejectedOnLadderDeeperThanTwoTiers) {
+  // Manual placement puts the manual_dram objects into tier 0; on a 3-tier
+  // ladder that is HBM, so rows labelled as DRAM placements would describe
+  // HBM ones.  run_once refuses the run; two tiers stay legal.
+  RunConfig cfg = base_cfg("cg");
+  cfg.policy = Policy::kManual;
+  cfg.manual_dram = {"x"};
+  cfg.tiers = "hbm:1MiB,dram:4MiB,nvm:512MiB";
+  try {
+    run_once(cfg);
+    ADD_FAILURE() << "manual placement was accepted on a 3-tier ladder";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("manual_dram"), std::string::npos)
+        << e.what();
+  }
+  cfg.tiers = "dram:2MiB,nvm:64MiB";
+  EXPECT_NO_THROW(run_once(cfg));
+}
+
 TEST(Integration, TierLadderRejectsKnobsTheTieredPlannerIgnores) {
   // On more than 2 tiers every plan comes from the MCKP placement, which
   // reads neither the slack scheduler nor the Fig. 11 search switches:

@@ -1,9 +1,8 @@
-// Sweep service tests: point retries re-dispatched by the coordinator
-// (rows byte-identical to first-try successes), the campaign coordinator
-// (work stealing, dead-worker reassignment, resume), the launcher
-// topologies (in-process row streaming, fork, command), the
+// Sweep service tests: the campaign coordinator (one task per worker,
+// failed rows final on arrival, dead-worker reassignment, resume), the
+// launcher topologies (in-process row streaming, fork, command), the
 // crash-tolerant JSONL reader, CSV label sanitization, and the metrics a
-// fork campaign (the `--shards N` topology) merges from its tasks' spills.
+// fork campaign merges from its tasks' spills.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -16,7 +15,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -33,7 +31,7 @@ namespace unimem::sweep {
 namespace {
 
 // Synthetic points and a pure run_point hook: the service layer's
-// contracts (dispatch, retries, artifacts, determinism) are independent
+// contracts (dispatch, re-dispatch, artifacts, determinism) are independent
 // of the simulator, so these tests exercise them without running Worlds.
 std::vector<SweepPoint> synth_points(std::size_t n) {
   std::vector<SweepPoint> pts(n);
@@ -88,119 +86,32 @@ double global_jobs() {
   return it != snap.histograms.end() ? it->second.max : 0.0;
 }
 
-/// `points` as a one-worker in-process campaign with `retries` point
-/// retries.
-CampaignOutcome inproc_campaign(const std::vector<SweepPoint>& points,
-                                const EngineOptions& engine, int retries,
-                                const std::string& scratch) {
-  InProcessLauncher launcher;
-  CoordinatorOptions opts;
-  opts.launcher = &launcher;
-  opts.workers = 1;
-  opts.max_point_retries = retries;
-  opts.engine = engine;
-  opts.scratch_dir = scratch;
-  return run_campaign(points, opts);
-}
-
-// ---- point retries --------------------------------------------------------
-
-TEST(SweepEngine, RetriedRowsAreByteIdenticalToFirstTrySuccesses) {
-  const auto points = synth_points(20);
-  const std::string scratch = fresh_scratch("retried");
-
-  EngineOptions flaky;
-  flaky.jobs = 4;
-  flaky.run_point = [](const SweepPoint& p, int attempt) {
-    if (attempt == 0 && p.index % 3 == 0)
-      throw std::runtime_error("injected transient fault");
-    return synth_result(p.index);
-  };
-  const CampaignOutcome a = inproc_campaign(points, flaky, 2, scratch);
-
-  EngineOptions clean;
-  clean.jobs = 4;
-  clean.run_point = [](const SweepPoint& p, int) {
-    return synth_result(p.index);
-  };
-  const CampaignOutcome b = inproc_campaign(points, clean, 2, scratch);
-
-  EXPECT_EQ(a.failed, 0u) << "every injected fault recovered";
-  EXPECT_EQ(a.retries, 7u) << "one retry per index divisible by 3";
-  EXPECT_EQ(b.retries, 0u);
-  ASSERT_EQ(a.rows.size(), b.rows.size());
-  // The determinism bar: attempts are counters, never artifact data.
-  EXPECT_EQ(jsonl_lines(a.rows), jsonl_lines(b.rows));
-}
-
-TEST(SweepEngine, RetryBudgetExhaustedKeepsTheFailureRow) {
-  const auto points = synth_points(3);
-  const std::string scratch = fresh_scratch("exhausted");
-  std::mutex mu;
-  std::vector<int> attempts;  // of the failing point, in run order
-  EngineOptions opts;
-  opts.jobs = 2;
-  opts.run_point = [&](const SweepPoint& p, int attempt) -> exp::RunResult {
-    if (p.index == 1) {
-      std::lock_guard<std::mutex> lk(mu);
-      attempts.push_back(attempt);
-      throw std::runtime_error("permanent fault");
-    }
-    return synth_result(p.index);
-  };
-  const CampaignOutcome out = inproc_campaign(points, opts, 2, scratch);
-  EXPECT_EQ(out.failed, 1u);
-  EXPECT_EQ(out.retries, 2u) << "the whole budget was spent on point 1";
-  EXPECT_EQ(attempts, (std::vector<int>{0, 1, 2}))
-      << "each re-dispatch carries the next campaign-global attempt";
-  EXPECT_FALSE(out.rows[1].ok);
-  EXPECT_NE(out.rows[1].error.find("permanent fault"), std::string::npos);
-  EXPECT_TRUE(out.rows[0].ok);
-  EXPECT_TRUE(out.rows[2].ok);
-}
-
 // ---- coordinator ----------------------------------------------------------
 
-// The service-layer headline at stress scale: a 10k-point campaign with
-// seeded transient faults and a deliberately slow worker slice recovers
-// to zero failed rows, steals work off the straggler, and still produces
-// rows byte-identical to a plain engine run of the same points.
-TEST(Coordinator, StressCampaignRecoversFaultsStealsWorkStaysDeterministic) {
+// The coordinator at stress scale: a 10k-point campaign on 4 workers
+// where every fifth point throws runs one task per worker, finalizes each
+// failed row once on arrival, and produces rows byte-identical to a plain
+// engine run of the same points, failure rows included.
+TEST(Coordinator, StressCampaignStaysDeterministic) {
   const std::size_t kPoints = 10000;
   const auto points = synth_points(kPoints);
   const std::string scratch = fresh_scratch("stress");
   trace::MetricsRegistry::global().reset();
 
+  auto run_point = [](const SweepPoint& p, int) {
+    if (p.index % 5 == 0) throw std::runtime_error("deterministic fault");
+    return synth_result(p.index);
+  };
   InProcessLauncher launcher;
   CoordinatorOptions opts;
   opts.launcher = &launcher;
   opts.workers = 4;
-  opts.steal = true;
   opts.scratch_dir = scratch;
   opts.engine.jobs = 2;
-  opts.max_point_retries = 2;
-  // Slot 0's slice (indices 0 mod 4) blocks until every other worker's
-  // point has completed, so the drained workers must steal slot 0's queued
-  // chunks — deterministic regardless of scheduler or sanitizer slowdown.
-  // No deadlock: workers steal only once their own (all non-slot-0) queue
-  // has fully completed, so the last non-slot-0 point always has an
-  // unblocked worker to run on.
-  std::atomic<std::size_t> other_done{0};
-  const std::size_t kOtherPoints = kPoints - kPoints / 4;
-  opts.engine.run_point = [&](const SweepPoint& p, int attempt) {
-    if (attempt == 0 && p.index % 5 == 0)
-      throw std::runtime_error("injected transient fault");
-    if (p.index % 4 == 0) {
-      while (other_done.load(std::memory_order_acquire) < kOtherPoints)
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-    } else {
-      other_done.fetch_add(1, std::memory_order_acq_rel);
-    }
-    return synth_result(p.index);
-  };
+  opts.engine.run_point = run_point;
 
-  std::size_t final_rows = 0;
-  opts.on_final_row = [&](const SweepRow&) { ++final_rows; };
+  std::vector<int> finalized(kPoints, 0);
+  opts.on_final_row = [&](const SweepRow& row) { ++finalized[row.index]; };
   std::size_t progress_calls = 0;
   bool last_complete = false;
   std::size_t last_done = 0;
@@ -212,38 +123,25 @@ TEST(Coordinator, StressCampaignRecoversFaultsStealsWorkStaysDeterministic) {
 
   const CampaignOutcome out = run_campaign(points, opts);
 
-  EXPECT_EQ(out.failed, 0u) << "every injected fault recovered";
-  EXPECT_GT(out.steals, 0u) << "idle workers must take the straggler's chunks";
-  EXPECT_GE(out.tasks, 4u);
+  EXPECT_EQ(out.failed, kPoints / 5) << "a failed row is final, not retried";
+  EXPECT_EQ(std::count(finalized.begin(), finalized.end(), 1),
+            static_cast<std::ptrdiff_t>(kPoints))
+      << "every row finalized exactly once";
+  EXPECT_EQ(out.tasks, 4u) << "one task per worker";
+  EXPECT_EQ(out.task_retries, 0u);
+  EXPECT_TRUE(out.task_failures.empty());
   EXPECT_EQ(out.resumed, 0u);
   EXPECT_EQ(out.workers, 4);
-  if (out.task_retries == 0) {
-    // The exact counters hold unless the host is so starved that a task
-    // dies outright (e.g. pthread_create EAGAIN under a sanitizer while
-    // the box is saturated); the coordinator recovers those by
-    // re-dispatch, which legitimately re-runs points and shifts counts.
-    EXPECT_TRUE(out.task_failures.empty());
-    EXPECT_EQ(out.retries, kPoints / 5) << "one retry per injected point";
-    EXPECT_EQ(global_jobs(), 2.0) << "per-task width, not the sum";
-    EXPECT_EQ(global_counter("sweep.worlds_executed"), kPoints)
-        << "only successful attempts count as executed worlds";
-  } else {
-    for (const std::string& f : out.task_failures)
-      std::fprintf(stderr, "note: recovered task failure: %s\n", f.c_str());
-    EXPECT_LE(out.retries, kPoints / 5)
-        << "faults inject on first-dispatch attempt 0 only";
-    EXPECT_EQ(out.task_failures.size(), out.task_retries);
-  }
-  EXPECT_EQ(final_rows, kPoints);
+  EXPECT_EQ(global_jobs(), 2.0) << "per-task width, not the sum";
+  EXPECT_EQ(global_counter("sweep.worlds_executed"), kPoints - kPoints / 5)
+      << "only points that returned count as executed worlds";
   EXPECT_GE(progress_calls, out.tasks + 1);
   EXPECT_TRUE(last_complete);
   EXPECT_EQ(last_done, kPoints);
 
   EngineOptions plain;
   plain.jobs = 4;
-  plain.run_point = [](const SweepPoint& p, int) {
-    return synth_result(p.index);
-  };
+  plain.run_point = run_point;
   const SweepOutcome ref = SweepEngine(plain).run(points);
   ASSERT_EQ(out.rows.size(), ref.rows.size());
   EXPECT_EQ(jsonl_lines(out.rows), jsonl_lines(ref.rows))
@@ -332,10 +230,10 @@ TEST(Coordinator, ForkedWorkerKilledMidTaskIsReassigned) {
       << "rows the dead worker already streamed are kept, the rest re-run";
 }
 
-// The `--shards N` topology: N fork workers, no stealing, so one task
-// per worker, plus one re-dispatch task for the failed point.  Engine
-// counters come back through the forked tasks' metrics spills.
-TEST(Coordinator, ForkCampaignReportsPerTaskJobsAndAggregatesRetries) {
+// N fork workers run one task each, and a failed row is final: it is
+// not re-run.  Engine counters come back through the forked tasks'
+// metrics spills.
+TEST(Coordinator, ForkCampaignReportsPerTaskJobsAndAggregatesFailures) {
   const std::string scratch = fresh_scratch("forkcampaign");
   const auto points = synth_points(6);
   trace::MetricsRegistry::global().reset();
@@ -343,25 +241,25 @@ TEST(Coordinator, ForkCampaignReportsPerTaskJobsAndAggregatesRetries) {
   CoordinatorOptions opts;
   opts.launcher = &launcher;
   opts.workers = 2;
-  opts.max_point_retries = 1;
   opts.scratch_dir = scratch;
   opts.engine.jobs = 1;
-  opts.engine.run_point = [](const SweepPoint& p, int attempt) {
-    if (attempt == 0 && p.index == 2)
-      throw std::runtime_error("injected transient fault");
+  opts.engine.run_point = [](const SweepPoint& p, int) {
+    if (p.index == 2) throw std::runtime_error("deterministic fault");
     return synth_result(p.index);
   };
 
   const CampaignOutcome out = run_campaign(points, opts);
   EXPECT_EQ(out.workers, 2);
-  EXPECT_EQ(out.tasks, 3u) << "one task per worker plus the re-dispatch";
+  EXPECT_EQ(out.tasks, 2u) << "one task per worker, no re-run";
   EXPECT_EQ(global_jobs(), 1.0) << "per-task width, not the sum over workers";
-  EXPECT_EQ(out.retries, 1u) << "the coordinator re-ran the failed point";
   EXPECT_EQ(global_counter("sweep.points_failed"), 1u)
-      << "the child's failed attempt reached the parent";
-  EXPECT_EQ(global_counter("sweep.worlds_executed"), points.size());
-  EXPECT_EQ(out.failed, 0u);
+      << "the child's failed point reached the parent";
+  EXPECT_EQ(global_counter("sweep.worlds_executed"), points.size() - 1);
+  EXPECT_EQ(out.failed, 1u);
   ASSERT_EQ(out.rows.size(), points.size());
+  EXPECT_FALSE(out.rows[2].ok);
+  EXPECT_NE(out.rows[2].error.find("deterministic fault"), std::string::npos)
+      << out.rows[2].error;
   for (std::size_t i = 0; i < out.rows.size(); ++i)
     EXPECT_EQ(out.rows[i].index, i) << "campaign rows are point-ordered";
 }

@@ -911,6 +911,25 @@ TEST(SweepResultStore, JsonlRoundTripsExactly) {
   EXPECT_THROW(
       parse_jsonl_line(SweepResultStore::jsonl_line(raw) + "trailing"),
       std::runtime_error);
+  // Integers are digits only: no sign, no leading whitespace, no overflow
+  // clamped to ULLONG_MAX.
+  const std::string line = SweepResultStore::jsonl_line(raw);
+  auto with = [&](const std::string& from, const std::string& to) {
+    std::string s = line;
+    const std::size_t at = s.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return s.replace(at, from.size(), to);
+  };
+  EXPECT_THROW(parse_jsonl_line(with("\"index\":0", "\"index\":-1")),
+               std::runtime_error);
+  EXPECT_THROW(
+      parse_jsonl_line(with("\"migrations\":0", "\"migrations\":-3")),
+      std::runtime_error);
+  EXPECT_THROW(parse_jsonl_line(with("\"index\":0",
+                                     "\"index\":99999999999999999999999")),
+               std::runtime_error);
+  EXPECT_THROW(parse_jsonl_line(with("\"index\":0", "\"index\": 7")),
+               std::runtime_error);
 }
 
 TEST(SweepResultStore, FailureRowsStreamMergeAndStayPointOrdered) {

@@ -5,11 +5,9 @@
 //   unimem_sweep --spec fig2 --filter cg --points
 //   unimem_sweep --spec fig11 --jobs 4 --csv out.csv --jsonl out.jsonl
 //                [--summary-json summary.json]
-//   unimem_sweep --spec fig12 --shards 4            # 4 forked workers
+//   unimem_sweep --spec fig12 --launcher fork --workers 4   # 4 forked workers
 //   unimem_sweep --spec fig12 --shard 0/2 --jsonl s0.jsonl   # one slice
 //   unimem_sweep --merge s0.jsonl s1.jsonl --csv merged.csv  # stitch back
-//   unimem_sweep --spec fig12 --launcher fork --workers 4 --steal
-//                --retries 2 --jsonl out.jsonl     # coordinator service
 //   unimem_sweep --spec fig12 --resume --jsonl out.jsonl     # crash-restart
 //
 // Runs a named SweepSpec as one coordinator campaign
@@ -19,12 +17,11 @@
 // spec order.  UNIMEM_BENCH_SMOKE=1 (or --smoke) shrinks the spec to
 // smoke scale, same as the bench harnesses.
 //
-// Topology: `--jobs N` is one in-process worker running N jobs,
-// `--shards N` is N forked workers, and `--launcher inproc|fork|cmd[:PREFIX]`
-// with `--workers`/`--steal` picks any other.  Every topology gets
-// `--retries N` re-dispatch of failed points by the coordinator,
-// re-dispatch of tasks whose worker died, `--resume` crash-restart from
-// an existing --jsonl artifact, and a live `--summary-json` rewritten
+// Topology: `--jobs N` is one in-process worker running N jobs, and
+// `--launcher inproc|fork|cmd[:PREFIX]` with `--workers N` runs one task
+// per worker.  Every topology gets re-dispatch of the points of a worker
+// that died, `--resume` crash-restart from an existing --jsonl artifact
+// (it re-runs failed rows too), and a live `--summary-json` rewritten
 // (atomically) after every task.  The cmd launcher re-invokes this binary
 // (optionally through a PREFIX such as "ssh host") with
 // `--indices ... --task-metrics`, so any transport that can run a command
@@ -58,7 +55,6 @@
 #include <vector>
 
 #include "common/log.h"
-#include "common/rng.h"
 #include "sweep/coordinator.h"
 #include "sweep/engine.h"
 #include "sweep/launcher.h"
@@ -74,7 +70,7 @@ namespace {
 /// Version of the --summary-json document layout (see README "Summary
 /// JSON schema").  Bump when fields change meaning or go away; adding
 /// fields is compatible and does not bump.
-constexpr int kSummarySchemaVersion = 3;
+constexpr int kSummarySchemaVersion = 4;
 
 std::string iso8601_utc_now() {
   const std::time_t now = std::time(nullptr);
@@ -112,7 +108,6 @@ void usage(std::FILE* out) {
       "  --summary-json PATH  write a machine-readable batch summary\n"
       "                       (rewritten live after every task)\n"
       "  --shard I/N          run only the I-th of N deterministic shard slices\n"
-      "  --shards N           run on N forked workers (the fork launcher)\n"
       "  --merge FILE...      stitch per-shard JSONL files into --csv/--jsonl\n"
       "                       (with --spec: verify the merge covers the spec)\n"
       "  --profiler exact|N   override the spec's profiling tier: exact, or\n"
@@ -123,14 +118,12 @@ void usage(std::FILE* out) {
       "                       parse_topology ladder such as\n"
       "                       hbm:1MiB,dram:4MiB,nvm:512MiB, or 'classic' for\n"
       "                       the 2-tier machine (collapses the tiers axis)\n"
-      "  --retries N          re-dispatch each failed point up to N times\n"
       "  --launcher KIND      where tasks run: inproc, fork, or cmd[:PREFIX]\n"
       "                       (e.g. cmd:ssh host)\n"
-      "  --workers N          coordinator worker slots (default 2; implies\n"
-      "                       --launcher inproc when none given)\n"
-      "  --steal              work-steal chunks between coordinator workers\n"
-      "  --resume             skip points already ok in the --jsonl artifact\n"
-      "                       (tolerates a torn last line from a crash)\n"
+      "  --workers N          coordinator worker slots, one task each\n"
+      "                       (default 2; implies --launcher inproc if unset)\n"
+      "  --resume             skip points already ok in the --jsonl artifact,\n"
+      "                       re-run failed ones (tolerates a torn last line)\n"
       "  --trace PATH         record a span trace of the run; .json writes\n"
       "                       Chrome/Perfetto trace-event JSON, anything else\n"
       "                       the compact binary format (see unimem_trace)\n"
@@ -139,12 +132,9 @@ void usage(std::FILE* out) {
       "  --smoke              clamp to smoke scale (same as UNIMEM_BENCH_SMOKE=1)\n"
       "  --quiet              suppress the stdout table\n"
       "\n"
-      "fault-injection / internal (used by tests and the cmd launcher):\n"
-      "  --inject-fail P[:SEED]  fail each point's first attempt with seeded\n"
-      "                          probability P (deterministic per index)\n"
-      "  --attempt-base N        campaign-global attempt number of this task\n"
-      "  --task-metrics PATH     run as one cmd-launcher task: rows to --jsonl,\n"
-      "                          the task's metrics registry spilled to PATH\n",
+      "internal (used by the cmd launcher):\n"
+      "  --task-metrics PATH  run as one cmd-launcher task: rows to --jsonl,\n"
+      "                       the task's metrics registry spilled to PATH\n",
       out);
 }
 
@@ -174,17 +164,6 @@ bool parse_u64(const char* s, unsigned long long lo, unsigned long long hi,
   return true;
 }
 
-bool parse_f64(const char* s, double lo, double hi, double* out) {
-  if (s == nullptr || *s == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (errno == ERANGE || end == s || *end != '\0') return false;
-  if (!(v >= lo && v <= hi)) return false;
-  *out = v;
-  return true;
-}
-
 struct Args {
   std::string spec;
   std::string filter;
@@ -193,7 +172,7 @@ struct Args {
   std::string tiers;     ///< --tiers SPEC|classic ("" = spec default)
   bool have_tiers = false;
   std::string csv, jsonl, summary_json;
-  std::string launcher;      ///< "" = derived from --jobs/--shards
+  std::string launcher;      ///< "" = derived from --jobs/--workers
   std::string task_metrics;  ///< --task-metrics spill path ("" = no task)
   std::string trace;         ///< --trace output path ("" = tracing off)
   std::size_t trace_buf = 0;  ///< --trace-buf (0 = default ring)
@@ -202,13 +181,8 @@ struct Args {
   bool have_indices = false;
   int jobs = 0;
   int shard = -1, nshards = 0;  ///< --shard I/N
-  int fork_shards = 0;          ///< --shards N
-  int retries = 0;
-  int workers = 0;  ///< 0 = default (2) in service mode
-  int attempt_base = 0;
-  double inject_fail = 0.0;
-  std::uint64_t inject_seed = 20177;  ///< conf_sc_WuHL17 vintage
-  bool steal = false, resume = false;
+  int workers = 0;  ///< 0 = default (2) under --launcher
+  bool resume = false;
   bool list = false, points = false, smoke = false, quiet = false;
   bool merge = false;
 };
@@ -249,8 +223,6 @@ bool parse(int argc, char** argv, Args& a) {
       a.smoke = true;
     } else if (arg == "--quiet") {
       a.quiet = true;
-    } else if (arg == "--steal") {
-      a.steal = true;
     } else if (arg == "--resume") {
       a.resume = true;
     } else if (arg == "--spec") {
@@ -340,34 +312,9 @@ bool parse(int argc, char** argv, Args& a) {
     } else if (arg == "--jobs") {
       if (!int_value("--jobs", 0, 1 << 20, "an integer >= 0", &a.jobs))
         return false;
-    } else if (arg == "--retries") {
-      if (!int_value("--retries", 0, 1000, "an integer in [0, 1000]",
-                     &a.retries))
-        return false;
     } else if (arg == "--workers") {
       if (!int_value("--workers", 1, 1 << 16, "an integer >= 1", &a.workers))
         return false;
-    } else if (arg == "--attempt-base") {
-      if (!int_value("--attempt-base", 0, 1 << 20, "an integer >= 0",
-                     &a.attempt_base))
-        return false;
-    } else if (arg == "--inject-fail") {
-      const char* v = value("--inject-fail");
-      if (v == nullptr) return false;
-      std::string spec = v;
-      const std::size_t colon = spec.find(':');
-      bool ok = true;
-      if (colon != std::string::npos) {
-        unsigned long long seed = 0;
-        ok = parse_u64(spec.c_str() + colon + 1, 0, UINT64_MAX, &seed);
-        a.inject_seed = seed;
-        spec.resize(colon);
-      }
-      if (!ok || !parse_f64(spec.c_str(), 0.0, 1.0, &a.inject_fail)) {
-        std::fprintf(stderr, "unimem_sweep: --inject-fail wants P[:SEED] "
-                     "with P in [0, 1] (got '%s')\n", v);
-        return false;
-      }
     } else if (arg == "--indices") {
       const char* v = value("--indices");
       if (v == nullptr) return false;
@@ -402,9 +349,6 @@ bool parse(int argc, char** argv, Args& a) {
                      v);
         return false;
       }
-    } else if (arg == "--shards") {
-      if (!int_value("--shards", 1, 1 << 16, "N >= 1", &a.fork_shards))
-        return false;
     } else if (arg == "--merge") {
       a.merge = true;
     } else if (a.merge && !arg.empty() && arg[0] != '-') {
@@ -418,21 +362,17 @@ bool parse(int argc, char** argv, Args& a) {
     std::fprintf(stderr, "unimem_sweep: --merge needs shard JSONL files\n");
     return false;
   }
-  if (a.merge && (a.shard >= 0 || a.fork_shards > 0)) {
-    std::fprintf(stderr, "unimem_sweep: --merge excludes --shard/--shards\n");
+  if (a.merge && a.shard >= 0) {
+    std::fprintf(stderr, "unimem_sweep: --merge excludes --shard\n");
     return false;
   }
-  if (a.shard >= 0 && a.fork_shards > 0) {
-    std::fprintf(stderr, "unimem_sweep: pick one of --shard or --shards\n");
-    return false;
-  }
-  // --steal/--workers only mean something under a coordinator; default
-  // them into the cheapest launcher rather than silently ignoring them.
-  if (a.launcher.empty() && (a.steal || a.workers > 0)) a.launcher = "inproc";
-  if (!a.launcher.empty() && (a.shard >= 0 || a.fork_shards > 0)) {
+  // --workers only means something under --launcher; default it into the
+  // cheapest launcher rather than silently ignoring it.
+  if (a.launcher.empty() && a.workers > 0) a.launcher = "inproc";
+  if (!a.launcher.empty() && a.shard >= 0) {
     std::fprintf(stderr,
-                 "unimem_sweep: --launcher excludes --shard/--shards (the "
-                 "coordinator owns the topology)\n");
+                 "unimem_sweep: --launcher excludes --shard (the coordinator "
+                 "owns the topology)\n");
     return false;
   }
   if (!a.task_metrics.empty() && a.jsonl.empty()) {
@@ -473,11 +413,6 @@ std::vector<std::string> task_argv(const std::string& self, const Args& a,
   if (!a.dag.empty()) flag("--dag", a.dag);
   if (a.have_tiers) flag("--tiers", a.tiers.empty() ? "classic" : a.tiers);
   flag("--jobs", std::to_string(t.engine.jobs));
-  if (a.inject_fail > 0)
-    flag("--inject-fail", std::to_string(a.inject_fail) + ":" +
-                              std::to_string(a.inject_seed));
-  if (t.attempt_base > 0)
-    flag("--attempt-base", std::to_string(t.attempt_base));
   if (!t.trace.empty()) {
     // Binary shard spilled next to the artifact; the coordinator
     // harvests and the parent stitches it into the campaign trace.
@@ -516,13 +451,12 @@ bool write_summary(const std::string& path, const Args& a,
   std::fprintf(
       f,
       "{\"schema_version\":%d,\"spec\":\"%s\",\"points\":%zu,"
-      "\"done\":%zu,\"failed\":%zu,\"resumed\":%zu,\"retries\":%zu,"
-      "\"steals\":%zu,\"tasks\":%zu,\"task_retries\":%zu,\"workers\":%d,"
-      "\"launcher\":\"%s\",\"steal\":%s,\"complete\":%s,\"host_cpus\":%u",
+      "\"done\":%zu,\"failed\":%zu,\"resumed\":%zu,\"tasks\":%zu,"
+      "\"task_retries\":%zu,\"workers\":%d,\"launcher\":\"%s\","
+      "\"complete\":%s,\"host_cpus\":%u",
       kSummarySchemaVersion, a.spec.c_str(), o.rows.size(), o.done, o.failed,
-      o.resumed, o.retries, o.steals, o.tasks, o.task_retries, o.workers,
-      launcher, a.steal ? "true" : "false", o.complete ? "true" : "false",
-      std::thread::hardware_concurrency());
+      o.resumed, o.tasks, o.task_retries, o.workers, launcher,
+      o.complete ? "true" : "false", std::thread::hardware_concurrency());
   if (o.complete) {
     const unimem::trace::MetricsSnapshot m =
         unimem::trace::MetricsRegistry::global().snapshot();
@@ -673,7 +607,7 @@ int run_cli(int argc, char** argv) {
   }
   if (a.have_indices) {
     // Select by expansion index (the cmd launcher's task vocabulary);
-    // order follows the list so a chunk executes in its dispatch order.
+    // order follows the list so a task executes in its dispatch order.
     std::map<std::size_t, const sweep::SweepPoint*> by_index;
     for (const auto& p : points) by_index[p.index] = &p;
     std::vector<sweep::SweepPoint> picked;
@@ -706,26 +640,12 @@ int run_cli(int argc, char** argv) {
 
   sweep::EngineOptions eopts;
   eopts.jobs = a.jobs;
-  if (a.inject_fail > 0) {
-    const double prob = a.inject_fail;
-    const std::uint64_t seed = a.inject_seed;
-    eopts.run_point = [prob, seed](const sweep::SweepPoint& p, int attempt) {
-      if (attempt == 0) {
-        Rng rng(seed ^ (static_cast<std::uint64_t>(p.index) *
-                        0x9e3779b97f4a7c15ull));
-        if (rng.uniform() < prob)
-          throw std::runtime_error("injected transient fault (attempt 0)");
-      }
-      return exp::run_once(p.cfg);
-    };
-  }
 
   if (!a.task_metrics.empty()) {
     // One cmd-launcher task: the same body a fork worker runs.  Failed
     // rows are data in the artifact, so the exit code only says whether
     // the task ran to completion.
     sweep::LaunchTask task;
-    task.attempt_base = a.attempt_base;
     task.points = std::move(points);
     task.artifact = a.jsonl;
     task.engine = eopts;
@@ -737,14 +657,10 @@ int run_cli(int argc, char** argv) {
   }
 
   // Every run is a coordinator campaign: --jobs N is one in-process
-  // worker running N jobs, --shards N is N fork workers without
-  // stealing, and --launcher picks any topology.
+  // worker running N jobs, and --launcher picks any topology.
   std::string kind = a.launcher;
   int workers = a.workers > 0 ? a.workers : 2;
-  if (a.fork_shards > 0) {
-    kind = "fork";
-    workers = a.fork_shards;
-  } else if (kind.empty()) {
+  if (kind.empty()) {
     kind = "inproc";
     workers = 1;
   }
@@ -760,7 +676,7 @@ int run_cli(int argc, char** argv) {
     launcher = std::make_unique<sweep::ForkLauncher>();
   } else {
     // cmd[:PREFIX]: re-invoke this binary (through the PREFIX tokens,
-    // e.g. "ssh host") with --indices naming the chunk's points.
+    // e.g. "ssh host") with --indices naming the task's points.
     std::vector<std::string> prefix;
     if (kind.rfind("cmd:", 0) == 0) {
       const std::string rest = kind.substr(4);
@@ -814,8 +730,6 @@ int run_cli(int argc, char** argv) {
 
   copts.launcher = launcher.get();
   copts.workers = workers;
-  copts.steal = a.steal;
-  copts.max_point_retries = a.retries;
   copts.engine = eopts;
   copts.scratch_dir = scratch;
   copts.on_final_row = [&](const sweep::SweepRow& row) { store.add(row); };
@@ -863,11 +777,11 @@ int run_cli(int argc, char** argv) {
   const unsigned long long requests = sweep_counter(m, "baseline_requests");
   std::printf(
       "\nsweep %s [%s, %d workers]: %zu points, %zu failed, %zu resumed, "
-      "%zu retries, %zu steals, %zu tasks (%zu re-dispatched), %.2fs wall, "
-      "%llu worlds executed, %llu/%llu baselines memoized\n",
+      "%zu tasks (%zu re-dispatched), %.2fs wall, %llu worlds executed, "
+      "%llu/%llu baselines memoized\n",
       a.spec.c_str(), launcher->name(), outcome.workers, outcome.rows.size(),
-      outcome.failed, outcome.resumed, outcome.retries, outcome.steals,
-      outcome.tasks, outcome.task_retries, outcome.wall_s,
+      outcome.failed, outcome.resumed, outcome.tasks, outcome.task_retries,
+      outcome.wall_s,
       sweep_counter(m, "worlds_executed"),
       requests - sweep_counter(m, "baseline_computed"), requests);
 
