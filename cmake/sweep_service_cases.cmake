@@ -1,6 +1,7 @@
 # CLI contract tests for the sweep service layer: strict option parsing
 # (--profiler/--jobs/--indices reject junk and overflow instead of
-# silently truncating, and the deleted service flags are unknown), the
+# silently truncating, --profiler/--tiers are refused on specs with
+# explicit points, and the deleted flags are unknown), the
 # --merge coverage/gap heuristics, duplicate shard rejection,
 # torn-last-line --resume, and a fork campaign whose summary JSON carries
 # the forked tasks' metrics.
@@ -67,7 +68,19 @@ cli_expect(1 "profiler overflow"
 cli_expect(1 "profiler zero period"
            "${SWEEP_CLI}" --spec ${SPEC} --profiler 0 --points)
 cli_expect(0 "profiler exact accepted"
-           "${SWEEP_CLI}" --spec ${SPEC} --profiler exact --points)
+           "${SWEEP_CLI}" --spec fig13 --profiler exact --points)
+
+# The axis overrides cannot reach a spec's explicit points (whole configs
+# of their own), so they are refused there instead of silently dropped.
+cli_expect(1 "profiler rejected on explicit points"
+           "${SWEEP_CLI}" --spec fig12 --profiler 256 --points)
+expect_contains("${last_stderr}" "--profiler cannot override spec 'fig12'"
+                "profiler rejected on explicit points")
+cli_expect(1 "tiers rejected on explicit points"
+           "${SWEEP_CLI}" --spec fig4 --tiers hbm:1MiB,dram:4MiB,nvm:512MiB
+           --points)
+expect_contains("${last_stderr}" "--tiers cannot override spec 'fig4'"
+                "tiers rejected on explicit points")
 
 cli_expect(1 "jobs trailing garbage"
            "${SWEEP_CLI}" --spec ${SPEC} --jobs 4x --points)
@@ -96,6 +109,9 @@ foreach(flag_value IN ITEMS "--backoff-base;0.001" "--steal" "--retries;1"
   expect_contains("${last_stderr}" "unknown option '${flag}'"
                   "${flag} is unknown")
 endforeach()
+# Every World runs the one just-in-time migration-trigger policy.
+cli_expect(1 "--dag is unknown" "${SWEEP_CLI}" --spec fig13 --dag slack --points)
+expect_contains("${last_stderr}" "unknown option '--dag'" "--dag is unknown")
 
 # ---- merge heuristics ------------------------------------------------------
 

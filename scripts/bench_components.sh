@@ -82,25 +82,4 @@ jq --arg lbl "$LABEL" --slurpfile bench "$TMP" '
     else . end
 ' "$OUT" > "$OUT.tmp" && mv "$OUT.tmp" "$OUT"
 
-# Slack-scheduled migration overlap: a smoke-scale dag_slack sweep with
-# dag_schedule pinned to slack; the fraction of copy time hidden off the
-# critical path comes from the run's metrics histograms (sum of hidden
-# seconds over sum of copy seconds across the sweep's points).
-if [ -x "$BUILD/unimem_sweep" ]; then
-  DAGTMP="$(mktemp)"
-  UNIMEM_BENCH_SMOKE=1 "$BUILD/unimem_sweep" --spec dag_slack --dag slack \
-    --jobs 2 --quiet --summary-json "$DAGTMP" >&2
-  jq --slurpfile dag "$DAGTMP" '
-    ($dag[0].metrics.histograms["runtime.migration_hidden_s"].sum
-       // 0) as $hidden
-    | ($dag[0].metrics.histograms["runtime.migration_copy_s"].sum
-       // 0) as $copy
-    | if $copy > 0 then
-        .migration_hidden_fraction = ($hidden / $copy * 1000 | round / 1000)
-      else . end
-  ' "$OUT" > "$OUT.tmp" && mv "$OUT.tmp" "$OUT"
-  rm -f "$DAGTMP"
-else
-  echo "note: $BUILD/unimem_sweep not built; skipping migration_hidden_fraction" >&2
-fi
 echo "recorded '$LABEL' in $OUT"

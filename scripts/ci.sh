@@ -52,14 +52,10 @@ stage_release() {
 
   echo "== [release] sweep smoke =="
   # The unimem_sweep CLI end to end at smoke scale (tiny spec, parallel
-  # engine, JSONL/CSV/summary outputs, drift-injected replan_drift spec).
+  # engine, JSONL/CSV/summary outputs, drift-injected replan_drift spec,
+  # and the traced fig13 run whose spill feeds unimem_trace --summary and
+  # --dag).
   ctest --test-dir build -L sweep-smoke --output-on-failure -j "$JOBS"
-
-  echo "== [release] dag smoke =="
-  # Phase-DAG critical-path planning end to end: the dag_slack sweep under
-  # both dag_schedule pins, the trace->DAG rebuild (unimem_trace --dag),
-  # and the truncated-span accounting in --summary.
-  ctest --test-dir build -L dag-smoke --output-on-failure -j "$JOBS"
 
   echo "== [release] sweep service =="
   # The coordinator/launcher service layer: strict CLI parsing, merge
@@ -91,11 +87,6 @@ stage_tsan() {
   # multi-threaded task children is exactly the pattern TSan polices.
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir build-tsan -L sweep-service --output-on-failure -j "$JOBS"
-  # The DAG exchange reads phase timings the rank threads wrote and ships
-  # them over extra allreduces at the iteration top; the trace->DAG rebuild
-  # reads rings the rank threads filled.  Both must stay race-free.
-  TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-    ctest --test-dir build-tsan -L dag-smoke --output-on-failure -j "$JOBS"
 }
 
 STAGE="${1:-all}"

@@ -23,7 +23,7 @@ for bin in "$parent" "$change"; do
 done
 cd "$(dirname "$0")/.."
 
-specs=(fig2 fig3 fig4 fig9 fig10 fig11 fig12 fig13 table4 replan_drift dag_slack
+specs=(fig2 fig3 fig4 fig9 fig10 fig11 fig12 fig13 table4 replan_drift
        profiler_fidelity tier_ladder tier_sensitivity3)
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT

@@ -1,6 +1,7 @@
 #include "core/phase_dag.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdlib>
 #include <string>
 
@@ -94,23 +95,6 @@ const PhaseDag::Node* PhaseDag::find(int rank, std::size_t phase) const {
   return idx < nodes_.size() ? &nodes_[idx] : nullptr;
 }
 
-double PhaseDag::slack(int rank, std::size_t phase) const {
-  const Node* n = find(rank, phase);
-  return n != nullptr && computed_ ? n->slack_s : 0.0;
-}
-
-bool PhaseDag::critical(int rank, std::size_t phase) const {
-  const Node* n = find(rank, phase);
-  return n != nullptr && computed_ ? n->critical : true;
-}
-
-std::set<std::size_t> PhaseDag::critical_phases(int rank) const {
-  std::set<std::size_t> out;
-  for (const Node& n : nodes_)
-    if (n.rank == rank && n.critical) out.insert(n.phase);
-  return out;
-}
-
 PhaseDag PhaseDag::from_profile(
     const std::vector<std::vector<double>>& durations,
     const std::vector<std::vector<char>>& kinds) {
@@ -169,20 +153,22 @@ PhaseDag PhaseDag::from_trace(const trace::TraceData& data) {
   }
 
   // Track -> rank: parse "rank N" names (merged shards carry prefixes like
-  // "task-3/rank 0"); unnamed tracks sort after the named ones.  Rows are
+  // "task-3/rank 0"); unnamed tracks (and track ids past the table, which
+  // a spill read from disk may carry) sort after the named ones.  Rows are
   // densely renumbered in (parsed rank, track) order — the barrier edges
   // only need phase indices aligned across rows, not original rank ids.
   std::vector<std::pair<std::pair<int, std::uint32_t>, const std::vector<Span>*>>
       rows;
   for (const auto& [track, seq] : spans) {
-    int rank = -1;
+    int rank = INT_MAX;
     if (track < data.tracks.size()) {
       const std::string& name = data.tracks[track].name;
       const std::size_t pos = name.rfind("rank ");
-      if (pos != std::string::npos)
-        rank = std::atoi(name.c_str() + pos + 5);
+      if (pos != std::string::npos) {
+        const long parsed = std::strtol(name.c_str() + pos + 5, nullptr, 10);
+        if (parsed >= 0 && parsed < INT_MAX) rank = static_cast<int>(parsed);
+      }
     }
-    if (rank < 0) rank = static_cast<int>(spans.size()) + static_cast<int>(track);
     rows.push_back({{rank, track}, &seq});
   }
   std::sort(rows.begin(), rows.end(),

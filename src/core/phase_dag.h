@@ -1,4 +1,5 @@
-// Phase execution DAG + critical-path math (ROADMAP item 3).
+// Phase execution DAG + critical-path math: the library behind the
+// offline `unimem_trace --dag` report.
 //
 // Nodes are (rank, phase) executions with measured durations; edges are
 // program order within a rank plus the barrier dependencies a blocking
@@ -15,16 +16,14 @@
 //                 component carries slack)
 //   slack[v]    = latest[v] - earliest[v];  critical iff slack ~ 0
 //
-// Two ingestion paths build the same structure:
-//   * from_profile — the runtime's per-rank phase durations exchanged at
-//     an iteration boundary (the online slack-scheduling path);
-//   * from_trace   — "runtime/phase" B/E spans of a recorded trace (the
-//     offline `unimem_trace --dag` report).
+// One production ingestion path: from_trace rebuilds the DAG from the
+// "runtime/phase" B/E spans of a recorded trace.  It builds through
+// from_profile, which takes per-rank phase-duration rows directly (the
+// tests' entry point).
 #pragma once
 
 #include <cstddef>
 #include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -55,15 +54,14 @@ class PhaseDag {
   // Builder preconditions (add_node/add_edge):
   //  * Add each (rank, phase) pair at most once.  A duplicate is not
   //    rejected, but the lookup index keeps only the latest node, so the
-  //    earlier one becomes unreachable through find()/slack()/critical()
-  //    while still shaping the CPM result — a state no caller wants.
+  //    earlier one becomes unreachable through find() while still shaping
+  //    the CPM result — a state no caller wants.
   //  * Edge endpoints must be indices returned by a *prior* add_node on
   //    this DAG.  Out-of-range endpoints and self-edges are silently
   //    dropped; duplicate parallel edges are accepted and harmless.
   //  * Durations must be finite and >= 0 (profiled times; never NaN).
-  //  * Any add invalidates computed(): until the next successful
-  //    compute(), slack() reads 0 and critical() reads true — the
-  //    conservative answers that keep the slack scheduler honest.
+  //  * Any add invalidates computed(): a Node's CPM fields are meaningful
+  //    only after the next successful compute().
 
   /// Returns the node's index (edges reference indices).
   std::size_t add_node(int rank, std::size_t phase, double duration_s,
@@ -84,13 +82,6 @@ class PhaseDag {
 
   /// nullptr when (rank, phase) was never added.
   const Node* find(int rank, std::size_t phase) const;
-  /// 0 when unknown (an unknown phase offers no schedulable slack).
-  double slack(int rank, std::size_t phase) const;
-  /// true when unknown — conservative: the slack scheduler must not park
-  /// a copy in a phase it knows nothing about.
-  bool critical(int rank, std::size_t phase) const;
-  /// Phase indices of `rank` sitting on the critical path.
-  std::set<std::size_t> critical_phases(int rank) const;
 
   /// Build from exchanged per-rank phase durations: durations[r][p] is
   /// rank r's phase p time, kinds[r][p] nonzero for communication phases.

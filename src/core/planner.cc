@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "core/phase_dag.h"
-
 namespace unimem::rt {
 
 double Planner::no_move_time(const Profiler& prof) {
@@ -85,89 +83,6 @@ double Planner::overlap_window(const GroupProfiles& gp,
   return window;
 }
 
-std::size_t Planner::slack_trigger(const std::vector<double>& phase_times,
-                                   std::size_t needed, std::size_t earliest,
-                                   double copy_s, double* window,
-                                   bool* scheduled) const {
-  const std::size_t P = phase_times.size();
-  double w = 0;
-  if (earliest != needed) {
-    for (std::size_t cand = (needed + P - 1) % P;; cand = (cand + P - 1) % P) {
-      w += phase_times[cand];
-      if (w >= copy_s && !opts_.dag->critical(opts_.rank, cand) &&
-          opts_.dag->slack(opts_.rank, cand) >= copy_s) {
-        // Latest off-critical-path phase with room: the copy hides in its
-        // slack instead of delaying critical work.
-        *window = w;
-        *scheduled = true;
-        return cand;
-      }
-      if (cand == earliest) break;
-    }
-  }
-  // Every candidate is critical (the SPMD-symmetric common case) or too
-  // tight: enqueue at the earliest legal trigger with the full window —
-  // maximal overlap headroom for the serial copy engine.
-  *window = w;
-  *scheduled = false;
-  return earliest;
-}
-
-std::size_t Planner::global_slack_trigger(
-    const GroupProfiles& gp, const std::vector<double>& phase_times,
-    std::size_t g, std::size_t first_ref, double copy_s, std::size_t* needed,
-    double* window, bool* scheduled) const {
-  const std::size_t P = phase_times.size();
-  *needed = first_ref;
-  *window = 0;
-  *scheduled = false;
-  if (P == 0 || first_ref >= P || gp[first_ref].count(g) == 0)
-    return first_ref;
-
-  std::vector<bool> refs(P, false);
-  for (std::size_t p = 0; p < P; ++p) refs[p] = gp[p].count(g) != 0;
-
-  // Walk the cycle once starting after first_ref; every maximal run of
-  // non-referencing phases closes at a referencing phase (first_ref at the
-  // latest, since it is referenced), yielding one candidate: enqueue at
-  // the run's first phase, overlap its whole duration, land before the
-  // closing phase.
-  std::size_t best_trigger = first_ref;
-  double best_window = -1.0;
-  std::size_t run_start = P;
-  double run_window = 0;
-  bool run_in_slack = true;
-  for (std::size_t step = 1; step <= P; ++step) {
-    const std::size_t p = (first_ref + step) % P;
-    if (!refs[p]) {
-      if (run_start == P) {
-        run_start = p;
-        run_window = 0;
-        run_in_slack = true;
-      }
-      run_window += phase_times[p];
-      run_in_slack = run_in_slack && !opts_.dag->critical(opts_.rank, p) &&
-                     opts_.dag->slack(opts_.rank, p) >= copy_s;
-      continue;
-    }
-    if (run_start != P) {
-      // Hidden time is capped at the copy itself; among equally-hiding
-      // runs the first found (soonest after first_ref) wins
-      // deterministically.
-      if (std::min(run_window, copy_s) > std::min(best_window, copy_s)) {
-        best_trigger = run_start;
-        best_window = run_window;
-        *needed = p;
-        *scheduled = run_in_slack && run_window >= copy_s;
-      }
-      run_start = P;
-    }
-  }
-  if (best_window < 0) return first_ref;  // referenced every phase
-  *window = best_window;
-  return best_trigger;
-}
-
 std::vector<std::size_t> Planner::capacities() const {
   const std::size_t T = registry_->hms().num_tiers();
   std::vector<std::size_t> caps(T, KnapsackSolver::kUnbounded);
@@ -243,26 +158,15 @@ Plan Planner::plan_local(const Profiler& prof,
         // Earliest legal trigger: right after the previous reference.
         double window = overlap_window(gp, phase_times, p, g, &trigger);
         const double copy_s = static_cast<double>(bytes) / copy_in_bw;
-        if (opts_.dag != nullptr) {
-          // Slack mode: park the fill in the latest off-critical-path
-          // phase whose slack covers the copy (fallback: earliest trigger
-          // with the full window).
-          bool scheduled = false;
-          trigger =
-              slack_trigger(phase_times, p, trigger, copy_s, &window,
-                            &scheduled);
-          (scheduled ? plan.slack_scheduled : plan.fallback_triggers) += 1;
-        } else {
-          // Just-in-time refinement: a fill parked in DRAM phases before
-          // it is needed blocks the rotation of other hot sets through
-          // the budget.  Walk the trigger forward (shrinking the window)
-          // while the remaining window still covers the copy twice over.
-          while (trigger != p) {
-            double next_window = window - phase_times[trigger];
-            if (next_window < 2.0 * copy_s) break;
-            window = next_window;
-            trigger = (trigger + 1) % P;
-          }
+        // Just-in-time refinement: a fill parked in DRAM phases before it
+        // is needed blocks the rotation of other hot sets through the
+        // budget.  Walk the trigger forward (shrinking the window) while
+        // the remaining window still covers the copy twice over.
+        while (trigger != p) {
+          double next_window = window - phase_times[trigger];
+          if (next_window < 2.0 * copy_s) break;
+          window = next_window;
+          trigger = (trigger + 1) % P;
         }
         if (planned_copy_s > copy_budget_s) window = 0;  // engine saturated
         cost = model_->migration_cost(bytes, copy_in_bw, window);
@@ -417,23 +321,10 @@ Plan Planner::plan_global(const Profiler& prof,
     if (!group_in_dram(groups[g])) {
       const std::size_t first_ref = first_reference(gp, g);
       std::size_t trigger = first_ref;
-      std::size_t needed = first_ref;
-      double window = overlap_window(gp, phase_times, first_ref, g, &trigger);
-      if (opts_.dag != nullptr) {
-        // The one-time fill may ride any non-referencing run of phases in
-        // the cycle, not just the gap ending at the first reference: pick
-        // the run that hides the most copy time (DAG-endorsed if one is).
-        bool scheduled = false;
-        const double copy_s =
-            static_cast<double>(groups[g].bytes) / copy_in_bw;
-        trigger = global_slack_trigger(gp, phase_times, g, first_ref, copy_s,
-                                       &needed, &window, &scheduled);
-        (scheduled ? plan.slack_scheduled : plan.fallback_triggers) += 1;
-      }
-      (void)window;
+      overlap_window(gp, phase_times, first_ref, g, &trigger);
       for (const UnitRef& u : groups[g].units)
         plan.at_phase[trigger].push_back(
-            PlannedMigration{u, mem::Tier::kDram, trigger, needed});
+            PlannedMigration{u, mem::Tier::kDram, trigger, first_ref});
     }
   }
   for (std::size_t p = 0; p < plan.dram_sets.size(); ++p)

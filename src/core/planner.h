@@ -35,8 +35,6 @@
 
 namespace unimem::rt {
 
-class PhaseDag;
-
 struct PlannedMigration {
   UnitRef unit;
   mem::Tier to = mem::Tier::kDram;
@@ -70,12 +68,6 @@ struct Plan {
     for (const auto& v : at_phase) n += v.size();
     return n;
   }
-
-  /// Slack-scheduling tallies (PlannerOptions::dag != nullptr; else zero):
-  /// triggers parked in an off-critical-path phase whose slack covered the
-  /// copy vs. fills that fell back to the earliest legal trigger.
-  std::size_t slack_scheduled = 0;
-  std::size_t fallback_triggers = 0;
 };
 
 struct PlannerOptions {
@@ -86,11 +78,6 @@ struct PlannerOptions {
   /// chunks form one all-or-nothing placement group, so an object larger
   /// than the budget can never migrate — the paper's motivating problem.
   bool chunking = true;
-  /// Computed phase DAG for slack-scheduled triggers (dag_schedule=slack);
-  /// nullptr keeps the classic JIT trigger walk byte-identical.
-  const PhaseDag* dag = nullptr;
-  /// This rank's id in the DAG (slack/critical lookups).
-  int rank = 0;
   /// Bytes this rank may plan with in each tier (its share of the node
   /// allowance), indexed by tier: {DRAM budget, kUnbounded} on the 2-tier
   /// machine.  KnapsackSolver::kUnbounded entries and missing ones are
@@ -154,34 +141,6 @@ class Planner {
                         const std::vector<double>& phase_times,
                         std::size_t phase, std::size_t g,
                         std::size_t* trigger) const;
-
-  /// Slack-mode trigger chooser (opts_.dag set): walk candidates from the
-  /// latest phase before `needed` back to `earliest` and pick the first
-  /// (= latest) off-critical-path phase whose accumulated window and DAG
-  /// slack both cover `copy_s`.  Falls back to `earliest` with the full
-  /// window — maximal overlap — when no phase qualifies.  Returns the
-  /// trigger, stores the trigger->needed window in *window, and reports
-  /// whether slack (vs fallback) won in *scheduled.
-  std::size_t slack_trigger(const std::vector<double>& phase_times,
-                            std::size_t needed, std::size_t earliest,
-                            double copy_s, double* window,
-                            bool* scheduled) const;
-
-  /// Slack-mode trigger chooser for a global plan's one-time fill.  Unlike
-  /// the per-iteration rotation case, a one-time NVM->DRAM fill is legal in
-  /// ANY phase that does not reference the group: phases before the copy
-  /// lands simply keep reading NVM, and a referencing phase blocks on
-  /// in-flight copies before touching the data.  So the whole cycle is
-  /// searchable — enumerate the maximal cyclic runs of non-referencing
-  /// phases and ride the one that hides the most copy time, preferring a
-  /// DAG-endorsed (off-critical, slack-covered) run.  Returns the trigger;
-  /// stores the phase the fill must beat in *needed, the overlap window in
-  /// *window, and whether DAG slack endorsed the spot in *scheduled.
-  std::size_t global_slack_trigger(const GroupProfiles& gp,
-                                   const std::vector<double>& phase_times,
-                                   std::size_t g, std::size_t first_ref,
-                                   double copy_s, std::size_t* needed,
-                                   double* window, bool* scheduled) const;
 
   bool group_in_dram(const Group& g) const;
 

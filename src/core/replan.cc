@@ -148,28 +148,10 @@ Plan ReplanController::repair(const Profiler& prof,
   return plan;
 }
 
-ReplanDecision ReplanController::decide(
-    const Profiler& prof, const std::set<std::size_t>* critical_phases) const {
+ReplanDecision ReplanController::decide(const Profiler& prof) const {
   ReplanDecision d;
   const std::map<UnitRef, double> w_new = unit_weights(prof);
-  std::set<UnitRef> drifted = drifted_units(w_new, &d.drift);
-  if (critical_phases != nullptr) {
-    // Per-phase repair scope: drift referenced only off the critical path
-    // cannot stretch the makespan — keep those units on the stale plan.
-    std::set<UnitRef> on_path;
-    for (const UnitRef& u : drifted) {
-      bool critical_ref = false;
-      for (std::size_t p : *critical_phases) {
-        if (p < prof.phase_count() && prof.phases()[p].references(u)) {
-          critical_ref = true;
-          break;
-        }
-      }
-      if (critical_ref) on_path.insert(u);
-    }
-    d.drift.off_path = drifted.size() - on_path.size();
-    drifted = std::move(on_path);
-  }
+  const std::set<UnitRef> drifted = drifted_units(w_new, &d.drift);
   // Classification instant: wall-only (vt < 0) — the controller runs at
   // the iteration boundary and owns no virtual timestamp of its own; the
   // adopted path is traced by the runtime with its virtual time.
@@ -181,15 +163,12 @@ ReplanDecision ReplanController::decide(
 
   if (d.drift.drift_fraction() > opts_.drift_budget) {
     // The working set reshuffled wholesale; a bounded patch of the old
-    // answer is no longer trustworthy — re-run the full DP.  (Checked
-    // before the critical-path filter's survivors: a reshuffle that
-    // starts off-path still invalidates the whole placement.)
+    // answer is no longer trustworthy — re-run the full DP.
     d.path = ReplanDecision::Path::kFullSolve;
     return d;
   }
   if (drifted.empty()) {
-    // Unchanged weights — or drift parked off the critical path: the
-    // current plan is still the adopted answer.
+    // Unchanged weights: the current plan is still the adopted answer.
     d.path = ReplanDecision::Path::kKeepStale;
     return d;
   }

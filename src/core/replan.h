@@ -51,9 +51,6 @@ struct ReplanOptions {
 struct DriftReport {
   std::size_t tracked = 0;  ///< units with a usable weight in either profile
   std::size_t drifted = 0;  ///< units past the relative-change threshold
-  /// Drifted units excluded from repair because no critical-path phase
-  /// references them (decide() with a critical-phase set only).
-  std::size_t off_path = 0;
   double max_rel_change = 0;
 
   double drift_fraction() const {
@@ -106,17 +103,7 @@ class ReplanController {
   /// The epoch decision: keep the stale plan, adopt the incremental
   /// repair, or demand a full re-solve.  On kIncremental the returned
   /// plan's predicted time is <= the stale prediction by construction.
-  ///
-  /// `critical_phases` (optional, phase-DAG slack mode) restricts the
-  /// repair to drift that matters: a drifted unit referenced only in
-  /// off-critical-path phases cannot stretch the makespan, so it stays on
-  /// the keep-stale path and is tallied in DriftReport::off_path.  The
-  /// drift *fraction* (the full-solve tripwire) still counts every
-  /// drifted unit — wholesale reshuffles must reach the full DP even
-  /// when they start off-path.
-  ReplanDecision decide(const Profiler& prof,
-                        const std::set<std::size_t>* critical_phases =
-                            nullptr) const;
+  ReplanDecision decide(const Profiler& prof) const;
 
   /// The warm-start repair itself, exposed for tests and benches: keeps
   /// the non-drifted residents, re-scores `drifted` over the freed

@@ -185,10 +185,6 @@ void Runtime::iteration_begin() {
   close_phase(false);
   // Sampled tier: the adaptive rate steps once per iteration boundary.
   step_sample_rate();
-  // Slack mode: refresh the phase DAG from the iteration just closed.
-  // Must run at this unconditional point — it contains collectives, and
-  // ranks' mode/drift decisions below may diverge.
-  update_phase_dag();
 
   if (mode_ == Mode::kProfiling &&
       ++profile_iters_in_row_ < kProfileIterations) {
@@ -223,7 +219,6 @@ void Runtime::iteration_begin() {
 
   prev_phase_times_ = std::move(cur_phase_times_);
   cur_phase_times_.clear();
-  cur_phase_kinds_.clear();
   ++iteration_;
   phase_idx_ = 0;
   if (mode_ == Mode::kEnforcing) enqueue_phase_migrations(0);
@@ -258,7 +253,6 @@ void Runtime::close_phase(bool is_comm) {
                     is_comm ? 1 : 0, "phase", phase_idx_);
   ++phases_executed_;
   cur_phase_times_.push_back(phase_time);
-  cur_phase_kinds_.push_back(is_comm ? 1 : 0);
 
   if (mode_ == Mode::kProfiling || epoch_profiling_) {
     if (is_comm) {
@@ -401,51 +395,6 @@ void Runtime::step_sample_rate() {
   rate_phases_ = 0;
 }
 
-void Runtime::update_phase_dag() {
-  if (opts_.dag_schedule != DagSchedule::kSlack) return;
-  if (cur_phase_times_.empty()) return;
-  std::vector<std::vector<double>> durations;
-  std::vector<std::vector<char>> kinds;
-  if (comm_ == nullptr || comm_->size() == 1) {
-    durations.push_back(cur_phase_times_);
-    kinds.push_back(cur_phase_kinds_);
-  } else {
-    // Symmetric exchange: every rank contributes its per-phase durations
-    // and kinds.  The internal collectives must not read as application
-    // phases, so the PMPI hooks are suppressed for their duration.
-    const int R = comm_->size();
-    const int rank = comm_->rank();
-    comm_->set_hooks(nullptr);
-    std::uint64_t pmax = cur_phase_times_.size();
-    comm_->allreduce(&pmax, 1, mpi::ReduceOp::kMax);
-    const std::size_t P = static_cast<std::size_t>(pmax);
-    std::vector<double> flat(static_cast<std::size_t>(R) * P, 0.0);
-    std::vector<std::uint64_t> kflat(static_cast<std::size_t>(R) * P, 0);
-    for (std::size_t p = 0; p < cur_phase_times_.size() && p < P; ++p) {
-      flat[static_cast<std::size_t>(rank) * P + p] = cur_phase_times_[p];
-      kflat[static_cast<std::size_t>(rank) * P + p] =
-          p < cur_phase_kinds_.size() && cur_phase_kinds_[p] != 0 ? 1 : 0;
-    }
-    comm_->allreduce(flat.data(), flat.size(), mpi::ReduceOp::kSum);
-    comm_->allreduce(kflat.data(), kflat.size(), mpi::ReduceOp::kMax);
-    comm_->set_hooks(this);
-    durations.assign(static_cast<std::size_t>(R), {});
-    kinds.assign(static_cast<std::size_t>(R), {});
-    for (std::size_t r = 0; r < static_cast<std::size_t>(R); ++r)
-      for (std::size_t p = 0; p < P; ++p) {
-        durations[r].push_back(flat[r * P + p]);
-        kinds[r].push_back(kflat[r * P + p] != 0 ? 1 : 0);
-      }
-  }
-  dag_ = PhaseDag::from_profile(durations, kinds);
-  if (dag_.compute()) {
-    dag_ready_ = true;
-    ++dag_builds_;
-    UNIMEM_TRACE_INSTANT1("runtime", "dag.build", clock().now(), "nodes",
-                          dag_.nodes().size());
-  }
-}
-
 void Runtime::make_plan() {
   UNIMEM_TRACE_BEGIN1("runtime", "plan.solve", clock().now(), "iter",
                       iteration_);
@@ -455,10 +404,6 @@ void Runtime::make_plan() {
   popts.global_search = opts_.enable_global_search;
   popts.chunking = opts_.enable_chunking;
   popts.tier_budgets = tier_budgets_;
-  if (opts_.dag_schedule == DagSchedule::kSlack && dag_ready_) {
-    popts.dag = &dag_;
-    popts.rank = comm_ != nullptr ? comm_->rank() : 0;
-  }
   Planner planner(registry_.get(), model_.get(), popts);
   plan_ = planner.plan(profiler_);
   std::size_t items = 0;
@@ -476,16 +421,7 @@ void Runtime::make_plan() {
 
 void Runtime::finish_epoch_check() {
   ++replan_checks_;
-  // Slack mode: only drift referenced in a critical-path phase justifies a
-  // repair; off-path drift stays on the cheap keep-stale path.
-  std::set<std::size_t> critical;
-  const std::set<std::size_t>* critical_ptr = nullptr;
-  if (opts_.dag_schedule == DagSchedule::kSlack && dag_ready_) {
-    critical = dag_.critical_phases(comm_ != nullptr ? comm_->rank() : 0);
-    critical_ptr = &critical;
-  }
-  ReplanDecision d = replanner_->decide(profiler_, critical_ptr);
-  dag_offpath_drift_ += d.drift.off_path;
+  ReplanDecision d = replanner_->decide(profiler_);
   last_drift_fraction_ = d.drift.drift_fraction();
   UNIMEM_TRACE_INSTANT2("replan", "decision", clock().now(), "path",
                         static_cast<int>(d.path), "drifted", d.drift.drifted);
@@ -540,11 +476,6 @@ RuntimeStats Runtime::stats() const {
   s.profile_samples = profile_samples_;
   s.profile_attributed = profile_attributed_;
   s.sample_period = adaptive_rate_ != nullptr ? adaptive_rate_->period() : 0;
-  s.dag_critical_path_s = dag_ready_ ? dag_.critical_path_s() : 0.0;
-  s.dag_builds = dag_builds_;
-  s.dag_slack_scheduled = plan_.slack_scheduled;
-  s.dag_fallback_triggers = plan_.fallback_triggers;
-  s.dag_offpath_drift = dag_offpath_drift_;
   return s;
 }
 

@@ -30,7 +30,6 @@
 #include "core/exec_engine.h"
 #include "core/migration.h"
 #include "core/models.h"
-#include "core/phase_dag.h"
 #include "core/planner.h"
 #include "core/profiler.h"
 #include "core/registry.h"
@@ -44,14 +43,6 @@
 #include "simclock/virtual_clock.h"
 
 namespace unimem::rt {
-
-/// Migration-trigger scheduling (ROADMAP item 3).  kOff keeps the classic
-/// reactive/JIT trigger placement (byte-identical artifacts).  kSlack
-/// exchanges per-rank phase durations at each iteration boundary, builds
-/// the phase execution DAG (core/phase_dag.h), and schedules proactive
-/// copies into off-critical-path slack; per-phase plan repair keeps
-/// off-path drift on the cheap keep-stale path.
-enum class DagSchedule { kOff, kSlack };
 
 struct RuntimeOptions {
   // ---- technique switches (Fig. 11 ablation) --------------------------
@@ -78,9 +69,6 @@ struct RuntimeOptions {
   /// Max fraction of drifted units repaired incrementally; past this the
   /// full knapsack DP re-runs.
   double drift_budget = 0.25;
-
-  // ---- phase-DAG critical-path scheduling -----------------------------
-  DagSchedule dag_schedule = DagSchedule::kOff;
 
   // ---- profiling tier ----------------------------------------------------
   /// 0 = exact profiler: every PMU sample is consumed inline on the rank
@@ -115,13 +103,6 @@ struct RuntimeStats {
   std::uint64_t profile_samples = 0;      ///< captured (gated) samples
   std::uint64_t profile_attributed = 0;   ///< samples attributed to units
   std::uint64_t sample_period = 0;        ///< current adaptive period
-
-  // Phase-DAG slack scheduling (dag_schedule = slack; zero when off).
-  double dag_critical_path_s = 0;           ///< of the latest built DAG
-  std::uint64_t dag_builds = 0;             ///< iteration-boundary rebuilds
-  std::uint64_t dag_slack_scheduled = 0;    ///< triggers parked into slack
-  std::uint64_t dag_fallback_triggers = 0;  ///< fell back to earliest trigger
-  std::uint64_t dag_offpath_drift = 0;      ///< drifted units kept stale
 
   double overhead_percent() const {
     return total_time_s > 0 ? 100.0 * overhead_s / total_time_s : 0.0;
@@ -180,11 +161,6 @@ class Runtime final : public Context, public mpi::PmpiHooks {
   /// Sampled tier: feed the phases sampled since the last call to the
   /// adaptive rate.  No-op in exact mode or when none were sampled.
   void step_sample_rate();
-  /// Slack mode only: exchange the just-closed iteration's per-rank phase
-  /// durations (symmetric collectives, PMPI hooks suppressed), build the
-  /// phase DAG, and run the CPM pass.  Called unconditionally at the
-  /// iteration boundary so every rank participates every iteration.
-  void update_phase_dag();
   void make_plan();
   /// Consume the just-finished epoch profile: classify drift, then keep
   /// the plan, adopt the controller's incremental repair, or re-run the
@@ -240,15 +216,6 @@ class Runtime final : public Context, public mpi::PmpiHooks {
   // Previous-iteration phase times for the variation monitor.
   std::vector<double> prev_phase_times_;
   std::vector<double> cur_phase_times_;
-  /// Parallel to cur_phase_times_: nonzero = communication phase (DAG
-  /// barrier edges).
-  std::vector<char> cur_phase_kinds_;
-
-  // Phase-DAG slack scheduling (dag_schedule = slack).
-  PhaseDag dag_;
-  bool dag_ready_ = false;
-  std::uint64_t dag_builds_ = 0;
-  std::uint64_t dag_offpath_drift_ = 0;
 
   /// True while the one epoch-cadence re-profiling iteration runs: the
   /// plan keeps being enforced, but phases are sampled again so the

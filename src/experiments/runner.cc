@@ -175,11 +175,9 @@ void reject_ignored_knobs(const RunConfig& cfg) {
         " has no effect with enable_chunking=false (the re-planner stays "
         "off under the chunking ablation); drop one of the two knobs");
   if (cfg.tiers.empty()) return;
-  const char* knob =
-      u.dag_schedule == rt::DagSchedule::kSlack ? "dag_schedule=slack"
-      : !u.enable_global_search                 ? "enable_global_search=false"
-      : !u.enable_local_search                  ? "enable_local_search=false"
-                                                : nullptr;
+  const char* knob = !u.enable_global_search ? "enable_global_search=false"
+                     : !u.enable_local_search ? "enable_local_search=false"
+                                              : nullptr;
   if (knob == nullptr) return;
   const std::size_t tiers = mem::parse_topology(cfg.tiers).num_tiers();
   if (tiers <= 2) return;
@@ -225,8 +223,6 @@ RunResult run_once(const RunConfig& cfg) {
     out.total_bytes_moved += s.migration.bytes_moved;
     out.total_copy_s += s.migration.copy_time_s;
     out.total_exposed_s += s.migration.exposed_migration_s();
-    out.dag_critical_path_s =
-        std::max(out.dag_critical_path_s, s.dag_critical_path_s);
     if (s.total_time_s > 0) {
       overhead += s.overhead_percent();
       overlap += s.migration.overlap_percent();

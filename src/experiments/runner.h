@@ -69,9 +69,6 @@ struct RunResult {
   /// not serialized into sweep CSV/JSONL rows, which stay byte-stable.
   double total_copy_s = 0;
   double total_exposed_s = 0;
-  /// Longest weighted path through the last phase DAG (dag_schedule=slack
-  /// only; max over ranks, 0 otherwise).
-  double dag_critical_path_s = 0;
 };
 
 /// Run one configuration to completion.  For Policy::kXMen this runs the
@@ -82,8 +79,8 @@ struct RunResult {
 /// more than 2 tiers (manual placement puts manual_dram into tier 0, which
 /// is not DRAM there), and for a Policy::kUnimem run that sets a knob the
 /// runtime would ignore: a nonzero replan_epoch with enable_chunking=false,
-/// or, on a topology of more than 2 tiers, dag_schedule=slack or either
-/// search technique switched off.
+/// or, on a topology of more than 2 tiers, either search technique
+/// switched off.
 RunResult run_once(const RunConfig& cfg);
 
 }  // namespace unimem::exp

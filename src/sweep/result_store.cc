@@ -213,11 +213,16 @@ class LineCursor {
     return out;
   }
 
+  /// The writer's own %.17g form only: strtod alone would also take
+  /// leading whitespace, hex floats and other spellings jsonl_line never
+  /// writes.
   double number() {
     char* end = nullptr;
     const double v = std::strtod(s_.c_str() + pos_, &end);
-    if (end == s_.c_str() + pos_) fail("expected number");
-    pos_ = static_cast<std::size_t>(end - s_.c_str());
+    const std::size_t len = static_cast<std::size_t>(end - s_.c_str()) - pos_;
+    if (len == 0) fail("expected number");
+    if (s_.compare(pos_, len, num17(v)) != 0) fail("non-canonical number");
+    pos_ += len;
     return v;
   }
 

@@ -39,21 +39,20 @@ struct AxisSensitivity {
   bool dram;        ///< dram_capacity
   bool techniques;  ///< Unimem switch sets
   bool profiler;    ///< profiler_periods (only Unimem profiles online)
-  bool dag;         ///< dag_schedules (only Unimem plans migrations)
   bool tiers;       ///< topologies (the DRAM-only machine ignores the ladder)
 };
 
 AxisSensitivity sensitivity(exp::Policy p) {
   switch (p) {
     case exp::Policy::kDramOnly:
-      return {false, false, false, false, false, false};
-    case exp::Policy::kNvmOnly: return {true, false, false, false, false, true};
-    case exp::Policy::kUnimem: return {true, true, true, true, true, true};
+      return {false, false, false, false, false};
+    case exp::Policy::kNvmOnly: return {true, false, false, false, true};
+    case exp::Policy::kUnimem: return {true, true, true, true, true};
     case exp::Policy::kXMen:
     case exp::Policy::kManual:
-      return {true, true, false, false, false, true};
+      return {true, true, false, false, true};
   }
-  return {true, true, true, true, true, true};
+  return {true, true, true, true, true};
 }
 
 /// Compact label segment for a topology spec: "hbm:1MiB,dram:4MiB" ->
@@ -100,77 +99,66 @@ std::vector<SweepPoint> SweepSpec::expand(const std::string& filter) const {
       const auto techs = sens.techniques ? techniques : first_of(techniques);
       const auto profs =
           sens.profiler ? profiler_periods : first_of(profiler_periods);
-      const auto dags = sens.dag ? dag_schedules : first_of(dag_schedules);
       const auto topos = sens.tiers ? topologies : first_of(topologies);
       for (double bw : bws) {
         for (double lat : lats) {
           for (std::size_t dram : drams) {
             for (const TechniqueSet& tech : techs) {
               for (std::uint64_t prof : profs) {
-                for (rt::DagSchedule dag : dags) {
-                  for (const std::string& topo : topos) {
-                    SweepPoint p;
-                    p.index = index++;
-                    p.cfg.workload = w;
-                    p.cfg.wcfg.cls = cls;
-                    p.cfg.wcfg.iterations = iterations;
-                    p.cfg.wcfg.nranks = nranks;
-                    p.cfg.wcfg.drift_amplitude = drift_amplitude;
-                    p.cfg.wcfg.drift_period = drift_period;
-                    p.cfg.replan_epoch = replan_epoch;
-                    p.cfg.drift_threshold = drift_threshold;
-                    p.cfg.nvm_bw_ratio = bw;
-                    p.cfg.nvm_lat_mult = lat;
-                    p.cfg.dram_capacity = dram;
-                    p.cfg.policy = policy;
-                    p.cfg.unimem = unimem;
-                    p.cfg.unimem.enable_global_search = tech.global_search;
-                    p.cfg.unimem.enable_local_search = tech.local_search;
-                    p.cfg.unimem.enable_chunking = tech.chunking;
-                    p.cfg.unimem.enable_initial_placement =
-                        tech.initial_placement;
-                    p.cfg.unimem.sample_period = prof;
-                    p.cfg.unimem.dag_schedule = dag;
-                    p.cfg.tiers = topo;
-                    p.normalize = normalize;
+                for (const std::string& topo : topos) {
+                  SweepPoint p;
+                  p.index = index++;
+                  p.cfg.workload = w;
+                  p.cfg.wcfg.cls = cls;
+                  p.cfg.wcfg.iterations = iterations;
+                  p.cfg.wcfg.nranks = nranks;
+                  p.cfg.wcfg.drift_amplitude = drift_amplitude;
+                  p.cfg.wcfg.drift_period = drift_period;
+                  p.cfg.replan_epoch = replan_epoch;
+                  p.cfg.drift_threshold = drift_threshold;
+                  p.cfg.nvm_bw_ratio = bw;
+                  p.cfg.nvm_lat_mult = lat;
+                  p.cfg.dram_capacity = dram;
+                  p.cfg.policy = policy;
+                  p.cfg.unimem = unimem;
+                  p.cfg.unimem.enable_global_search = tech.global_search;
+                  p.cfg.unimem.enable_local_search = tech.local_search;
+                  p.cfg.unimem.enable_chunking = tech.chunking;
+                  p.cfg.unimem.enable_initial_placement =
+                      tech.initial_placement;
+                  p.cfg.unimem.sample_period = prof;
+                  p.cfg.tiers = topo;
+                  p.normalize = normalize;
 
-                    p.axis["workload"] = w;
-                    p.axis["policy"] = policy_slug(policy);
-                    if (nvm_bw_ratios.size() > 1)
-                      p.axis["bw"] = sens.nvm_ratios ? fmt("%.3g", bw) : "*";
-                    if (nvm_lat_mults.size() > 1)
-                      p.axis["lat"] = sens.nvm_ratios ? fmt("%.3g", lat) : "*";
-                    if (dram_capacities.size() > 1)
-                      p.axis["dram"] =
-                          sens.dram ? std::to_string(dram / kMiB) + "MiB"
-                                    : "*";
-                    if (techniques.size() > 1)
-                      p.axis["tech"] = sens.techniques ? tech.name : "*";
-                    if (profiler_periods.size() > 1)
-                      p.axis["prof"] =
-                          !sens.profiler
-                              ? "*"
-                              : prof == 0 ? std::string("exact")
-                                          : "s" + std::to_string(prof);
-                    if (dag_schedules.size() > 1)
-                      p.axis["dag"] =
-                          !sens.dag
-                              ? "*"
-                              : dag == rt::DagSchedule::kSlack ? "slack"
-                                                               : "off";
-                    if (topologies.size() > 1)
-                      p.axis["tiers"] =
-                          sens.tiers ? topology_slug(topo) : "*";
+                  p.axis["workload"] = w;
+                  p.axis["policy"] = policy_slug(policy);
+                  if (nvm_bw_ratios.size() > 1)
+                    p.axis["bw"] = sens.nvm_ratios ? fmt("%.3g", bw) : "*";
+                  if (nvm_lat_mults.size() > 1)
+                    p.axis["lat"] = sens.nvm_ratios ? fmt("%.3g", lat) : "*";
+                  if (dram_capacities.size() > 1)
+                    p.axis["dram"] =
+                        sens.dram ? std::to_string(dram / kMiB) + "MiB"
+                                  : "*";
+                  if (techniques.size() > 1)
+                    p.axis["tech"] = sens.techniques ? tech.name : "*";
+                  if (profiler_periods.size() > 1)
+                    p.axis["prof"] =
+                        !sens.profiler
+                            ? "*"
+                            : prof == 0 ? std::string("exact")
+                                        : "s" + std::to_string(prof);
+                  if (topologies.size() > 1)
+                    p.axis["tiers"] = sens.tiers ? topology_slug(topo) : "*";
 
-                    p.label = w + "/" + p.axis["policy"];
-                    for (const char* key : {"bw", "lat", "dram", "tech",
-                                            "prof", "dag", "tiers"}) {
-                      auto it = p.axis.find(key);
-                      if (it != p.axis.end() && it->second != "*")
-                        p.label += "/" + std::string(key) + it->second;
-                    }
-                    emit(p);
+                  p.label = w + "/" + p.axis["policy"];
+                  for (const char* key : {"bw", "lat", "dram", "tech",
+                                          "prof", "tiers"}) {
+                    auto it = p.axis.find(key);
+                    if (it != p.axis.end() && it->second != "*")
+                      p.label += "/" + std::string(key) + it->second;
                   }
+                  emit(p);
                 }
               }
             }
@@ -209,7 +197,6 @@ std::vector<std::string> SweepSpec::axis_names() const {
   if (dram_capacities.size() > 1) add("dram");
   if (techniques.size() > 1) add("tech");
   if (profiler_periods.size() > 1) add("prof");
-  if (dag_schedules.size() > 1) add("dag");
   if (topologies.size() > 1) add("tiers");
   // Explicit points contribute whatever pivot keys they carry (fig4's
   // "placement", fig12's "ranks", ...) — appended sorted after the grid
@@ -464,22 +451,6 @@ SweepSpec make_spec(const std::string& name) {
     s.dram_capacities.clear();
     for (std::size_t m = 1; m <= 100; ++m)
       s.dram_capacities.push_back(m * kMiB);
-  } else if (name == "dag_slack") {
-    // Phase-DAG slack scheduling (not a paper figure): nek/lu at tight
-    // DRAM allowances, dag_schedule off vs slack.  Tight DRAM forces
-    // per-phase migration churn, which is exactly where parking the copy
-    // trigger in an earlier slack-covered phase (or, failing that, at the
-    // earliest legal trigger with the maximal overlap window) hides copy
-    // time that the JIT trigger walk leaves exposed.  The harness and the
-    // dag-smoke CI lane read exposed/hidden splits off the in-memory
-    // RunResult rows.
-    s.title = "Phase-DAG slack scheduling: exposed vs hidden migration time";
-    s.workloads = {"nek", "lu"};
-    s.policies = {exp::Policy::kUnimem};
-    s.nvm_bw_ratios = {0.125};
-    s.dram_capacities = {1 * kMiB, 2 * kMiB, 4 * kMiB};
-    s.dag_schedules = {rt::DagSchedule::kOff, rt::DagSchedule::kSlack};
-    s.normalize = false;
   } else if (name == "tier_sensitivity3") {
     // Fig. 13-style sensitivity on a 3-tier machine (not a paper figure):
     // HBM+DRAM+NVM ladders whose fast-tier allowances scale together, so
@@ -521,7 +492,7 @@ SweepSpec make_spec(const std::string& name) {
 std::vector<std::string> spec_names() {
   return {"fig2",  "fig3",  "fig4",   "fig9",         "fig10",
           "fig11", "fig12", "fig13",  "table4",       "replan_drift",
-          "profiler_fidelity", "service_stress", "dag_slack",
+          "profiler_fidelity", "service_stress",
           "tier_sensitivity3", "tier_ladder"};
 }
 

@@ -4,8 +4,8 @@
 // A SweepSpec is the batch-service twin of the hand-rolled loops the
 // figure harnesses used to carry: it names the axes (workloads, policies,
 // NVM bandwidth/latency ratios, DRAM capacities, Unimem technique sets,
-// profiler tiers, DAG schedules, topologies) and the shared scalars (input
-// class, iterations, rank count), and expand() produces the cartesian
+// profiler tiers, topologies) and the shared scalars (input class,
+// iterations, rank count), and expand() produces the cartesian
 // product in declaration order.  Every point carries a stable index, a
 // human-readable label, and its axis values by name so result consumers
 // can pivot rows into figure-shaped tables without re-deriving the
@@ -44,7 +44,7 @@ struct SweepPoint {
   std::size_t index = 0;       ///< position in expansion order (stable)
   std::string label;           ///< "cg/nvm-only/bw0.50/lat1.0/dram8MiB"
   /// Axis values by name ("workload", "policy", "bw", "lat", "dram",
-  /// "tech", "prof", "dag", "tiers") — the pivot keys for table-shaped
+  /// "tech", "prof", "tiers") — the pivot keys for table-shaped
   /// consumers.
   std::map<std::string, std::string> axis;
   exp::RunConfig cfg;
@@ -68,10 +68,6 @@ struct SweepSpec {
   /// profiler, N > 0 = sampled profiler with base period N.  Only kUnimem
   /// points are sensitive; static policies never profile.
   std::vector<std::uint64_t> profiler_periods{0};
-  /// Phase-DAG scheduling axis (rt::RuntimeOptions::dag_schedule): kOff =
-  /// classic JIT triggers, kSlack = critical-path slack-scheduled
-  /// triggers.  Only kUnimem points are sensitive.
-  std::vector<rt::DagSchedule> dag_schedules{rt::DagSchedule::kOff};
   /// Memory-topology axis (exp::RunConfig::tiers): each entry is a
   /// parse_topology spec ("hbm:1MiB,dram:4MiB,nvm:512MiB") or "" for the
   /// classic 2-tier machine built from the bw/lat/dram axes.  DRAM-only
@@ -82,8 +78,7 @@ struct SweepSpec {
   char cls = 'C';
   int iterations = 10;
   int nranks = 4;
-  /// Base options; the technique, profiler and DAG axes overlay their
-  /// fields.
+  /// Base options; the technique and profiler axes overlay their fields.
   rt::RuntimeOptions unimem{};
   bool normalize = true;
 

@@ -60,9 +60,7 @@ std::vector<RankOutcome> run_matrix_cell(const std::string& workload,
                                          int ranks_per_node = 1,
                                          double drift_amplitude = 0.0,
                                          int replan_epoch = 0,
-                                         int iterations = kIterations,
-                                         rt::DagSchedule dag =
-                                             rt::DagSchedule::kOff) {
+                                         int iterations = kIterations) {
   wl::WorkloadConfig wcfg;
   wcfg.cls = 'S';
   wcfg.iterations = iterations;
@@ -102,7 +100,6 @@ std::vector<RankOutcome> run_matrix_cell(const std::string& workload,
     opts.enable_local_search = strategy.local;
     opts.enable_global_search = strategy.global;
     opts.replan_epoch = replan_epoch;
-    opts.dag_schedule = dag;
     opts.drift_threshold = 0.15;
     opts.drift_budget = 0.5;
     rt::Runtime runtime(opts, node.hms.get(), node.arbiter.get(), &comm);
@@ -323,46 +320,41 @@ INSTANTIATE_TEST_SUITE_P(
       return std::get<0>(info.param);
     });
 
-// ---- slack-scheduled migration triggers (dag_schedule=slack) --------------
+// ---- migration-trigger placement -----------------------------------------
 //
-// The phase-DAG cell: every workload runs once with reactive (off) and
-// once with slack-scheduled triggers.  Parking a copy in a different
-// phase must never change arithmetic or break the allowance, and the
-// exposed/hidden split must partition the copy time exactly.
+// Every workload runs once with the local+global strategy (phase-local
+// plans rotate units through DRAM on just-in-time triggers) and once
+// global-only (one-time fills triggered right after the previous
+// reference).  Where a copy is triggered must never change arithmetic or
+// break the allowance, and the exposed/hidden split must partition the
+// copy time exactly.  (The suite keeps its historical name, from when it
+// also compared a second trigger policy, so its test IDs stay stable.)
 class E2ESlackSchedule : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(E2ESlackSchedule, ChecksumParityDramRespectAndExposedHiddenSplit) {
   const std::string workload = GetParam();
-  const Strategy& strategy = kStrategies[0];  // local+global
-  std::vector<RankOutcome> off =
-      run_matrix_cell(workload, strategy, kRanks, 1, 0.0, 0, kIterations,
-                      rt::DagSchedule::kOff);
-  std::vector<RankOutcome> slack =
-      run_matrix_cell(workload, strategy, kRanks, 1, 0.0, 0, kIterations,
-                      rt::DagSchedule::kSlack);
-  ASSERT_EQ(off.size(), slack.size());
+  std::vector<RankOutcome> jit = run_matrix_cell(workload, kStrategies[0]);
+  std::vector<RankOutcome> global = run_matrix_cell(workload, kStrategies[2]);
+  ASSERT_EQ(jit.size(), global.size());
 
-  for (std::size_t r = 0; r < slack.size(); ++r) {
-    const RankOutcome& s = slack[r];
-    // The loop ran and the DAG machinery actually engaged.
-    EXPECT_EQ(s.stats.iterations, static_cast<std::uint64_t>(kIterations));
-    EXPECT_GT(s.stats.dag_builds, 0u) << workload << " rank " << r;
-    EXPECT_GT(s.stats.dag_critical_path_s, 0.0) << workload << " rank " << r;
-
+  for (std::size_t r = 0; r < jit.size(); ++r) {
     // Checksum parity: trigger placement never changes arithmetic.
-    EXPECT_DOUBLE_EQ(s.checksum, off[r].checksum) << workload << " rank " << r;
+    EXPECT_DOUBLE_EQ(jit[r].checksum, global[r].checksum)
+        << workload << " rank " << r;
 
-    // DRAM-allowance respect, modeled and enforced, exactly as in the
-    // static matrix.
-    for (std::size_t phase = 0; phase < s.planned_phase_bytes.size(); ++phase)
-      EXPECT_LE(s.planned_phase_bytes[phase], kDramAllowance)
-          << workload << " phase " << phase;
-    EXPECT_LE(s.arbiter_granted, s.arbiter_allowance);
-    EXPECT_LE(s.dram_resident, s.arbiter_allowance);
+    for (const RankOutcome* o : {&jit[r], &global[r]}) {
+      EXPECT_EQ(o->stats.iterations, static_cast<std::uint64_t>(kIterations));
 
-    // The exposed/hidden split partitions the copy time on both modes.
-    for (const RankOutcome* o :
-         {&s, const_cast<const RankOutcome*>(&off[r])}) {
+      // DRAM-allowance respect, modeled and enforced, exactly as in the
+      // static matrix.
+      for (std::size_t phase = 0; phase < o->planned_phase_bytes.size();
+           ++phase)
+        EXPECT_LE(o->planned_phase_bytes[phase], kDramAllowance)
+            << workload << " phase " << phase;
+      EXPECT_LE(o->arbiter_granted, o->arbiter_allowance);
+      EXPECT_LE(o->dram_resident, o->arbiter_allowance);
+
+      // The exposed/hidden split partitions the copy time.
       const rt::MigrationStats& m = o->stats.migration;
       EXPECT_GE(m.exposed_migration_s(), 0.0);
       EXPECT_GE(m.hidden_migration_s(), 0.0);

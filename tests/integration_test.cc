@@ -189,11 +189,11 @@ std::vector<std::uint64_t> fingerprint(const RunResult& r) {
   return {bits(r.time_s), bits(r.checksum), r.total_migrations,
           r.total_bytes_moved, bits(r.mean_overhead_percent),
           bits(r.mean_overlap_percent), bits(r.total_copy_s),
-          bits(r.total_exposed_s), bits(r.dag_critical_path_s),
-          s.migration.migrations, s.migration.failed, s.migration.bytes_moved,
-          bits(s.migration.copy_time_s), bits(s.migration.exposed_wait_s),
-          bits(s.overhead_s), bits(s.total_time_s), s.phases_executed,
-          s.iterations, s.reprofiles, static_cast<std::uint64_t>(s.plan_kind),
+          bits(r.total_exposed_s), s.migration.migrations, s.migration.failed,
+          s.migration.bytes_moved, bits(s.migration.copy_time_s),
+          bits(s.migration.exposed_wait_s), bits(s.overhead_s),
+          bits(s.total_time_s), s.phases_executed, s.iterations, s.reprofiles,
+          static_cast<std::uint64_t>(s.plan_kind),
           s.planned_migrations_per_iteration, s.profile_samples,
           s.profile_attributed};
 }
@@ -262,7 +262,7 @@ TEST(Integration, ManualRejectedOnLadderDeeperThanTwoTiers) {
 
 TEST(Integration, TierLadderRejectsKnobsTheTieredPlannerIgnores) {
   // On more than 2 tiers every plan comes from the MCKP placement, which
-  // reads neither the slack scheduler nor the Fig. 11 search switches:
+  // does not read the Fig. 11 search switches:
   // run_once refuses them up front instead of running a World that
   // silently ignores them.
   RunConfig cfg = base_cfg("cg");
@@ -277,9 +277,6 @@ TEST(Integration, TierLadderRejectsKnobsTheTieredPlannerIgnores) {
           << e.what();
     }
   };
-  RunConfig slack = cfg;
-  slack.unimem.dag_schedule = rt::DagSchedule::kSlack;
-  expect_rejected(slack, "dag_schedule");
   RunConfig no_global = cfg;
   no_global.unimem.enable_global_search = false;
   expect_rejected(no_global, "enable_global_search");
@@ -290,10 +287,10 @@ TEST(Integration, TierLadderRejectsKnobsTheTieredPlannerIgnores) {
   // The same knobs stay legal where they act (2 tiers) or where no
   // planner runs (a static policy), and replan_epoch is honoured on any
   // ladder, so none of these throw.
-  RunConfig two = slack;
+  RunConfig two = no_global;
   two.tiers = "dram:2MiB,nvm:64MiB";
   EXPECT_NO_THROW(run_once(two));
-  RunConfig nvm = slack;
+  RunConfig nvm = no_global;
   nvm.policy = Policy::kNvmOnly;
   EXPECT_NO_THROW(run_once(nvm));
   RunConfig replan = cfg;

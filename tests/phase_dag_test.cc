@@ -1,8 +1,8 @@
 // Property + golden tests for the phase-DAG critical-path math
 // (core/phase_dag.h): the CPM forward/backward pass against an O(V*E)
-// brute-force relaxation over random DAGs, the structural invariants the
-// slack scheduler relies on, and the two ingestion paths (from_profile
-// barrier edges, from_trace span parsing incl. torn spans).
+// brute-force relaxation over random DAGs, the structural invariants of
+// the node table, and the two builders (from_profile barrier edges,
+// from_trace span parsing incl. torn spans).
 #include "core/phase_dag.h"
 
 #include <gtest/gtest.h>
@@ -173,9 +173,6 @@ TEST(PhaseDag, EmptyDagComputes) {
   EXPECT_TRUE(dag.computed());
   EXPECT_DOUBLE_EQ(dag.critical_path_s(), 0.0);
   EXPECT_EQ(dag.find(0, 0), nullptr);
-  // Unknown phases: no slack, conservatively critical.
-  EXPECT_DOUBLE_EQ(dag.slack(0, 0), 0.0);
-  EXPECT_TRUE(dag.critical(0, 0));
 }
 
 TEST(PhaseDag, SinglePhase) {
@@ -188,7 +185,7 @@ TEST(PhaseDag, SinglePhase) {
   EXPECT_DOUBLE_EQ(n->earliest_s, 0.0);
   EXPECT_DOUBLE_EQ(n->latest_s, 0.0);
   EXPECT_TRUE(n->critical);
-  EXPECT_EQ(dag.critical_phases(0), std::set<std::size_t>{0});
+  EXPECT_DOUBLE_EQ(n->slack_s, 0.0);
 }
 
 TEST(PhaseDag, AllCommPhasesEveryNodeCritical) {
@@ -258,13 +255,14 @@ TEST(PhaseDagFromProfile, ImbalancedRankGainsSlackBeforeBarrier) {
   PhaseDag dag = PhaseDag::from_profile(dur, kinds);
   ASSERT_TRUE(dag.compute());
   EXPECT_DOUBLE_EQ(dag.critical_path_s(), 3.5);
-  EXPECT_TRUE(dag.critical(0, 0));
-  EXPECT_FALSE(dag.critical(1, 0));
-  EXPECT_NEAR(dag.slack(1, 0), 2.0, kTol);
-  // The slack scheduler's query surface agrees with the node table.
-  const std::set<std::size_t> crit0 = dag.critical_phases(0);
-  EXPECT_EQ(crit0, (std::set<std::size_t>{0, 1}));
-  EXPECT_EQ(dag.critical_phases(1), std::set<std::size_t>{1});
+  for (const auto& [r, p] :
+       {std::pair<int, std::size_t>{0, 0}, {0, 1}, {1, 0}, {1, 1}})
+    ASSERT_NE(dag.find(r, p), nullptr) << r << "," << p;
+  EXPECT_TRUE(dag.find(0, 0)->critical);
+  EXPECT_TRUE(dag.find(0, 1)->critical);
+  EXPECT_FALSE(dag.find(1, 0)->critical);
+  EXPECT_NEAR(dag.find(1, 0)->slack_s, 2.0, kTol);
+  EXPECT_TRUE(dag.find(1, 1)->critical);
 }
 
 TEST(PhaseDagFromProfile, RaggedInputsAllowed) {
@@ -329,9 +327,35 @@ TEST(PhaseDagFromTrace, ParsesSpansAndRankNames) {
   EXPECT_DOUBLE_EQ(dag.critical_path_s(), 3.5);
   // Track "rank 1" was registered first but must land as row 1: the row
   // with the 3s phase (rank 0) is critical, the 1s one is not.
-  EXPECT_TRUE(dag.critical(0, 0));
-  EXPECT_FALSE(dag.critical(1, 0));
-  EXPECT_NEAR(dag.slack(1, 0), 2.0, kTol);
+  ASSERT_NE(dag.find(0, 0), nullptr);
+  ASSERT_NE(dag.find(1, 0), nullptr);
+  EXPECT_TRUE(dag.find(0, 0)->critical);
+  EXPECT_FALSE(dag.find(1, 0)->critical);
+  EXPECT_NEAR(dag.find(1, 0)->slack_s, 2.0, kTol);
+}
+
+TEST(PhaseDagFromTrace, UnnamedAndOutOfTableTracksSortAfterNamedRanks) {
+  // A spill read from disk may name an event track past the table, or a
+  // rank past int's range; either row lands after every named rank.
+  trace::TraceData data;
+  const std::uint32_t huge = add_track(&data, "rank 99999999999");
+  const std::uint32_t named = add_track(&data, "rank 7");
+  const std::uint32_t stray = 0x7fffffffu;  // no such track
+  phase_event(&data, stray, 'B', 0.0, 10);
+  phase_event(&data, stray, 'E', 1.0, 20);
+  phase_event(&data, huge, 'B', 0.0, 11);
+  phase_event(&data, huge, 'E', 2.0, 21);
+  phase_event(&data, named, 'B', 0.0, 12);
+  phase_event(&data, named, 'E', 3.0, 22);
+  PhaseDag dag = PhaseDag::from_trace(data);
+  ASSERT_TRUE(dag.compute());
+  // Rows in (rank, track) order: "rank 7", then the two fallbacks by id.
+  ASSERT_NE(dag.find(0, 0), nullptr);
+  ASSERT_NE(dag.find(1, 0), nullptr);
+  ASSERT_NE(dag.find(2, 0), nullptr);
+  EXPECT_DOUBLE_EQ(dag.find(0, 0)->duration_s, 3.0);
+  EXPECT_DOUBLE_EQ(dag.find(1, 0)->duration_s, 2.0);
+  EXPECT_DOUBLE_EQ(dag.find(2, 0)->duration_s, 1.0);
 }
 
 TEST(PhaseDagFromTrace, SkipsTornAndUnstampedSpans) {

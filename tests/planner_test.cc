@@ -212,13 +212,11 @@ TEST_F(PlannerTest, EvictionMakesRoomForHotterObject) {
   EXPECT_TRUE(fills_hot);
 }
 
-TEST_F(PlannerTest, GlobalSlackFillRidesNonReferencingGap) {
+TEST_F(PlannerTest, GlobalFillTriggersRightAfterThePreviousReference) {
   // x is hot in phases 0 and 4 with a three-phase gap between the
-  // references.  The classic global trigger parks the one-time fill right
-  // at the first reference (zero window); slack mode may ride any
-  // non-referencing run, so the fill should trigger at phase 1 and be due
-  // at the next reference, phase 4 — even when the single-chain DAG has no
-  // real slack (fallback picks the maximal-overlap run).
+  // references.  The global plan's one-time fill triggers right after the
+  // previous reference in cycle order (phase 4 wraps to phase 0), which
+  // here is the first reference itself: zero window, due at phase 0.
   DataObject* x = obj("x", 3 * kMiB);
   DataObject* y = obj("y", 3 * kMiB);
   phase({{x, 800000}});
@@ -227,39 +225,18 @@ TEST_F(PlannerTest, GlobalSlackFillRidesNonReferencingGap) {
   phase({{y, 100000}});
   phase({{x, 800000}});
 
-  auto fill_of = [&](const Plan& p) -> const PlannedMigration* {
-    for (const auto& v : p.at_phase)
-      for (const PlannedMigration& m : v)
-        if (m.unit.object == x->id() && m.to == mem::Tier::kDram) return &m;
-    return nullptr;
-  };
-
   PlannerOptions o;
   o.local_search = false;
   o.tier_budgets = {4 * kMiB, KnapsackSolver::kUnbounded};
-  Planner off(&reg_, model_.get(), o);
-  Plan off_plan = off.plan(prof_);
-  ASSERT_EQ(off_plan.kind, Plan::Kind::kGlobal);
-  const PlannedMigration* off_fill = fill_of(off_plan);
-  ASSERT_NE(off_fill, nullptr);
-  EXPECT_EQ(off_fill->trigger_phase, 0u);
-  EXPECT_EQ(off_plan.slack_scheduled + off_plan.fallback_triggers, 0u);
-
-  PhaseDag dag = PhaseDag::from_profile({{kT, kT, kT, kT, kT}},
-                                        {{0, 0, 0, 0, 0}});
-  ASSERT_TRUE(dag.compute());
-  o.dag = &dag;
-  Planner slack(&reg_, model_.get(), o);
-  Plan slack_plan = slack.plan(prof_);
-  ASSERT_EQ(slack_plan.kind, Plan::Kind::kGlobal);
-  const PlannedMigration* slack_fill = fill_of(slack_plan);
-  ASSERT_NE(slack_fill, nullptr);
-  EXPECT_EQ(slack_fill->trigger_phase, 1u);
-  EXPECT_EQ(slack_fill->needed_phase, 4u);
-  // Single chain: every phase is critical, so the DAG endorsed nothing and
-  // the run was a fallback choice.
-  EXPECT_EQ(slack_plan.slack_scheduled, 0u);
-  EXPECT_GE(slack_plan.fallback_triggers, 1u);
+  Plan p = Planner(&reg_, model_.get(), o).plan(prof_);
+  ASSERT_EQ(p.kind, Plan::Kind::kGlobal);
+  const PlannedMigration* fill = nullptr;
+  for (const auto& v : p.at_phase)
+    for (const PlannedMigration& m : v)
+      if (m.unit.object == x->id() && m.to == mem::Tier::kDram) fill = &m;
+  ASSERT_NE(fill, nullptr);
+  EXPECT_EQ(fill->trigger_phase, 0u);
+  EXPECT_EQ(fill->needed_phase, 0u);
 }
 
 TEST_F(PlannerTest, NoMoveTimeSumsPhases) {

@@ -1,13 +1,18 @@
-// Seeded mutation fuzz for the two readers that cross the task boundary:
-// the JSONL row reader (parse_jsonl_line, read_jsonl_tolerant), which
-// --resume, --merge and the coordinator's harvest feed with task
-// artifacts, and MetricsRegistry::absorb, which merges a process task's
-// metrics spill.  Seeds are what the writers emit; each mutant applies a
-// few byte flips, truncations, insertions and duplications.  The
-// contract: a reader either accepts a mutant or rejects it with an
-// exception (rows) or `false` with the registry untouched (spills) — no
-// crash, hang or sanitizer report.  Dependency-free: a fixed-seed
-// mt19937_64 drives the mutations, so every run sees the same inputs.
+// Seeded mutation fuzz for the readers of outside input: the JSONL row
+// reader (parse_jsonl_line, read_jsonl_tolerant), which --resume, --merge
+// and the coordinator's harvest feed with task artifacts;
+// MetricsRegistry::absorb, which merges a process task's metrics spill;
+// mem::parse_topology, which reads --tiers and the specs' ladders; and
+// trace::read_binary, which loads the UNIMTRC1 spills unimem_trace
+// reports on.  Seeds are what the writers (or the registered specs)
+// emit; each mutant applies a few byte flips, truncations, insertions
+// and duplications.  The contract: a reader either accepts a mutant or
+// rejects it with an exception (rows, topologies) or `false` (spills,
+// traces; the metrics registry stays untouched) — no crash, hang or
+// sanitizer report.  An accepted trace must also survive the consumers
+// unimem_trace runs on it: summarize and PhaseDag::from_trace's
+// critical-path pass.  Dependency-free: a fixed-seed mt19937_64 drives
+// the mutations, so every run sees the same inputs.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -19,12 +24,18 @@
 #include <fstream>
 #include <iterator>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "core/phase_dag.h"
+#include "simmem/tier_config.h"
 #include "sweep/engine.h"
 #include "sweep/result_store.h"
+#include "sweep/spec.h"
+#include "trace/export.h"
 #include "trace/metrics.h"
+#include "trace/trace.h"
 
 namespace unimem::sweep {
 namespace {
@@ -35,6 +46,7 @@ const int kQuietLog = ::setenv("UNIMEM_LOG", "off", 1);
 
 constexpr int kLineMutants = 20000;
 constexpr int kFileMutants = 1500;  // each costs a file write
+constexpr int kTopologyMutants = 20000;
 
 std::vector<SweepRow> seed_rows() {
   std::vector<SweepRow> rows;
@@ -209,6 +221,80 @@ TEST(ReaderFuzz, SpillMutantsMergeOrLeaveTheRegistryUnchanged) {
   }
   EXPECT_GT(merged, 0);
   EXPECT_LT(merged, kFileMutants);
+  std::remove(path.c_str());
+}
+
+TEST(ReaderFuzz, TopologyMutantsParseOrThrow) {
+  // Seeds: every ladder a registered spec runs.
+  std::set<std::string> seeds;
+  for (const std::string& name : spec_names()) {
+    const SweepSpec spec = *spec_by_name(name);
+    for (const std::string& t : spec.topologies)
+      if (!t.empty()) seeds.insert(t);
+    for (const SweepSpec::ExplicitPoint& e : spec.explicit_points)
+      if (!e.cfg.tiers.empty()) seeds.insert(e.cfg.tiers);
+  }
+  ASSERT_FALSE(seeds.empty());
+  const std::vector<std::string> pool(seeds.begin(), seeds.end());
+  for (const std::string& t : pool)
+    EXPECT_NO_THROW((void)mem::parse_topology(t)) << t;
+  std::mt19937_64 rng(20173);
+  int parsed = 0;
+  for (int i = 0; i < kTopologyMutants; ++i) {
+    const std::string m = mutate(pool[rng() % pool.size()], rng);
+    try {
+      (void)mem::parse_topology(m);
+      ++parsed;
+    } catch (const std::exception&) {
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_LT(parsed, kTopologyMutants);
+}
+
+/// A small recorded trace: one 2-rank class-S Unimem World.
+std::string seed_trace(const std::string& path) {
+  auto& rec = trace::TraceRecorder::instance();
+  rec.start();
+  exp::RunConfig cfg;
+  cfg.workload = "cg";
+  cfg.wcfg.cls = 'S';
+  cfg.wcfg.iterations = 3;
+  cfg.wcfg.nranks = 2;
+  cfg.policy = exp::Policy::kUnimem;
+  (void)exp::run_once(cfg);
+  trace::TraceData data = rec.stop();
+  trace::MetricsRegistry::global().reset();
+  trace::sort_events(&data);
+  EXPECT_TRUE(trace::write_binary(data, path));
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(ReaderFuzz, TraceMutantsLoadOrFailAndFeedTheReports) {
+  const std::string seed = seed_trace(scratch("seed.trace"));
+  trace::TraceData data;
+  ASSERT_TRUE(trace::read_binary(scratch("seed.trace"), &data));
+  std::remove(scratch("seed.trace").c_str());
+  rt::PhaseDag dag = rt::PhaseDag::from_trace(data);
+  ASSERT_FALSE(dag.nodes().empty()) << "the seed carries runtime/phase spans";
+  ASSERT_TRUE(dag.compute());
+  EXPECT_GT(dag.critical_path_s(), 0.0);
+
+  const std::string path = scratch("mutant.trace");
+  std::mt19937_64 rng(20174);
+  int loaded = 0;
+  for (int i = 0; i < kFileMutants; ++i) {
+    write_file(path, mutate(seed, rng));
+    trace::TraceData m;
+    if (!trace::read_binary(path, &m)) continue;
+    ++loaded;
+    (void)trace::summarize(m);
+    rt::PhaseDag mdag = rt::PhaseDag::from_trace(m);
+    (void)mdag.compute();
+  }
+  EXPECT_GT(loaded, 0) << "some mutants (e.g. payload byte flips) load";
+  EXPECT_LT(loaded, kFileMutants);
   std::remove(path.c_str());
 }
 

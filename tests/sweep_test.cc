@@ -222,7 +222,7 @@ TEST(SweepSpec, SmokeClampAlsoClampsExplicitPoints) {
 }
 
 TEST(SweepSpec, EveryRegisteredSpecExpands) {
-  EXPECT_EQ(spec_names().size(), 15u);
+  EXPECT_EQ(spec_names().size(), 14u);
   for (const std::string& name : spec_names()) {
     auto s = spec_by_name(name);
     ASSERT_TRUE(s.has_value()) << name;
@@ -738,92 +738,6 @@ TEST(SweepGoldenDeterminism, SampledProfilerAcrossJobsAndShards) {
   EXPECT_EQ(jsonl1, slurp(jsonl_m));
 }
 
-// Slack-scheduled migration triggers consult the cross-rank phase DAG,
-// which is exchanged over extra allreduces at the iteration top — a new
-// place where thread scheduling could leak into results.  The dag_slack
-// spec (off + slack points) must stay a pure function of the spec across
-// serial / 4-way threaded / 2-way sharded-and-merged execution, and
-// pinning dag_schedule=off must leave no trace in labels or results (the
-// collapsed axis is how every pre-existing spec runs).
-TEST(SweepGoldenDeterminism, DagSlackAcrossJobsAndShards) {
-  const SweepSpec spec = smoke_clamped(*spec_by_name("dag_slack"));
-  const auto points = spec.expand();
-  ASSERT_EQ(points.size(), 2u * 3u * 2u);  // {nek,lu} x drams x {off,slack}
-
-  const auto [csv1, jsonl1] = run_to_files(points, 1, "dag_j1");
-  const auto [csv4, jsonl4] = run_to_files(points, 4, "dag_j4");
-  EXPECT_EQ(csv1, csv4);
-  EXPECT_EQ(jsonl1, jsonl4);
-
-  const std::string dir = ::testing::TempDir();
-  std::vector<std::string> shard_files;
-  for (int shard = 0; shard < 2; ++shard) {
-    const std::string path =
-        dir + "/golden_dag_shard" + std::to_string(shard) + ".jsonl";
-    SweepResultStore store;
-    store.stream_jsonl(path);
-    EngineOptions opts;
-    opts.jobs = 2;
-    opts.on_result = [&](const SweepRow& row) { store.add(row); };
-    SweepEngine engine(opts);
-    engine.run(shard_slice(points, shard, 2));
-    store.finish();
-    shard_files.push_back(path);
-  }
-  const std::string csv_m = dir + "/golden_dag_merged.csv";
-  const std::string jsonl_m = dir + "/golden_dag_merged.jsonl";
-  SweepResultStore merged;
-  merged.write_csv_at_finish(csv_m);
-  merged.write_jsonl_at_finish(jsonl_m);
-  for (const SweepRow& r : merge_shards(shard_files)) merged.add(r);
-  merged.finish();
-  EXPECT_EQ(csv1, slurp(csv_m));
-  EXPECT_EQ(jsonl1, slurp(jsonl_m));
-
-  // Off pin: collapsing the axis (the --dag off CLI path) drops the axis
-  // key from every label and reproduces the two-value run's off rows
-  // field-for-field — the off path is byte-identical to a dag-unaware
-  // spec.
-  SweepSpec off_spec = spec;
-  off_spec.dag_schedules = {rt::DagSchedule::kOff};
-  const auto off_points = off_spec.expand();
-  ASSERT_EQ(off_points.size(), points.size() / 2);
-  EngineOptions oopts;
-  oopts.jobs = 1;
-  std::vector<SweepRow> off_rows;
-  oopts.on_result = [&](const SweepRow& row) { off_rows.push_back(row); };
-  SweepEngine oengine(oopts);
-  oengine.run(off_points);
-  std::sort(off_rows.begin(), off_rows.end(),
-            [](const SweepRow& a, const SweepRow& b) { return a.index < b.index; });
-  SweepResultStore two_store;
-  std::vector<SweepRow> two_rows;
-  EngineOptions topts;
-  topts.jobs = 1;
-  topts.on_result = [&](const SweepRow& row) { two_rows.push_back(row); };
-  SweepEngine tengine(topts);
-  tengine.run(points);
-  std::sort(two_rows.begin(), two_rows.end(),
-            [](const SweepRow& a, const SweepRow& b) { return a.index < b.index; });
-  std::size_t oi = 0;
-  for (const SweepRow& r : two_rows) {
-    auto it = r.axis.find("dag");
-    ASSERT_NE(it, r.axis.end());
-    if (it->second != "off") continue;
-    ASSERT_LT(oi, off_rows.size());
-    const SweepRow& o = off_rows[oi++];
-    SCOPED_TRACE(r.label);
-    EXPECT_EQ(o.axis.count("dag"), 0u);          // collapsed axis: no key
-    EXPECT_EQ(r.label, o.label + "/dagoff");     // only the label suffix differs
-    EXPECT_TRUE(o.ok) << o.error;
-    EXPECT_EQ(o.result.time_s, r.result.time_s);
-    EXPECT_EQ(o.result.checksum, r.result.checksum);
-    EXPECT_EQ(o.result.total_migrations, r.result.total_migrations);
-    EXPECT_EQ(o.result.total_bytes_moved, r.result.total_bytes_moved);
-  }
-  EXPECT_EQ(oi, off_rows.size());
-}
-
 // ---- result store ---------------------------------------------------------
 
 SweepRow make_row(std::size_t index, bool ok) {
@@ -930,6 +844,13 @@ TEST(SweepResultStore, JsonlRoundTripsExactly) {
                std::runtime_error);
   EXPECT_THROW(parse_jsonl_line(with("\"index\":0", "\"index\": 7")),
                std::runtime_error);
+  // Doubles only in the writer's own %.17g form: no leading whitespace,
+  // no hex float, no other spelling of the same value.
+  for (const char* time_s :
+       {"\"time_s\": 0.5", "\"time_s\":0x1p-1", "\"time_s\":5e-1"})
+    EXPECT_THROW(parse_jsonl_line(with("\"time_s\":0.125", time_s)),
+                 std::runtime_error)
+        << time_s;
 }
 
 TEST(SweepResultStore, FailureRowsStreamMergeAndStayPointOrdered) {

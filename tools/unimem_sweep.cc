@@ -112,12 +112,12 @@ void usage(std::FILE* out) {
       "                       (with --spec: verify the merge covers the spec)\n"
       "  --profiler exact|N   override the spec's profiling tier: exact, or\n"
       "                       sampled with base period N (collapses the prof axis)\n"
-      "  --dag off|slack      override the spec's phase-DAG scheduling mode\n"
-      "                       (collapses the dag axis)\n"
       "  --tiers SPEC         override the spec's memory topology: a\n"
       "                       parse_topology ladder such as\n"
       "                       hbm:1MiB,dram:4MiB,nvm:512MiB, or 'classic' for\n"
       "                       the 2-tier machine (collapses the tiers axis)\n"
+      "                       --profiler and --tiers are rejected on specs with\n"
+      "                       explicit points (fig4, fig12, replan_drift)\n"
       "  --launcher KIND      where tasks run: inproc, fork, or cmd[:PREFIX]\n"
       "                       (e.g. cmd:ssh host)\n"
       "  --workers N          coordinator worker slots, one task each\n"
@@ -168,7 +168,6 @@ struct Args {
   std::string spec;
   std::string filter;
   std::string profiler;  ///< --profiler exact|N ("" = spec default)
-  std::string dag;       ///< --dag off|slack ("" = spec default)
   std::string tiers;     ///< --tiers SPEC|classic ("" = spec default)
   bool have_tiers = false;
   std::string csv, jsonl, summary_json;
@@ -243,16 +242,6 @@ bool parse(int argc, char** argv, Args& a) {
         std::fprintf(stderr,
                      "unimem_sweep: --profiler wants 'exact' or a period N "
                      ">= 1 (got '%s')\n",
-                     v);
-        return false;
-      }
-    } else if (arg == "--dag") {
-      const char* v = value("--dag");
-      if (v == nullptr) return false;
-      a.dag = v;
-      if (a.dag != "off" && a.dag != "slack") {
-        std::fprintf(stderr,
-                     "unimem_sweep: --dag wants 'off' or 'slack' (got '%s')\n",
                      v);
         return false;
       }
@@ -410,7 +399,6 @@ std::vector<std::string> task_argv(const std::string& self, const Args& a,
   };
   if (a.smoke) v.push_back("--smoke");
   if (!a.profiler.empty()) flag("--profiler", a.profiler);
-  if (!a.dag.empty()) flag("--dag", a.dag);
   if (a.have_tiers) flag("--tiers", a.tiers.empty() ? "classic" : a.tiers);
   flag("--jobs", std::to_string(t.engine.jobs));
   if (!t.trace.empty()) {
@@ -580,18 +568,21 @@ int run_cli(int argc, char** argv) {
     return 1;
   }
   if (a.smoke || sweep::smoke_requested()) *spec = sweep::smoke_clamped(*spec);
+  if (!spec->explicit_points.empty() && (!a.profiler.empty() || a.have_tiers)) {
+    // The overrides collapse grid axes; explicit points carry whole
+    // configs of their own and would silently run without them.
+    std::fprintf(stderr,
+                 "unimem_sweep: %s cannot override spec '%s': its explicit "
+                 "points keep their own configs\n",
+                 a.have_tiers ? "--tiers" : "--profiler", a.spec.c_str());
+    return 1;
+  }
   if (!a.profiler.empty()) {
-    // Collapse the profiling-tier axis to the requested value; explicit
-    // points keep their own configs (they never carry the prof axis).
+    // Collapse the profiling-tier axis to the requested value.
     unsigned long long period = 0;
     if (a.profiler != "exact")
       parse_u64(a.profiler.c_str(), 1, UINT64_MAX, &period);  // parse() vetted
     spec->profiler_periods = {static_cast<std::uint64_t>(period)};
-  }
-  if (!a.dag.empty()) {
-    // Collapse the phase-DAG scheduling axis to the requested value.
-    spec->dag_schedules = {a.dag == "slack" ? rt::DagSchedule::kSlack
-                                            : rt::DagSchedule::kOff};
   }
   if (a.have_tiers) {
     // Collapse the memory-topology axis to the requested ladder ("" after
