@@ -2,14 +2,64 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "common/units.h"
 
 namespace unimem::mem {
 
-Arena::Arena(std::size_t capacity)
-    : capacity_(align_up(capacity, kCacheLine)),
-      buffer_(static_cast<std::byte*>(std::malloc(capacity_ + kCacheLine))) {
+class Arena::Pool {
+ public:
+  static Pool& instance() {
+    // Never destroyed, so an arena that outlives static destruction can
+    // still return its buffer; the idle buffers stay reachable from here.
+    static Pool* const pool = new Pool;
+    return *pool;
+  }
+
+  /// The smallest idle buffer of `name` holding `bytes`, or a fresh one
+  /// after dropping the largest idle buffer of `name` (all too small).
+  Buffer take(const std::string& name, std::size_t bytes,
+              std::size_t* buffer_bytes) {
+    Buffer dropped;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      auto& idle = idle_[name];
+      if (auto it = idle.lower_bound(bytes); it != idle.end()) {
+        auto node = idle.extract(it);
+        *buffer_bytes = node.key();
+        return std::move(node.mapped());
+      }
+      if (!idle.empty())
+        dropped = std::move(idle.extract(std::prev(idle.end())).mapped());
+    }
+    dropped.reset();
+    *buffer_bytes = bytes;
+    return Buffer(static_cast<std::byte*>(std::malloc(bytes)));
+  }
+
+  void give(const std::string& name, std::size_t bytes, Buffer b) {
+    std::lock_guard<std::mutex> lk(mu_);
+    idle_[name].emplace(bytes, std::move(b));
+  }
+
+  std::size_t idle(const std::string& name) {
+    std::lock_guard<std::mutex> lk(mu_);
+    auto it = idle_.find(name);
+    return it == idle_.end() ? 0 : it->second.size();
+  }
+
+ private:
+  std::mutex mu_;
+  /// pool name -> idle buffers by size.
+  std::map<std::string, std::multimap<std::size_t, Buffer>> idle_;
+};
+
+Arena::Arena(std::size_t capacity, std::string pool_name)
+    : pool_name_(std::move(pool_name)),
+      capacity_(align_up(capacity, kCacheLine)),
+      buffer_(Pool::instance().take(pool_name_, capacity_ + kCacheLine,
+                                    &buffer_bytes_)) {
   if (buffer_ == nullptr) {
     std::fprintf(stderr, "Arena: cannot reserve %zu bytes\n", capacity_);
     std::abort();
@@ -18,6 +68,14 @@ Arena::Arena(std::size_t capacity)
   auto base = reinterpret_cast<std::uintptr_t>(buffer_.get());
   base_shift_ = align_up(base, kCacheLine) - base;
   free_.emplace(0, capacity_);
+}
+
+Arena::~Arena() {
+  Pool::instance().give(pool_name_, buffer_bytes_, std::move(buffer_));
+}
+
+std::size_t Arena::idle_buffers(const std::string& pool_name) {
+  return Pool::instance().idle(pool_name);
 }
 
 void* Arena::allocate(std::size_t bytes) {

@@ -17,7 +17,7 @@ HeteroMemory::HeteroMemory(TopologyConfig cfg)
   }
   arenas_.reserve(tiers_.size());
   for (const TierConfig& t : tiers_)
-    arenas_.push_back(std::make_unique<Arena>(t.capacity_bytes));
+    arenas_.push_back(std::make_unique<Arena>(t.capacity_bytes, t.name));
 }
 
 Tier HeteroMemory::tier_of(const void* p) const {

@@ -5,6 +5,13 @@
 // to N tiers (HBM above DRAM, CXL far memory, remote pools).  Provides
 // tier-tagged allocation and the inter-tier copy-cost model used by the
 // migration engine (paper Eq. 4's `data_size / mem_copy_bw` term).
+//
+// Lifetime: a HeteroMemory lives for one World, but its arenas' buffers
+// do not.  Each tier's arena draws its buffer from the process-wide pool
+// under the tier's name and returns it at destruction (see arena.h), so a
+// fresh HeteroMemory may hand out bytes a previous World wrote.  Nothing
+// reads them: Registry::create zeroes every chunk it places, and a
+// migration overwrites its whole destination chunk.
 #pragma once
 
 #include <cstddef>

@@ -4,13 +4,16 @@
 //   DRAM-only <= Unimem <= NVM-only   (in execution time).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "experiments/runner.h"
+#include "simmem/arena.h"
 #include "simmem/tier_config.h"
 
 namespace unimem::exp {
@@ -221,6 +224,37 @@ TEST(Integration, ClassicMachineIsTheTwoTierLadder) {
       }
     }
   }
+}
+
+TEST(Integration, PooledArenasLeaveNoTrace) {
+  // A World's arenas reuse the host buffers earlier Worlds wrote (the
+  // pool keys them by tier name).  Whatever those buffers hold, a World's
+  // result is the one it gets on buffers nobody touched.
+  RunConfig first = base_cfg("cg");
+  first.policy = Policy::kUnimem;
+  const RunResult clean = run_once(first);
+  ASSERT_GT(clean.total_migrations, 0u);
+
+  // Replace every idle buffer of every tier name in use with one filled
+  // with 0xA5, large enough for any arena the Worlds below build (at most
+  // 8 MiB for a constrained tier, 40 MiB for the backstop).
+  const mem::TopologyConfig ladder =
+      mem::parse_topology("hbm:1MiB,dram:2MiB,nvm:16MiB");
+  for (const mem::TierConfig& t : ladder.tiers) {
+    const std::size_t cap = &t == &ladder.tiers.back() ? 48 * kMiB : 8 * kMiB;
+    const std::size_t idle = mem::Arena::idle_buffers(t.name);
+    std::vector<std::unique_ptr<mem::Arena>> dirty;
+    for (std::size_t i = 0; i < std::max<std::size_t>(idle, 1); ++i) {
+      dirty.push_back(std::make_unique<mem::Arena>(cap, t.name));
+      std::memset(dirty.back()->allocate(cap), 0xA5, cap);
+    }
+  }
+
+  RunConfig second = base_cfg("mg");
+  second.tiers = "hbm:1MiB,dram:2MiB,nvm:16MiB";
+  second.policy = Policy::kUnimem;
+  run_once(second);
+  EXPECT_EQ(fingerprint(run_once(first)), fingerprint(clean));
 }
 
 TEST(Integration, XMenRejectedOnLadderDeeperThanTwoTiers) {

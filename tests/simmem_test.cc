@@ -1,13 +1,14 @@
-// Tests for the tiered-memory substrate: arena allocator invariants,
-// tier configs (Table 1), the HMS copy model, the DRAM arbiter, and the
-// N-tier topology layer (backend registry, parse_topology, per-tier
-// arbiter allowances).
+// Tests for the tiered-memory substrate: arena allocator invariants and
+// its buffer pool, tier configs (Table 1), the HMS copy model, the DRAM
+// arbiter, and the N-tier topology layer (backend registry,
+// parse_topology, per-tier arbiter allowances).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -133,6 +134,54 @@ TEST_P(ArenaStress, RandomAllocFree) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ArenaStress,
                          ::testing::Values(1, 2, 3, 17, 99, 123456));
+
+/// Offsets, from the first block, of a first-fit sequence with a hole.
+std::vector<std::ptrdiff_t> first_fit_offsets(Arena& a) {
+  auto* first = static_cast<std::byte*>(a.allocate(100));
+  void* mid = a.allocate(8 * kKiB);
+  auto* last = static_cast<std::byte*>(a.allocate(3 * kKiB));
+  a.deallocate(mid);
+  auto* fill = static_cast<std::byte*>(a.allocate(kKiB));  // into the hole
+  auto* tail = static_cast<std::byte*>(a.allocate(16 * kKiB));
+  return {last - first, fill - first, tail - first};
+}
+
+TEST(ArenaPool, PooledArenaHandsOutFreshOffsets) {
+  const std::string name = "simmem-test-offsets";
+  std::vector<std::ptrdiff_t> fresh;
+  {
+    Arena a(kMiB, name);
+    fresh = first_fit_offsets(a);
+    const std::size_t rest = a.largest_free_block();
+    std::memset(a.allocate(rest), 0xA5, rest);
+    // Live blocks at destruction return with the buffer, not the arena.
+  }
+  ASSERT_EQ(Arena::idle_buffers(name), 1u);
+  Arena pooled(kMiB, name);
+  EXPECT_EQ(Arena::idle_buffers(name), 0u) << "the idle buffer was reused";
+  EXPECT_EQ(pooled.used(), 0u);
+  EXPECT_EQ(pooled.largest_free_block(), pooled.capacity());
+  EXPECT_EQ(first_fit_offsets(pooled), fresh);
+}
+
+TEST(ArenaPool, ChurnKeepsOneIdleBufferPerName) {
+  const std::string name = "simmem-test-churn";
+  const std::string other = "simmem-test-churn-other";
+  { Arena keep(256 * kKiB, other); }
+  Rng rng(5);
+  for (int i = 0; i < 200; ++i) {
+    // Capacities that grow past and fall below every idle buffer.
+    { Arena a((1 + rng.below(64)) * 16 * kKiB, name); }
+    ASSERT_EQ(Arena::idle_buffers(name), 1u) << "step " << i;
+  }
+  EXPECT_EQ(Arena::idle_buffers(other), 1u) << "names do not share buffers";
+  {
+    // Two live at once need two buffers; both return to the pool.
+    Arena a(64 * kKiB, name);
+    Arena b(64 * kKiB, name);
+  }
+  EXPECT_EQ(Arena::idle_buffers(name), 2u);
+}
 
 TEST(TierConfig, NvmScalingRatios) {
   TierConfig d = TierConfig::dram_basis(kMiB);
