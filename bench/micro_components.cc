@@ -395,8 +395,8 @@ void BM_MigrationRoundTrip(benchmark::State& state) {
   rt::MigrationEngine eng(&reg);
   bool to_dram = true;
   for (auto _ : state) {
-    eng.enqueue(rt::UnitRef{o->id(), 0},
-                to_dram ? mem::Tier::kDram : mem::Tier::kNvm, 0.0);
+    eng.enqueue_batch({{rt::UnitRef{o->id(), 0},
+                        to_dram ? mem::Tier::kDram : mem::Tier::kNvm, 0.0}});
     eng.drain();
     to_dram = !to_dram;
   }

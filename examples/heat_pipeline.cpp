@@ -91,7 +91,7 @@ int main() {
           static_cast<double>(s.migration.bytes_moved) / 1e6,
           s.migration.overlap_percent(), s.overhead_percent());
       std::printf("  history chunks: %zu (chunkable 1-D object)\n",
-                  rt.registry().find("history")->chunk_count());
+                  history->chunk_count());
     }
     rt.free_object(t_now);
     rt.free_object(t_next);

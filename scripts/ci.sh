@@ -7,7 +7,8 @@
 #                           (no build; also runs first in the release stage)
 #   scripts/ci.sh release   docs -> configure+build (RelWithDebInfo) ->
 #                           tier-1 -> e2e aggregates -> bench smoke ->
-#                           sweep smoke
+#                           sweep smoke -> sweep service -> perfbench
+#                           build + its tests
 #   scripts/ci.sh asan      ASan+UBSan Debug build -> tier-1
 #   scripts/ci.sh tsan      TSan Debug build -> tier-1 -> sweep smoke
 #                           (the minimpi rank threads and the sweep
@@ -62,6 +63,15 @@ stage_release() {
   # heuristics, a fork campaign's summary, kill-and-resume, and the
   # service_stress spec slice across forked workers.
   ctest --test-dir build -L sweep-service --output-on-failure -j "$JOBS"
+
+  echo "== [release] perfbench build =="
+  # The benchmark driver compiles against the runtime's public headers
+  # (OpInfo, PmpiHooks, Context, the Runtime/StaticContext constructors,
+  # parse_topology), so a header change that breaks it fails here rather
+  # than in every benchmark run.
+  cmake -S perfbench -B build-perfbench
+  cmake --build build-perfbench -j "$JOBS"
+  ctest --test-dir build-perfbench --output-on-failure -j "$JOBS"
 }
 
 stage_asan() {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <new>
+#include <stdexcept>
 
 namespace unimem::baseline {
 
@@ -22,6 +23,8 @@ StaticContext::StaticContext(StaticContextOptions opts,
                              mem::DramArbiter* arbiter, mpi::Comm* comm,
                              PlacementFn placement)
     : opts_(opts), comm_(comm), placement_(std::move(placement)) {
+  if (comm_ == nullptr)
+    throw std::invalid_argument("StaticContext: comm must not be nullptr");
   if (opts_.use_exact_cache)
     cache_ = std::make_unique<cache::ExactCache>(opts_.cache);
   else
@@ -31,9 +34,7 @@ StaticContext::StaticContext(StaticContextOptions opts,
       std::make_unique<rt::ExecEngine>(hms, cache_.get(), opts_.timing);
 }
 
-double StaticContext::now() const {
-  return comm_ != nullptr ? comm_->clock().now() : own_clock_.now();
-}
+double StaticContext::now() const { return comm_->clock().now(); }
 
 rt::DataObject* StaticContext::malloc_object(const std::string& name,
                                              std::size_t bytes,
@@ -71,9 +72,7 @@ void StaticContext::free_object(rt::DataObject* obj) {
 
 void StaticContext::compute(const rt::PhaseWork& work) {
   rt::PhaseExec exec = engine_->run(work);
-  clk::VirtualClock& clock =
-      comm_ != nullptr ? comm_->clock() : own_clock_;
-  clock.advance(exec.total_s());
+  comm_->clock().advance(exec.total_s());
 
   if (opts_.record_profile) {
     // Offline trace collection: exact per-object counts, as PIN would see.

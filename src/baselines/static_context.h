@@ -21,7 +21,6 @@
 #include "minimpi/comm.h"
 #include "simcache/analytic_cache.h"
 #include "simcache/exact_cache.h"
-#include "simclock/virtual_clock.h"
 
 namespace unimem::baseline {
 
@@ -62,6 +61,9 @@ struct StaticContextOptions {
 
 class StaticContext final : public rt::Context {
  public:
+  /// `comm` is the rank's communicator, whose clock this context advances;
+  /// it must not be nullptr (std::invalid_argument).  `arbiter` may be
+  /// nullptr.
   StaticContext(StaticContextOptions opts, mem::HeteroMemory* hms,
                 mem::DramArbiter* arbiter, mpi::Comm* comm,
                 PlacementFn placement);
@@ -86,7 +88,6 @@ class StaticContext final : public rt::Context {
  private:
   StaticContextOptions opts_;
   mpi::Comm* comm_;
-  clk::VirtualClock own_clock_;
   std::unique_ptr<cache::CacheModel> cache_;
   std::unique_ptr<rt::Registry> registry_;
   std::unique_ptr<rt::ExecEngine> engine_;

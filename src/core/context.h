@@ -34,7 +34,8 @@ class Context {
   /// Submit modeled computation for the current phase.
   virtual void compute(const PhaseWork& work) = 0;
 
-  /// The rank's communicator; nullptr for single-rank tools.
+  /// The rank's communicator; never nullptr (both contexts reject a null
+  /// one at construction).
   virtual mpi::Comm* comm() = 0;
 
   /// Current virtual time of this rank.

@@ -6,10 +6,6 @@
 
 namespace unimem::rt {
 
-void MigrationEngine::enqueue(UnitRef unit, mem::Tier to, double enqueue_vt) {
-  enqueue_batch({Item{unit, to, enqueue_vt}});
-}
-
 void MigrationEngine::enqueue_batch(const std::vector<Item>& items) {
   std::deque<Request> ready;
   for (const Item& it : items) {

@@ -72,14 +72,11 @@ class MigrationEngine {
     double enqueue_vt;
   };
 
-  /// Submit one movement request at virtual time `enqueue_vt`.  The
-  /// decision, the completion-time math and the copy all happen before
-  /// this returns.
-  void enqueue(UnitRef unit, mem::Tier to, double enqueue_vt);
-
-  /// Submit a phase's requests as one FIFO batch: a move that fails
-  /// because its space is freed by a *later* entry of the batch is
-  /// retried within the batch (and once more in later batches).
+  /// Submit a phase's movement requests as one FIFO batch, each at its
+  /// `enqueue_vt`.  The decisions, the completion-time math and the copies
+  /// all happen before this returns.  A move that fails because its space
+  /// is freed by a *later* entry of the batch is retried within the batch
+  /// (and once more in later batches).
   void enqueue_batch(const std::vector<Item>& items);
 
   /// Virtual completion time of the last decided request for `unit` (0.0

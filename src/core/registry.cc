@@ -141,26 +141,6 @@ DataObject* Registry::get(ObjectId id) {
   return objects_.at(id).get();
 }
 
-const DataObject* Registry::get(ObjectId id) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return objects_.at(id).get();
-}
-
-DataObject* Registry::find(const std::string& name) {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (auto& o : objects_)
-    if (o && o->name() == name) return o.get();
-  return nullptr;
-}
-
-std::size_t Registry::object_count() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::size_t n = 0;
-  for (auto& o : objects_)
-    if (o) ++n;
-  return n;
-}
-
 std::size_t Registry::unit_bytes(UnitRef u) const {
   std::lock_guard<std::mutex> lk(mu_);
   return objects_.at(u.object)->chunk(u.chunk).bytes;

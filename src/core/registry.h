@@ -53,10 +53,8 @@ class Registry {
   /// Attribute a sampled miss address to a unit, if it belongs to one.
   std::optional<UnitRef> attribute(std::uint64_t addr) const;
 
+  /// The live object `id`; nullptr once it is destroyed.
   DataObject* get(ObjectId id);
-  const DataObject* get(ObjectId id) const;
-  DataObject* find(const std::string& name);
-  std::size_t object_count() const;
   std::size_t unit_bytes(UnitRef u) const;
   mem::Tier unit_tier(UnitRef u) const;
 

@@ -50,12 +50,6 @@ std::set<UnitRef> ReplanController::drifted_units(
   return drifted;
 }
 
-DriftReport ReplanController::classify(const Profiler& prof) const {
-  DriftReport rep;
-  drifted_units(unit_weights(prof), &rep);
-  return rep;
-}
-
 Plan ReplanController::repair(const Profiler& prof,
                               const std::map<UnitRef, double>& w_new,
                               const std::set<UnitRef>& drifted,

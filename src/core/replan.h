@@ -93,15 +93,12 @@ class ReplanController {
   /// recent accepted knowledge.
   void observe(const Profiler& prof);
 
-  /// Classify the per-unit weight drift of `prof` against the snapshot.
-  /// A unit counts as drifted when its weight changed by more than
-  /// drift_threshold relative to the larger of the two readings (units
-  /// appearing or vanishing drift by definition unless below the noise
-  /// floor).
-  DriftReport classify(const Profiler& prof) const;
-
   /// The epoch decision: keep the stale plan, adopt the incremental
-  /// repair, or demand a full re-solve.  On kIncremental the returned
+  /// repair, or demand a full re-solve.  `drift` classifies the per-unit
+  /// weight drift of `prof` against the snapshot: a unit counts as drifted
+  /// when its weight changed by more than drift_threshold relative to the
+  /// larger of the two readings (units appearing or vanishing drift by
+  /// definition unless below the noise floor).  On kIncremental the returned
   /// plan's predicted time is <= the stale prediction by construction.
   ReplanDecision decide(const Profiler& prof) const;
 
@@ -119,7 +116,7 @@ class ReplanController {
 
  private:
   /// Units of the snapshot/fresh pair whose weight changed past the
-  /// threshold (shared by classify and decide).
+  /// threshold.
   std::set<UnitRef> drifted_units(const std::map<UnitRef, double>& w_new,
                                   DriftReport* report) const;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <stdexcept>
 
 #include "common/log.h"
 #include "trace/trace.h"
@@ -35,6 +36,8 @@ constexpr double kOverheadPlanFixedS = 20e-6;
 Runtime::Runtime(RuntimeOptions opts, mem::HeteroMemory* hms,
                  mem::DramArbiter* arbiter, mpi::Comm* comm)
     : opts_(opts), hms_(hms), comm_(comm), profiler_(nullptr) {
+  if (comm_ == nullptr)
+    throw std::invalid_argument("Runtime: comm must not be nullptr");
   if (opts_.use_exact_cache)
     cache_ = std::make_unique<cache::ExactCache>(opts_.cache);
   else
@@ -78,27 +81,18 @@ Runtime::Runtime(RuntimeOptions opts, mem::HeteroMemory* hms,
   }
   if (opts_.sample_period > 0)
     adaptive_rate_ = std::make_unique<perf::AdaptiveRate>(opts_.sample_period);
-  if (comm_ != nullptr) comm_->set_hooks(this);
+  comm_->set_hooks(this);
 
   // The Runtime is constructed on its rank's thread (see run_once): name
   // that thread's trace track after the rank so the exported timeline
   // reads "rank 0", "rank 1", ... top to bottom.
   if (trace::on()) {
-    const int rank = comm_ != nullptr ? comm_->rank() : 0;
-    trace::set_thread_track("rank " + std::to_string(rank), rank);
+    trace::set_thread_track("rank " + std::to_string(comm_->rank()),
+                            comm_->rank());
   }
 }
 
-Runtime::~Runtime() {
-  if (comm_ != nullptr) comm_->set_hooks(nullptr);
-}
-
-clk::VirtualClock& Runtime::clock() {
-  return comm_ != nullptr ? comm_->clock() : own_clock_;
-}
-const clk::VirtualClock& Runtime::clock() const {
-  return comm_ != nullptr ? comm_->clock() : own_clock_;
-}
+Runtime::~Runtime() { comm_->set_hooks(nullptr); }
 
 void Runtime::charge_overhead(double seconds) {
   overhead_s_ += seconds;
@@ -265,9 +259,8 @@ void Runtime::close_phase(bool is_comm) {
       if (adaptive_rate_ != nullptr)
         scfg = perf::SampledConfig{
             adaptive_rate_->period(),
-            perf::schedule_seed(kSamplerSeed,
-                                comm_ != nullptr ? comm_->rank() : 0,
-                                phase_idx_, iteration_)};
+            perf::schedule_seed(kSamplerSeed, comm_->rank(), phase_idx_,
+                                iteration_)};
       const perf::PhaseSamples samples = sampler_->sample_phase(
           phase_windows_, phase_compute_s_, phase_time, scfg);
       const double per_sample_s =
@@ -314,13 +307,6 @@ void Runtime::enqueue_phase_migrations(std::size_t phase_idx) {
   if (!batch.empty()) migrator_->enqueue_batch(batch);
 }
 
-void Runtime::phase_boundary() {
-  close_phase(false);
-  ++phase_idx_;
-  if (mode_ == Mode::kEnforcing) enqueue_phase_migrations(phase_idx_);
-  open_phase();
-}
-
 void Runtime::wait_for_buffer(const void* buf, std::size_t bytes) {
   if (buf == nullptr || bytes == 0) return;
   const auto lo = reinterpret_cast<std::uint64_t>(buf);
@@ -335,12 +321,10 @@ void Runtime::on_pre_op(const mpi::OpInfo& info) {
   if (!started_) return;
   // Mirror of compute(): minimpi is about to memcpy the op's buffers, so
   // the op waits (in virtual time) for outstanding migrations of their
-  // owning units.  Applies to non-blocking calls too — an eager isend
-  // reads its payload right away.
+  // owning units.
   wait_for_buffer(info.read_buf, info.read_bytes);
   wait_for_buffer(info.write_buf, info.write_bytes);
-  if (!info.blocking) return;
-  // The blocking MPI call ends the computation phase and is itself a
+  // The MPI call ends the computation phase and is itself a
   // communication phase.  The comm phase's own planned migrations are NOT
   // enqueued here: a unit the op reads or writes must not start moving
   // before the op is done.  They are issued in on_post_op.
@@ -349,8 +333,8 @@ void Runtime::on_pre_op(const mpi::OpInfo& info) {
   open_phase();
 }
 
-void Runtime::on_post_op(const mpi::OpInfo& info) {
-  if (!started_ || !info.blocking) return;
+void Runtime::on_post_op(const mpi::OpInfo& /*info*/) {
+  if (!started_) return;
   close_phase(true);
   ++phase_idx_;
   if (mode_ == Mode::kEnforcing) {

@@ -16,9 +16,10 @@
 // closes.
 //
 // Phase boundaries are discovered transparently through minimpi's PMPI
-// hooks: every *blocking* MPI call ends the current computation phase and
-// is itself a communication phase; non-blocking calls merge into the
-// following phase (paper §2.1).
+// hooks: every MPI call ends the current computation phase and is itself a
+// communication phase (paper §2.1).  minimpi offers only blocking calls, so
+// the paper's rule that non-blocking calls merge into the following phase
+// has nothing to apply to.
 #pragma once
 
 #include <memory>
@@ -111,8 +112,10 @@ struct RuntimeStats {
 
 class Runtime final : public Context, public mpi::PmpiHooks {
  public:
-  /// `comm` may be nullptr (single-rank); `arbiter` may be nullptr (then
-  /// each tier's capacity bounds placement).  unimem_init: calibrates the
+  /// `comm` is the rank's communicator and must not be nullptr
+  /// (std::invalid_argument): its clock is the Runtime's clock and its
+  /// PMPI hooks find the phases.  `arbiter` may be nullptr (then each
+  /// tier's capacity bounds placement).  unimem_init: calibrates the
   /// model through rt::calibrate, which measures once per machine (fastest
   /// tier, backstop, cache and timing) in the process and hands later
   /// Runtimes the same bits.
@@ -134,9 +137,6 @@ class Runtime final : public Context, public mpi::PmpiHooks {
   /// Register a programmer alias created before the main loop (§3.3).
   void add_alias(DataObject* obj, void** alias);
 
-  /// Manual phase boundary for non-MPI applications.
-  void phase_boundary();
-
   // ---- PmpiHooks --------------------------------------------------------
   void on_pre_op(const mpi::OpInfo& info) override;
   void on_post_op(const mpi::OpInfo& info) override;
@@ -150,8 +150,8 @@ class Runtime final : public Context, public mpi::PmpiHooks {
  private:
   enum class Mode { kIdle, kProfiling, kEnforcing };
 
-  clk::VirtualClock& clock();
-  const clk::VirtualClock& clock() const;
+  clk::VirtualClock& clock() { return comm_->clock(); }
+  const clk::VirtualClock& clock() const { return comm_->clock(); }
   void close_phase(bool is_comm);
   void open_phase();
   /// Charge the exposed wait for outstanding migrations of every unit
@@ -173,7 +173,6 @@ class Runtime final : public Context, public mpi::PmpiHooks {
   RuntimeOptions opts_;
   mem::HeteroMemory* hms_;
   mpi::Comm* comm_;
-  clk::VirtualClock own_clock_;  ///< used when comm_ == nullptr
 
   std::unique_ptr<cache::CacheModel> cache_;
   std::unique_ptr<Registry> registry_;

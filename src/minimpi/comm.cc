@@ -148,12 +148,11 @@ void run_collective(World::Impl& w, int nranks, int rank, std::uint64_t seq,
   }
 }
 
-template <typename T>
 void reduce_in_place(std::vector<std::byte>& acc,
                      const std::vector<std::byte>& in, ReduceOp op) {
-  auto* a = reinterpret_cast<T*>(acc.data());
-  auto* b = reinterpret_cast<const T*>(in.data());
-  std::size_t n = acc.size() / sizeof(T);
+  auto* a = reinterpret_cast<double*>(acc.data());
+  auto* b = reinterpret_cast<const double*>(in.data());
+  std::size_t n = acc.size() / sizeof(double);
   for (std::size_t i = 0; i < n; ++i) {
     switch (op) {
       case ReduceOp::kSum: a[i] += b[i]; break;
@@ -163,14 +162,17 @@ void reduce_in_place(std::vector<std::byte>& acc,
   }
 }
 
-template <typename T>
-void typed_allreduce(World& world, World::Impl& impl, Comm& comm,
-                     clk::VirtualClock& clock, T* buf, std::size_t n,
-                     ReduceOp op, std::uint64_t seq) {
-  const std::size_t bytes = n * sizeof(T);
+}  // namespace
+
+void Comm::allreduce(double* buf, std::size_t n, ReduceOp op) {
+  const std::size_t bytes = n * sizeof(double);
+  OpInfo info{OpKind::kAllreduce, -1, bytes, buf, bytes, buf, bytes};
+  pre(info);
+  std::uint64_t seq = world_->impl_->coll_seq[rank_]++;
+  const int p = size();
   run_collective(
-      impl, world.size(), comm.rank(), seq, clock,
-      world.network().collective_cost(bytes, world.size()),
+      *world_->impl_, p, rank_, seq, clock_,
+      world_->network().collective_cost(bytes, p),
       [&](std::vector<std::byte>& mine) {
         mine.resize(bytes);
         std::memcpy(mine.data(), buf, bytes);
@@ -178,102 +180,10 @@ void typed_allreduce(World& world, World::Impl& impl, Comm& comm,
       [&](std::vector<std::vector<std::byte>>& contrib,
           std::vector<std::byte>& result) {
         result = contrib[0];
-        for (int r = 1; r < world.size(); ++r)
-          reduce_in_place<T>(result, contrib[r], op);
+        for (int r = 1; r < p; ++r) reduce_in_place(result, contrib[r], op);
       },
       [&](const std::vector<std::byte>& result) {
         std::memcpy(buf, result.data(), bytes);
-      });
-}
-
-}  // namespace
-
-void Comm::barrier() {
-  OpInfo info{OpKind::kBarrier, -1, 0, true};
-  pre(info);
-  std::uint64_t seq = world_->impl_->coll_seq[rank_]++;
-  run_collective(
-      *world_->impl_, world_->size(), rank_, seq, clock_,
-      world_->network().collective_cost(0, world_->size()),
-      [](std::vector<std::byte>&) {},
-      [](std::vector<std::vector<std::byte>>&, std::vector<std::byte>&) {},
-      [](const std::vector<std::byte>&) {});
-  post(info);
-}
-
-void Comm::allreduce(double* buf, std::size_t n, ReduceOp op) {
-  OpInfo info{OpKind::kAllreduce, -1, n * sizeof(double), true,
-              buf, n * sizeof(double), buf, n * sizeof(double)};
-  pre(info);
-  std::uint64_t seq = world_->impl_->coll_seq[rank_]++;
-  typed_allreduce(*world_, *world_->impl_, *this, clock_, buf, n, op, seq);
-  post(info);
-}
-
-void Comm::allreduce(std::uint64_t* buf, std::size_t n, ReduceOp op) {
-  OpInfo info{OpKind::kAllreduce, -1, n * sizeof(std::uint64_t), true,
-              buf, n * sizeof(std::uint64_t), buf, n * sizeof(std::uint64_t)};
-  pre(info);
-  std::uint64_t seq = world_->impl_->coll_seq[rank_]++;
-  typed_allreduce(*world_, *world_->impl_, *this, clock_, buf, n, op, seq);
-  post(info);
-}
-
-void Comm::reduce(double* buf, std::size_t n, int root, ReduceOp op) {
-  OpInfo info{OpKind::kReduce, root, n * sizeof(double), true,
-              buf, n * sizeof(double)};
-  if (rank_ == root) {
-    info.write_buf = buf;
-    info.write_bytes = n * sizeof(double);
-  }
-  pre(info);
-  std::uint64_t seq = world_->impl_->coll_seq[rank_]++;
-  const std::size_t bytes = n * sizeof(double);
-  const int my_rank = rank_;
-  run_collective(
-      *world_->impl_, world_->size(), rank_, seq, clock_,
-      world_->network().collective_cost(bytes, world_->size()),
-      [&](std::vector<std::byte>& mine) {
-        mine.resize(bytes);
-        std::memcpy(mine.data(), buf, bytes);
-      },
-      [&](std::vector<std::vector<std::byte>>& contrib,
-          std::vector<std::byte>& result) {
-        result = contrib[0];
-        for (int r = 1; r < world_->size(); ++r)
-          reduce_in_place<double>(result, contrib[r], op);
-      },
-      [&](const std::vector<std::byte>& result) {
-        if (my_rank == root) std::memcpy(buf, result.data(), bytes);
-      });
-  post(info);
-}
-
-void Comm::bcast(void* buf, std::size_t bytes, int root) {
-  OpInfo info{OpKind::kBcast, root, bytes, true};
-  if (rank_ == root) {
-    info.read_buf = buf;
-    info.read_bytes = bytes;
-  } else {
-    info.write_buf = buf;
-    info.write_bytes = bytes;
-  }
-  pre(info);
-  std::uint64_t seq = world_->impl_->coll_seq[rank_]++;
-  const int my_rank = rank_;
-  run_collective(
-      *world_->impl_, world_->size(), rank_, seq, clock_,
-      world_->network().collective_cost(bytes, world_->size()),
-      [&](std::vector<std::byte>& mine) {
-        if (my_rank == root) {
-          mine.resize(bytes);
-          std::memcpy(mine.data(), buf, bytes);
-        }
-      },
-      [&](std::vector<std::vector<std::byte>>& contrib,
-          std::vector<std::byte>& result) { result = contrib[root]; },
-      [&](const std::vector<std::byte>& result) {
-        if (my_rank != root) std::memcpy(buf, result.data(), bytes);
       });
   post(info);
 }
@@ -317,67 +227,9 @@ void Comm::pop_message(int src, int tag, void* buf, std::size_t bytes) {
   clock_.wait_until(m.send_vt + world_->network().p2p_cost(bytes));
 }
 
-void Comm::send(const void* buf, std::size_t bytes, int dst, int tag) {
-  OpInfo info{OpKind::kSend, dst, bytes, true, buf, bytes};
-  pre(info);
-  push_message(dst, tag, buf, bytes);
-  post(info);
-}
-
-void Comm::recv(void* buf, std::size_t bytes, int src, int tag) {
-  OpInfo info{OpKind::kRecv, src, bytes, true, nullptr, 0, buf, bytes};
-  pre(info);
-  pop_message(src, tag, buf, bytes);
-  post(info);
-}
-
-Request Comm::isend(const void* buf, std::size_t bytes, int dst, int tag) {
-  // Eager send: the payload is read (buffered) immediately, so the
-  // read-side wait applies even though the call is non-blocking.
-  OpInfo info{OpKind::kIsend, dst, bytes, false, buf, bytes};
-  pre(info);
-  push_message(dst, tag, buf, bytes);  // eager: buffered immediately
-  post(info);
-  Request r;
-  r.kind = Request::Kind::kSend;
-  r.peer = dst;
-  r.tag = tag;
-  r.bytes = bytes;
-  r.done = true;
-  return r;
-}
-
-Request Comm::irecv(void* buf, std::size_t bytes, int src, int tag) {
-  OpInfo info{OpKind::kIrecv, src, bytes, false};
-  pre(info);
-  post(info);
-  Request r;
-  r.kind = Request::Kind::kRecv;
-  r.peer = src;
-  r.tag = tag;
-  r.buf = buf;
-  r.bytes = bytes;
-  r.done = false;
-  return r;
-}
-
-void Comm::wait(Request& req) {
-  OpInfo info{OpKind::kWait, req.peer, req.bytes, true};
-  if (req.kind == Request::Kind::kRecv && !req.done) {
-    info.write_buf = req.buf;
-    info.write_bytes = req.bytes;
-  }
-  pre(info);
-  if (req.kind == Request::Kind::kRecv && !req.done) {
-    pop_message(req.peer, req.tag, req.buf, req.bytes);
-    req.done = true;
-  }
-  post(info);
-}
-
 void Comm::sendrecv(const void* sbuf, std::size_t sbytes, int dst, void* rbuf,
                     std::size_t rbytes, int src, int tag) {
-  OpInfo info{OpKind::kSendrecv, dst, sbytes + rbytes, true,
+  OpInfo info{OpKind::kSendrecv, dst, sbytes + rbytes,
               sbuf, sbytes, rbuf, rbytes};
   pre(info);
   push_message(dst, tag, sbuf, sbytes);
@@ -388,7 +240,7 @@ void Comm::sendrecv(const void* sbuf, std::size_t sbytes, int dst, void* rbuf,
 void Comm::alltoall(const void* sbuf, void* rbuf, std::size_t bytes_per_rank) {
   const std::size_t all_bytes =
       bytes_per_rank * static_cast<std::size_t>(size());
-  OpInfo info{OpKind::kAlltoall, -1, all_bytes, true,
+  OpInfo info{OpKind::kAlltoall, -1, all_bytes,
               sbuf, all_bytes, rbuf, all_bytes};
   pre(info);
   const auto* s = static_cast<const std::byte*>(sbuf);
@@ -398,8 +250,8 @@ void Comm::alltoall(const void* sbuf, void* rbuf, std::size_t bytes_per_rank) {
   std::memcpy(r + static_cast<std::size_t>(rank_) * bytes_per_rank,
               s + static_cast<std::size_t>(rank_) * bytes_per_rank,
               bytes_per_rank);
-  // Pairwise exchange: in round k, exchange with rank ^ k (power-of-two
-  // sizes) or (rank + k) % p generally.
+  // Pairwise exchange: in round k, send to (rank + k) % p and receive
+  // from (rank - k) % p, each round on its own tag.
   constexpr int kTag = 0x5a5a;
   for (int k = 1; k < p; ++k) {
     int dst = (rank_ + k) % p;

@@ -1,5 +1,8 @@
 // minimpi: a threads-as-ranks message-passing runtime implementing the MPI
-// subset Unimem and the workloads need, with virtual-time semantics.
+// subset the workloads call, with virtual-time semantics: allreduce on
+// doubles, sendrecv and a pairwise-exchange alltoall.  Each of them goes
+// through the rank's PMPI hooks (minimpi/pmpi.h), which is how Unimem finds
+// phases (paper §2.1/§3.3).
 //
 // Each rank runs on its own std::thread and owns a VirtualClock.  Operations
 // synchronize both the host threads (mutex/condvar) and the virtual clocks
@@ -24,17 +27,6 @@ class World;
 
 enum class ReduceOp : int { kSum, kMax, kMin };
 
-/// Handle for a non-blocking operation.  Obtained from isend/irecv and
-/// completed by Comm::wait.
-struct Request {
-  enum class Kind { kNone, kSend, kRecv } kind = Kind::kNone;
-  int peer = -1;
-  int tag = 0;
-  void* buf = nullptr;
-  std::size_t bytes = 0;
-  bool done = true;
-};
-
 class Comm {
  public:
   Comm(World* world, int rank);
@@ -50,21 +42,14 @@ class Comm {
   /// Register PMPI-style hooks for this rank (may be nullptr to clear).
   void set_hooks(PmpiHooks* hooks) { hooks_ = hooks; }
 
-  // ---- blocking collectives -------------------------------------------
-  void barrier();
+  /// Element-wise reduction of `n` doubles across all ranks; every rank
+  /// gets the result.  Contributions are reduced in rank order, so the
+  /// result is deterministic.
   void allreduce(double* buf, std::size_t n, ReduceOp op = ReduceOp::kSum);
-  void allreduce(std::uint64_t* buf, std::size_t n,
-                 ReduceOp op = ReduceOp::kSum);
-  void reduce(double* buf, std::size_t n, int root,
-              ReduceOp op = ReduceOp::kSum);
-  void bcast(void* buf, std::size_t bytes, int root);
 
-  // ---- point-to-point --------------------------------------------------
-  void send(const void* buf, std::size_t bytes, int dst, int tag);
-  void recv(void* buf, std::size_t bytes, int src, int tag);
-  Request isend(const void* buf, std::size_t bytes, int dst, int tag);
-  Request irecv(void* buf, std::size_t bytes, int src, int tag);
-  void wait(Request& req);
+  /// Send `sbytes` to `dst` and receive `rbytes` from `src`, both on `tag`.
+  /// Sends are eager (buffered), so a ring of sendrecvs cannot deadlock;
+  /// messages of one (src, dst, tag) arrive in send order.
   void sendrecv(const void* sbuf, std::size_t sbytes, int dst,
                 void* rbuf, std::size_t rbytes, int src, int tag);
 
@@ -105,7 +90,6 @@ class World {
   int size() const { return nranks_; }
   int ranks_per_node() const { return ranks_per_node_; }
   const NetworkParams& network() const { return net_; }
-  Comm& comm(int rank) { return *comms_[rank]; }
 
   /// Run `fn(comm)` on every rank, each on its own thread; returns when all
   /// ranks finish.  Rethrows the first rank exception, if any.

@@ -8,8 +8,9 @@
 //
 // Every minimpi operation invokes the rank's registered hooks before and
 // after doing its work, passing an OpInfo describing the call — exactly the
-// information a PMPI wrapper would see.  Unimem's phase tracker is one such
-// hook; nothing in minimpi knows about Unimem.
+// information a PMPI wrapper would see.  Every operation minimpi offers is
+// blocking, so each one ends a phase (paper §2.1).  Unimem's phase tracker
+// is one such hook; nothing in minimpi knows about Unimem.
 #pragma once
 
 #include <cstddef>
@@ -17,45 +18,17 @@
 namespace unimem::mpi {
 
 enum class OpKind : int {
-  kBarrier,
   kAllreduce,
-  kReduce,
-  kBcast,
-  kSend,
-  kRecv,
-  kIsend,
-  kIrecv,
-  kWait,
   kSendrecv,
   kAlltoall,
 };
 
-inline const char* op_name(OpKind k) {
-  switch (k) {
-    case OpKind::kBarrier: return "Barrier";
-    case OpKind::kAllreduce: return "Allreduce";
-    case OpKind::kReduce: return "Reduce";
-    case OpKind::kBcast: return "Bcast";
-    case OpKind::kSend: return "Send";
-    case OpKind::kRecv: return "Recv";
-    case OpKind::kIsend: return "Isend";
-    case OpKind::kIrecv: return "Irecv";
-    case OpKind::kWait: return "Wait";
-    case OpKind::kSendrecv: return "Sendrecv";
-    case OpKind::kAlltoall: return "Alltoall";
-  }
-  return "?";
-}
-
 struct OpInfo {
-  OpKind kind = OpKind::kBarrier;
+  OpKind kind = OpKind::kAllreduce;
   /// Peer rank for point-to-point; -1 for collectives.
   int peer = -1;
   /// Payload bytes moved by this rank in this call.
   std::size_t bytes = 0;
-  /// Blocking calls delineate phases (paper §2.1); non-blocking calls are
-  /// merged into the immediately following phase.
-  bool blocking = true;
   /// Application buffers this rank's call reads/writes (exactly what a
   /// PMPI wrapper sees).  The Unimem hook charges the op the virtual wait
   /// for outstanding migrations of the owning data units — the same "a

@@ -20,13 +20,6 @@ HeteroMemory::HeteroMemory(TopologyConfig cfg)
     arenas_.push_back(std::make_unique<Arena>(t.capacity_bytes, t.name));
 }
 
-Tier HeteroMemory::tier_of(const void* p) const {
-  for (std::size_t i = 0; i < arenas_.size(); ++i)
-    if (arenas_[i]->contains(p)) return tier(static_cast<int>(i));
-  std::fprintf(stderr, "HeteroMemory::tier_of: unknown pointer\n");
-  std::abort();
-}
-
 double HeteroMemory::copy_bandwidth(Tier from, Tier to) const {
   return std::min(tier_config(from).read_bw, tier_config(to).write_bw);
 }

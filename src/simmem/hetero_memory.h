@@ -81,9 +81,6 @@ class HeteroMemory {
   void* allocate(Tier t, std::size_t bytes) { return arena(t).allocate(bytes); }
   void deallocate(Tier t, void* p) { arena(t).deallocate(p); }
 
-  /// Which tier owns pointer `p`?  Aborts if none does.
-  Tier tier_of(const void* p) const;
-
   /// Modeled seconds to copy `bytes` from `from` to `to`: limited by the
   /// source read bandwidth and destination write bandwidth.
   double copy_seconds(std::size_t bytes, Tier from, Tier to) const;

@@ -4,8 +4,6 @@
 #include <cerrno>
 #include <cstdlib>
 #include <limits>
-#include <map>
-#include <mutex>
 #include <stdexcept>
 
 namespace unimem::mem {
@@ -26,33 +24,25 @@ const NvmTechnology* table1_technologies(std::size_t* count) {
 }
 
 // ---------------------------------------------------------------------------
-// Tier backend registry
+// Topology specs
 
 namespace {
 
-struct BackendRegistry {
-  std::mutex mu;
-  std::map<std::string, TierFactory> backends;
-
-  BackendRegistry() {
-    // Built-in backends.  "nvm" is a definite operating point (half DRAM
-    // bandwidth at 4x latency — both paper sweep axes degraded at once);
-    // the ratio-parameterized forms stay available through
-    // TierConfig::nvm_scaled for the 2-tier figure sweeps.
-    backends["dram"] = [](std::size_t c) { return TierConfig::dram_basis(c); };
-    backends["hbm"] = [](std::size_t c) { return TierConfig::hbm(c); };
-    backends["cxl"] = [](std::size_t c) { return TierConfig::cxl(c); };
-    backends["nvm"] = [](std::size_t c) {
-      return TierConfig::nvm_scaled(c, 0.5, 4.0);
-    };
-    backends["remote"] = [](std::size_t c) { return TierConfig::remote(c); };
-  }
+/// The tier presets a topology spec names, sorted by name.  "nvm" is a
+/// definite operating point (half DRAM bandwidth at 4x latency — both paper
+/// sweep axes degraded at once); the ratio-parameterized forms stay
+/// available through TierConfig::nvm_scaled for the 2-tier figure sweeps.
+struct TierPreset {
+  const char* name;
+  TierConfig (*make)(std::size_t capacity_bytes);
 };
-
-BackendRegistry& backend_registry() {
-  static BackendRegistry reg;
-  return reg;
-}
+const TierPreset kTierPresets[] = {
+    {"cxl", TierConfig::cxl},
+    {"dram", TierConfig::dram_basis},
+    {"hbm", TierConfig::hbm},
+    {"nvm", [](std::size_t c) { return TierConfig::nvm_scaled(c, 0.5, 4.0); }},
+    {"remote", TierConfig::remote},
+};
 
 /// "8MiB" / "512KiB" / "1GiB" / "4096" -> bytes; throws on garbage and on
 /// a count or product that does not fit size_t.
@@ -79,27 +69,6 @@ std::size_t parse_capacity(const std::string& s) {
 
 }  // namespace
 
-bool register_tier_backend(const std::string& name, TierFactory factory) {
-  BackendRegistry& reg = backend_registry();
-  std::lock_guard<std::mutex> lk(reg.mu);
-  return reg.backends.emplace(name, std::move(factory)).second;
-}
-
-TierFactory find_tier_backend(const std::string& name) {
-  BackendRegistry& reg = backend_registry();
-  std::lock_guard<std::mutex> lk(reg.mu);
-  auto it = reg.backends.find(name);
-  return it == reg.backends.end() ? TierFactory{} : it->second;
-}
-
-std::vector<std::string> tier_backend_names() {
-  BackendRegistry& reg = backend_registry();
-  std::lock_guard<std::mutex> lk(reg.mu);
-  std::vector<std::string> out;
-  for (const auto& [name, f] : reg.backends) out.push_back(name);
-  return out;  // std::map iterates sorted
-}
-
 TopologyConfig parse_topology(const std::string& spec) {
   TopologyConfig topo;
   std::size_t pos = 0;
@@ -115,15 +84,16 @@ TopologyConfig parse_topology(const std::string& spec) {
       throw std::invalid_argument("parse_topology: expected name:capacity, got '" +
                                   part + "'");
     const std::string name = part.substr(0, colon);
-    TierFactory f = find_tier_backend(name);
-    if (!f) {
-      std::string known;
-      for (const std::string& n : tier_backend_names())
-        known += (known.empty() ? "" : ", ") + n;
-      throw std::invalid_argument("parse_topology: unknown tier backend '" +
-                                  name + "' (registered: " + known + ")");
+    const TierPreset* preset = nullptr;
+    std::string known;
+    for (const TierPreset& p : kTierPresets) {
+      if (name == p.name) preset = &p;
+      known += (known.empty() ? "" : ", ") + std::string(p.name);
     }
-    topo.tiers.push_back(f(parse_capacity(part.substr(colon + 1))));
+    if (preset == nullptr)
+      throw std::invalid_argument("parse_topology: unknown tier '" + name +
+                                  "' (known: " + known + ")");
+    topo.tiers.push_back(preset->make(parse_capacity(part.substr(colon + 1))));
     if (comma == spec.size()) break;
   }
   if (topo.tiers.size() < 2)

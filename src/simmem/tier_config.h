@@ -12,16 +12,13 @@
 //
 // Beyond the paper's DRAM+NVM pair, a TopologyConfig describes an ordered
 // N-tier machine (HBM above DRAM, CXL-attached far memory, remote-node
-// pools).  Tier *backends* are registration-based — named factories behind
-// one interface, the way FreeBSD's pluggable TCP stacks register alternative
-// implementations (sys/netinet/tcp_stacks) — so new tier kinds plug in
-// without touching the simulator: register_tier_backend("mytier", fn) makes
-// "mytier:64MiB" parseable by parse_topology() and usable from the
-// `unimem_sweep --tiers` CLI.
+// pools).  parse_topology() builds one from a "name:capacity,..." spec over
+// a fixed table of five presets — dram, hbm, cxl, nvm and remote, each one
+// of the TierConfig factories below — which is what `unimem_sweep --tiers`
+// accepts.  A new tier kind is a new factory and a new row of that table.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -100,29 +97,14 @@ struct TopologyConfig {
   }
 };
 
-// ---------------------------------------------------------------------------
-// Pluggable tier backends (registration-based, FreeBSD tcp_stacks style).
-
-/// Builds a TierConfig of the backend's kind at the requested capacity.
-using TierFactory = std::function<TierConfig(std::size_t capacity_bytes)>;
-
-/// Register a named backend; returns false (and changes nothing) when the
-/// name is already taken.  Built-ins ("dram", "hbm", "cxl", "nvm",
-/// "remote") are pre-registered.  Thread-safe.
-bool register_tier_backend(const std::string& name, TierFactory factory);
-
-/// Look up a backend by name; empty function when unknown.  Thread-safe.
-TierFactory find_tier_backend(const std::string& name);
-
-/// Registered backend names, sorted (for --help / error messages).
-std::vector<std::string> tier_backend_names();
-
 /// Parse a topology spec "name:capacity,name:capacity,..." — e.g.
-/// "hbm:1MiB,dram:4MiB,nvm:512MiB" — into an ordered TopologyConfig via the
-/// backend registry.  Capacities accept KiB/MiB/GiB suffixes (or plain
-/// bytes).  Order is fastest-first; the last entry is the backstop tier.
-/// Throws std::invalid_argument on unknown backends, bad capacities, or
-/// fewer than two tiers.
+/// "hbm:1MiB,dram:4MiB,nvm:512MiB" — into an ordered TopologyConfig.  Names
+/// are the presets "dram" (dram_basis), "hbm", "cxl", "nvm" (nvm_scaled at
+/// 1/2 bandwidth and 4x latency) and "remote".  Capacities accept
+/// KiB/MiB/GiB suffixes (or plain bytes).  Order is fastest-first; the last
+/// entry is the backstop tier.  Throws std::invalid_argument on unknown
+/// names (the message lists the five), bad capacities, or fewer than two
+/// tiers.
 TopologyConfig parse_topology(const std::string& spec);
 
 /// A published NVM technology data point (paper Table 1).  Latencies and

@@ -1,6 +1,8 @@
 // Tests for the static-placement baselines and the X-Men placement logic.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "baselines/static_context.h"
 #include "baselines/xmen.h"
 #include "minimpi/comm.h"
@@ -17,36 +19,51 @@ TEST(PlacementFns, Basics) {
 
 TEST(StaticContext, PlacesAndTimesWork) {
   mem::HeteroMemory hms(mem::HmsConfig::scaled(0.5, 1.0, 8 * kMiB, 64 * kMiB));
-  StaticContextOptions opts;
-  StaticContext ctx(opts, &hms, nullptr, nullptr, manual({"fast"}));
-  rt::DataObject* fast = ctx.malloc_object("fast", kMiB, {});
-  rt::DataObject* slow = ctx.malloc_object("slow", kMiB, {});
-  EXPECT_EQ(fast->chunk(0).current_tier(), mem::Tier::kDram);
-  EXPECT_EQ(slow->chunk(0).current_tier(), mem::Tier::kNvm);
+  mpi::World world(1);
+  world.run([&](mpi::Comm& comm) {
+    StaticContextOptions opts;
+    StaticContext ctx(opts, &hms, nullptr, &comm, manual({"fast"}));
+    rt::DataObject* fast = ctx.malloc_object("fast", kMiB, {});
+    rt::DataObject* slow = ctx.malloc_object("slow", kMiB, {});
+    EXPECT_EQ(fast->chunk(0).current_tier(), mem::Tier::kDram);
+    EXPECT_EQ(slow->chunk(0).current_tier(), mem::Tier::kNvm);
 
-  rt::PhaseWork w;
-  w.accesses.push_back(
-      rt::ObjectAccess{slow, cache::Pattern::kSequential, 1 << 18});
-  double before = ctx.now();
-  ctx.compute(w);
-  EXPECT_GT(ctx.now(), before);
+    rt::PhaseWork w;
+    w.accesses.push_back(
+        rt::ObjectAccess{slow, cache::Pattern::kSequential, 1 << 18});
+    double before = ctx.now();
+    ctx.compute(w);
+    EXPECT_GT(ctx.now(), before);
+    EXPECT_EQ(ctx.now(), comm.clock().now());
+  });
 }
 
 TEST(StaticContext, OfflineProfileRecordsGroundTruth) {
   mem::HeteroMemory hms(mem::HmsConfig::scaled(0.5, 1.0, 8 * kMiB, 64 * kMiB));
-  StaticContextOptions opts;
-  opts.record_profile = true;
-  StaticContext ctx(opts, &hms, nullptr, nullptr, nvm_only());
-  rt::DataObject* a = ctx.malloc_object("a", 4 * kMiB, {});
-  rt::PhaseWork w;
-  w.accesses.push_back(
-      rt::ObjectAccess{a, cache::Pattern::kSequential, 1 << 19});
-  ctx.compute(w);
-  const auto& profs = ctx.profiles();
-  ASSERT_EQ(profs.count("a"), 1u);
-  EXPECT_GT(profs.at("a").misses, 0u);
-  EXPECT_EQ(profs.at("a").bytes, 4 * kMiB);
-  EXPECT_EQ(profs.at("a").dominant_pattern(), cache::Pattern::kSequential);
+  mpi::World world(1);
+  world.run([&](mpi::Comm& comm) {
+    StaticContextOptions opts;
+    opts.record_profile = true;
+    StaticContext ctx(opts, &hms, nullptr, &comm, nvm_only());
+    rt::DataObject* a = ctx.malloc_object("a", 4 * kMiB, {});
+    rt::PhaseWork w;
+    w.accesses.push_back(
+        rt::ObjectAccess{a, cache::Pattern::kSequential, 1 << 19});
+    ctx.compute(w);
+    const auto& profs = ctx.profiles();
+    ASSERT_EQ(profs.count("a"), 1u);
+    EXPECT_GT(profs.at("a").misses, 0u);
+    EXPECT_EQ(profs.at("a").bytes, 4 * kMiB);
+    EXPECT_EQ(profs.at("a").dominant_pattern(), cache::Pattern::kSequential);
+  });
+}
+
+TEST(StaticContext, RejectsNullCommunicator) {
+  // The rank's communicator carries the clock the context advances.
+  mem::HeteroMemory hms(mem::HmsConfig::scaled(0.5, 1.0, 8 * kMiB, 64 * kMiB));
+  EXPECT_THROW(StaticContext(StaticContextOptions{}, &hms, nullptr, nullptr,
+                             nvm_only()),
+               std::invalid_argument);
 }
 
 TEST(XMen, PacksByBenefitDensity) {

@@ -203,19 +203,19 @@ std::vector<std::uint64_t> fingerprint(const RunResult& r) {
 
 TEST(Integration, ClassicMachineIsTheTwoTierLadder) {
   // The classic fields (NVM ratios + DRAM allowance) and an explicit
-  // 2-entry ladder with the same tiers build one machine: every policy
-  // that plans or places on it gives a bitwise-equal result.
-  mem::register_tier_backend("integration-nvm-half-bw", [](std::size_t c) {
-    return mem::TierConfig::nvm_scaled(c, 0.5, 1.0);
-  });
+  // 2-entry ladder of the built-in presets with the same tiers build one
+  // machine: every policy that plans or places on it gives a bitwise-equal
+  // result.  The "nvm" preset is nvm_scaled at 1/2 bandwidth, 4x latency.
   for (const char* wl : {"cg", "nek"}) {
     for (Policy policy : {Policy::kUnimem, Policy::kNvmOnly}) {
       RunConfig classic = base_cfg(wl);
       classic.wcfg.cls = 'A';
       classic.policy = policy;
       classic.dram_capacity = 4 * kMiB;
+      classic.nvm_bw_ratio = 0.5;
+      classic.nvm_lat_mult = 4.0;
       RunConfig ladder = classic;
-      ladder.tiers = "dram:4MiB,integration-nvm-half-bw:1MiB";
+      ladder.tiers = "dram:4MiB,nvm:1MiB";
       const RunResult a = run_once(classic);
       EXPECT_EQ(fingerprint(a), fingerprint(run_once(ladder)))
           << wl << " " << policy_name(policy);

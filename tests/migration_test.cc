@@ -24,7 +24,7 @@ class MigrationTest : public ::testing::Test {
 TEST_F(MigrationTest, MovesDataAndRepointsHandle) {
   DataObject* o = reg_.create("x", kMiB, {}, mem::Tier::kNvm);
   o->as_span<double>()[5] = 42.0;
-  eng_.enqueue(UnitRef{o->id(), 0}, mem::Tier::kDram, 0.0);
+  eng_.enqueue_batch({{UnitRef{o->id(), 0}, mem::Tier::kDram, 0.0}});
   double done = eng_.wait_for(UnitRef{o->id(), 0});
   EXPECT_GT(done, 0.0);
   EXPECT_EQ(o->chunk(0).current_tier(), mem::Tier::kDram);
@@ -37,7 +37,7 @@ TEST_F(MigrationTest, MovesDataAndRepointsHandle) {
 TEST_F(MigrationTest, CompletionTimeMatchesCopyModel) {
   DataObject* o = reg_.create("x", kMiB, {}, mem::Tier::kNvm);
   const double enqueue_vt = 1.0;
-  eng_.enqueue(UnitRef{o->id(), 0}, mem::Tier::kDram, enqueue_vt);
+  eng_.enqueue_batch({{UnitRef{o->id(), 0}, mem::Tier::kDram, enqueue_vt}});
   double done = eng_.wait_for(UnitRef{o->id(), 0});
   double expect =
       enqueue_vt + hms_.copy_seconds(o->chunk(0).bytes, mem::Tier::kNvm,
@@ -48,8 +48,8 @@ TEST_F(MigrationTest, CompletionTimeMatchesCopyModel) {
 TEST_F(MigrationTest, FifoSerializesRequests) {
   DataObject* a = reg_.create("a", kMiB, {}, mem::Tier::kNvm);
   DataObject* b = reg_.create("b", kMiB, {}, mem::Tier::kNvm);
-  eng_.enqueue(UnitRef{a->id(), 0}, mem::Tier::kDram, 0.0);
-  eng_.enqueue(UnitRef{b->id(), 0}, mem::Tier::kDram, 0.0);
+  eng_.enqueue_batch({{UnitRef{a->id(), 0}, mem::Tier::kDram, 0.0}});
+  eng_.enqueue_batch({{UnitRef{b->id(), 0}, mem::Tier::kDram, 0.0}});
   double da = eng_.wait_for(UnitRef{a->id(), 0});
   double db = eng_.wait_for(UnitRef{b->id(), 0});
   // b cannot start before a finished: db >= 2x single copy.
@@ -65,7 +65,7 @@ TEST_F(MigrationTest, WaitForIdleUnitReturnsZero) {
 
 TEST_F(MigrationTest, NoOpWhenAlreadyInTargetTier) {
   DataObject* o = reg_.create("x", kMiB, {}, mem::Tier::kNvm);
-  eng_.enqueue(UnitRef{o->id(), 0}, mem::Tier::kNvm, 0.0);
+  eng_.enqueue_batch({{UnitRef{o->id(), 0}, mem::Tier::kNvm, 0.0}});
   eng_.drain();
   MigrationStats s = eng_.stats();
   EXPECT_EQ(s.migrations, 0u);
@@ -75,7 +75,7 @@ TEST_F(MigrationTest, NoOpWhenAlreadyInTargetTier) {
 TEST_F(MigrationTest, FailedMoveIsCountedAndHarmless) {
   // DRAM tier is 8 MiB; a 12 MiB object cannot fit.
   DataObject* o = reg_.create("big", 12 * kMiB, {}, mem::Tier::kNvm);
-  eng_.enqueue(UnitRef{o->id(), 0}, mem::Tier::kDram, 0.0);
+  eng_.enqueue_batch({{UnitRef{o->id(), 0}, mem::Tier::kDram, 0.0}});
   eng_.drain();
   EXPECT_EQ(o->chunk(0).current_tier(), mem::Tier::kNvm);
   MigrationStats s = eng_.stats();
@@ -85,7 +85,7 @@ TEST_F(MigrationTest, FailedMoveIsCountedAndHarmless) {
 
 TEST_F(MigrationTest, OverlapPercentAccounting) {
   DataObject* o = reg_.create("x", kMiB, {}, mem::Tier::kNvm);
-  eng_.enqueue(UnitRef{o->id(), 0}, mem::Tier::kDram, 0.0);
+  eng_.enqueue_batch({{UnitRef{o->id(), 0}, mem::Tier::kDram, 0.0}});
   eng_.drain();
   // Suppose 1/4 of the copy time was exposed to the application.
   MigrationStats before = eng_.stats();
@@ -96,7 +96,7 @@ TEST_F(MigrationTest, OverlapPercentAccounting) {
 
 TEST_F(MigrationTest, FullyOverlappedWhenNothingExposed) {
   DataObject* o = reg_.create("x", kMiB, {}, mem::Tier::kNvm);
-  eng_.enqueue(UnitRef{o->id(), 0}, mem::Tier::kDram, 0.0);
+  eng_.enqueue_batch({{UnitRef{o->id(), 0}, mem::Tier::kDram, 0.0}});
   eng_.drain();
   EXPECT_DOUBLE_EQ(eng_.stats().overlap_percent(), 100.0);
 }
@@ -105,9 +105,9 @@ TEST_F(MigrationTest, RoundTripPreservesPayload) {
   DataObject* o = reg_.create("rt", 2 * kMiB, {}, mem::Tier::kNvm);
   auto s = o->as_span<double>();
   for (std::size_t i = 0; i < s.size(); i += 7) s[i] = 1.0 / (1.0 + i);
-  eng_.enqueue(UnitRef{o->id(), 0}, mem::Tier::kDram, 0.0);
-  eng_.enqueue(UnitRef{o->id(), 0}, mem::Tier::kNvm, 0.0);
-  eng_.enqueue(UnitRef{o->id(), 0}, mem::Tier::kDram, 0.0);
+  eng_.enqueue_batch({{UnitRef{o->id(), 0}, mem::Tier::kDram, 0.0}});
+  eng_.enqueue_batch({{UnitRef{o->id(), 0}, mem::Tier::kNvm, 0.0}});
+  eng_.enqueue_batch({{UnitRef{o->id(), 0}, mem::Tier::kDram, 0.0}});
   eng_.drain();
   EXPECT_EQ(o->chunk(0).current_tier(), mem::Tier::kDram);
   auto s2 = o->as_span<double>();
@@ -123,7 +123,7 @@ TEST_F(MigrationTest, BatchFillBeforeEvictionSelfCorrects) {
   // wave must land the fill: no failed move anywhere.
   DataObject* a = reg_.create("a", 6 * kMiB, {}, mem::Tier::kNvm);
   DataObject* b = reg_.create("b", 4 * kMiB, {}, mem::Tier::kNvm);
-  eng_.enqueue(UnitRef{a->id(), 0}, mem::Tier::kDram, 0.0);
+  eng_.enqueue_batch({{UnitRef{a->id(), 0}, mem::Tier::kDram, 0.0}});
   eng_.enqueue_batch({
       MigrationEngine::Item{UnitRef{b->id(), 0}, mem::Tier::kDram, 1.0},
       MigrationEngine::Item{UnitRef{a->id(), 0}, mem::Tier::kNvm, 1.0},
@@ -142,9 +142,10 @@ TEST_F(MigrationTest, DeferredFillRetriesInALaterBatch) {
   // must ride along behind it instead of failing terminally.
   DataObject* a = reg_.create("a", 6 * kMiB, {}, mem::Tier::kNvm);
   DataObject* b = reg_.create("b", 4 * kMiB, {}, mem::Tier::kNvm);
-  eng_.enqueue(UnitRef{a->id(), 0}, mem::Tier::kDram, 0.0);
-  eng_.enqueue(UnitRef{b->id(), 0}, mem::Tier::kDram, 1.0);  // defers
-  eng_.enqueue(UnitRef{a->id(), 0}, mem::Tier::kNvm, 2.0);   // frees, retries
+  eng_.enqueue_batch({{UnitRef{a->id(), 0}, mem::Tier::kDram, 0.0}});
+  // b defers; a's eviction frees its space and b retries.
+  eng_.enqueue_batch({{UnitRef{b->id(), 0}, mem::Tier::kDram, 1.0}});
+  eng_.enqueue_batch({{UnitRef{a->id(), 0}, mem::Tier::kNvm, 2.0}});
   eng_.drain();
   EXPECT_EQ(b->chunk(0).current_tier(), mem::Tier::kDram);
   EXPECT_EQ(eng_.stats().failed, 0u);
@@ -158,7 +159,7 @@ TEST_F(MigrationTest, DecisionsAreSynchronousWithEnqueue) {
   // payload has been copied.
   DataObject* o = reg_.create("x", kMiB, {}, mem::Tier::kNvm);
   o->as_span<double>()[7] = 3.5;
-  eng_.enqueue(UnitRef{o->id(), 0}, mem::Tier::kDram, 0.0);
+  eng_.enqueue_batch({{UnitRef{o->id(), 0}, mem::Tier::kDram, 0.0}});
   EXPECT_EQ(o->chunk(0).current_tier(), mem::Tier::kDram);
   EXPECT_EQ(o->as_span<double>()[7], 3.5);
 }
@@ -166,8 +167,8 @@ TEST_F(MigrationTest, DecisionsAreSynchronousWithEnqueue) {
 TEST_F(MigrationTest, DrainReturnsLastCompletion) {
   DataObject* a = reg_.create("a", kMiB, {}, mem::Tier::kNvm);
   DataObject* b = reg_.create("b", 2 * kMiB, {}, mem::Tier::kNvm);
-  eng_.enqueue(UnitRef{a->id(), 0}, mem::Tier::kDram, 0.0);
-  eng_.enqueue(UnitRef{b->id(), 0}, mem::Tier::kDram, 0.0);
+  eng_.enqueue_batch({{UnitRef{a->id(), 0}, mem::Tier::kDram, 0.0}});
+  eng_.enqueue_batch({{UnitRef{b->id(), 0}, mem::Tier::kDram, 0.0}});
   double last = eng_.drain();
   double expect = hms_.copy_seconds(kMiB, mem::Tier::kNvm, mem::Tier::kDram) +
                   hms_.copy_seconds(2 * kMiB, mem::Tier::kNvm,

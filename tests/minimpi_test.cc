@@ -1,12 +1,12 @@
-// Tests for minimpi: collective values, point-to-point semantics, virtual
-// time synchronization, and the PMPI hook stream — parameterized over rank
-// counts.
+// Tests for minimpi: allreduce and alltoall values, sendrecv semantics,
+// virtual time synchronization, and the PMPI hook stream — parameterized
+// over rank counts.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <numeric>
+#include <cstdint>
 #include <vector>
 
+#include "common/units.h"
 #include "minimpi/comm.h"
 #include "minimpi/pmpi.h"
 
@@ -40,37 +40,6 @@ TEST_P(MiniMpi, AllreduceMaxMin) {
   });
 }
 
-TEST_P(MiniMpi, AllreduceUint64) {
-  World world(GetParam());
-  world.run([&](Comm& c) {
-    std::uint64_t v[1] = {1};
-    c.allreduce(v, 1);
-    EXPECT_EQ(v[0], static_cast<std::uint64_t>(c.size()));
-  });
-}
-
-TEST_P(MiniMpi, BcastFromEveryRoot) {
-  World world(GetParam());
-  world.run([&](Comm& c) {
-    for (int root = 0; root < c.size(); ++root) {
-      int payload = c.rank() == root ? 1000 + root : -1;
-      c.bcast(&payload, sizeof payload, root);
-      EXPECT_EQ(payload, 1000 + root);
-    }
-  });
-}
-
-TEST_P(MiniMpi, ReduceToRoot) {
-  World world(GetParam());
-  world.run([&](Comm& c) {
-    double v[1] = {1.0};
-    c.reduce(v, 1, 0);
-    if (c.rank() == 0) {
-      EXPECT_DOUBLE_EQ(v[0], static_cast<double>(c.size()));
-    }
-  });
-}
-
 TEST_P(MiniMpi, RingSendrecv) {
   World world(GetParam());
   world.run([&](Comm& c) {
@@ -94,134 +63,121 @@ TEST_P(MiniMpi, AlltoallPermutation) {
   });
 }
 
-TEST_P(MiniMpi, BarrierSynchronizesVirtualClocks) {
-  World world(GetParam());
-  world.run([&](Comm& c) {
-    // Ranks advance different amounts, then meet at a barrier.
-    c.clock().advance(0.001 * (c.rank() + 1));
-    c.barrier();
-    double after = c.clock().now();
-    // All ranks leave at >= the max entry time.
-    EXPECT_GE(after, 0.001 * c.size());
-  });
-}
-
 TEST_P(MiniMpi, CollectiveClocksAgreeExactly) {
   const int p = GetParam();
   World world(p);
   std::vector<double> exit_times(p);
   world.run([&](Comm& c) {
+    // Ranks enter at different times; rank 0 is the last to arrive.
     c.clock().advance(0.002 * (p - c.rank()));
     double v[1] = {1.0};
     c.allreduce(v, 1);
     exit_times[c.rank()] = c.clock().now();
   });
+  // All ranks leave together, at >= the max entry time.
+  EXPECT_GE(exit_times[0], 0.002 * p);
   for (int r = 1; r < p; ++r)
     EXPECT_DOUBLE_EQ(exit_times[r], exit_times[0]);
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, MiniMpi, ::testing::Values(1, 2, 3, 4, 8));
 
+// Messages of one (src, dst, tag) stream arrive in send order: each rank
+// sends 50 x 1 MiB to its right neighbour and receives 50 from its left.
 TEST(MiniMpiP2p, MessageOrderingFifo) {
   World world(2);
   world.run([&](Comm& c) {
-    if (c.rank() == 0) {
-      for (int i = 0; i < 50; ++i) c.send(&i, sizeof i, 1, 3);
-    } else {
-      for (int i = 0; i < 50; ++i) {
-        int v = -1;
-        c.recv(&v, sizeof v, 0, 3);
-        EXPECT_EQ(v, i);
-      }
+    const int peer = 1 - c.rank();
+    std::vector<int> out(kMiB / sizeof(int)), in(out.size());
+    for (int i = 0; i < 50; ++i) {
+      out.front() = out.back() = 100 * c.rank() + i;
+      c.sendrecv(out.data(), kMiB, peer, in.data(), kMiB, peer, 3);
+      EXPECT_EQ(in.front(), 100 * peer + i);
+      EXPECT_EQ(in.back(), 100 * peer + i);
     }
   });
 }
 
+// Tags keep streams of one (src, dst) pair apart.  On a 3-rank ring
+// (send to r+2, receive from r+1) ranks 0 and 1 use tag 10 then 20, rank 2
+// takes tag 20 first while rank 0's tag-10 message is still queued for it.
 TEST(MiniMpiP2p, TagsKeepStreamsSeparate) {
-  World world(2);
+  World world(3);
   world.run([&](Comm& c) {
-    if (c.rank() == 0) {
-      int a = 1, b = 2;
-      c.send(&a, sizeof a, 1, 10);
-      c.send(&b, sizeof b, 1, 20);
-    } else {
-      int v = 0;
-      c.recv(&v, sizeof v, 0, 20);  // receive the second tag first
-      EXPECT_EQ(v, 2);
-      c.recv(&v, sizeof v, 0, 10);
-      EXPECT_EQ(v, 1);
+    const int r = c.rank();
+    const int dst = (r + 2) % 3, src = (r + 1) % 3;
+    const std::vector<int> tags = r == 2 ? std::vector<int>{20, 10}
+                                         : std::vector<int>{10, 20};
+    for (int tag : tags) {
+      int out = 100 * r + tag, in = -1;
+      c.sendrecv(&out, sizeof out, dst, &in, sizeof in, src, tag);
+      EXPECT_EQ(in, 100 * src + tag) << "rank " << r << " tag " << tag;
     }
   });
 }
 
+// A receive completes no earlier than send time + wire cost, also when the
+// receiver is idle and every message is 1 MiB.
 TEST(MiniMpiP2p, RecvClockRespectsWireCost) {
   NetworkParams net;
   World world(2, net);
   world.run([&](Comm& c) {
-    if (c.rank() == 0) {
-      std::vector<char> big(1 << 20);
-      c.send(big.data(), big.size(), 1, 1);
-    } else {
-      std::vector<char> big(1 << 20);
-      c.recv(big.data(), big.size(), 0, 1);
-      // Receiver cannot finish before send time + wire cost.
-      EXPECT_GE(c.clock().now(), net.p2p_cost(big.size()));
+    const int peer = 1 - c.rank();
+    std::vector<char> out(kMiB), in(kMiB);
+    for (int i = 0; i < 4; ++i) {
+      const double sent = c.clock().now();
+      c.sendrecv(out.data(), kMiB, peer, in.data(), kMiB, peer, 1);
+      EXPECT_GE(c.clock().now(), sent + net.p2p_cost(kMiB));
     }
   });
 }
 
-TEST(MiniMpiP2p, IsendIrecvWait) {
-  World world(2);
-  world.run([&](Comm& c) {
-    if (c.rank() == 0) {
-      int v = 77;
-      Request r = c.isend(&v, sizeof v, 1, 5);
-      c.wait(r);
-    } else {
-      int v = 0;
-      Request r = c.irecv(&v, sizeof v, 0, 5);
-      c.wait(r);
-      EXPECT_EQ(v, 77);
-      EXPECT_TRUE(r.done);
-    }
-  });
-}
-
-TEST(MiniMpiHooks, BlockingAndNonblockingOps) {
+// Every op calls the hooks once before and once after, with its kind, peer,
+// payload size and the application buffers it reads and writes.
+TEST(MiniMpiHooks, PairedCallsSeeKindsAndBuffers) {
   struct Recorder : PmpiHooks {
-    std::vector<OpKind> pre, post;
-    std::vector<bool> blocking;
-    void on_pre_op(const OpInfo& i) override {
-      pre.push_back(i.kind);
-      blocking.push_back(i.blocking);
-    }
-    void on_post_op(const OpInfo& i) override { post.push_back(i.kind); }
+    std::vector<OpInfo> pre, post;
+    void on_pre_op(const OpInfo& i) override { pre.push_back(i); }
+    void on_post_op(const OpInfo& i) override { post.push_back(i); }
   };
-  World world(2);
-  std::vector<Recorder> recs(2);
+  const int p = 3;
+  World world(p);
   world.run([&](Comm& c) {
-    c.set_hooks(&recs[c.rank()]);
-    c.barrier();
-    if (c.rank() == 0) {
-      int v = 1;
-      Request r = c.isend(&v, sizeof v, 1, 9);
-      c.wait(r);
-    } else {
-      int v = 0;
-      Request r = c.irecv(&v, sizeof v, 0, 9);
-      c.wait(r);
-    }
+    const int r = c.rank();
+    const int right = (r + 1) % p, left = (r + p - 1) % p;
+    double v[2] = {1.0, 2.0};
+    int out = r, in = -1;
+    std::vector<std::int64_t> sbuf(p, r), rbuf(p, -1);
+    const std::size_t a2a = p * sizeof(std::int64_t);
+    Recorder rec;
+    c.set_hooks(&rec);
+    c.allreduce(v, 2);
+    c.sendrecv(&out, sizeof out, right, &in, sizeof in, left, 4);
+    c.alltoall(sbuf.data(), rbuf.data(), sizeof(std::int64_t));
     c.set_hooks(nullptr);
+
+    const OpInfo want[] = {
+        {OpKind::kAllreduce, -1, sizeof v, v, sizeof v, v, sizeof v},
+        {OpKind::kSendrecv, right, 2 * sizeof(int), &out, sizeof out, &in,
+         sizeof in},
+        {OpKind::kAlltoall, -1, a2a, sbuf.data(), a2a, rbuf.data(), a2a},
+    };
+    ASSERT_EQ(rec.pre.size(), 3u) << "rank " << r;
+    ASSERT_EQ(rec.post.size(), 3u) << "rank " << r;
+    for (std::size_t i = 0; i < 3; ++i) {
+      const OpInfo& w = want[i];
+      for (const OpInfo& got : {rec.pre[i], rec.post[i]}) {
+        EXPECT_EQ(got.kind, w.kind) << "rank " << r << " op " << i;
+        EXPECT_EQ(got.peer, w.peer) << "rank " << r << " op " << i;
+        EXPECT_EQ(got.bytes, w.bytes) << "rank " << r << " op " << i;
+        EXPECT_EQ(got.read_buf, w.read_buf) << "rank " << r << " op " << i;
+        EXPECT_EQ(got.read_bytes, w.read_bytes) << "rank " << r << " op " << i;
+        EXPECT_EQ(got.write_buf, w.write_buf) << "rank " << r << " op " << i;
+        EXPECT_EQ(got.write_bytes, w.write_bytes)
+            << "rank " << r << " op " << i;
+      }
+    }
   });
-  for (const Recorder& r : recs) {
-    ASSERT_EQ(r.pre.size(), 3u);  // barrier, isend/irecv, wait
-    EXPECT_EQ(r.pre[0], OpKind::kBarrier);
-    EXPECT_TRUE(r.blocking[0]);
-    EXPECT_FALSE(r.blocking[1]);  // non-blocking merges into next phase
-    EXPECT_EQ(r.pre[2], OpKind::kWait);
-    EXPECT_TRUE(r.blocking[2]);
-    EXPECT_EQ(r.pre.size(), r.post.size());
-  }
 }
 
 TEST(MiniMpiWorld, ExceptionPropagates) {

@@ -107,11 +107,9 @@ TEST_F(ReplanTest, ZeroDriftKeepsStalePlanAndMatchesFullDp) {
   phase(after, {{hot, 500000}, {warm, 300000}, {cold, 1000}});
   after.record_comm_phase(kT / 10);
 
-  DriftReport rep = ctl.classify(after);
-  EXPECT_EQ(rep.drifted, 0u);
-  EXPECT_GT(rep.tracked, 0u);
-
   ReplanDecision d = ctl.decide(after);
+  EXPECT_EQ(d.drift.drifted, 0u);
+  EXPECT_GT(d.drift.tracked, 0u);
   EXPECT_EQ(d.path, ReplanDecision::Path::kKeepStale);
   EXPECT_DOUBLE_EQ(d.repaired_predicted_s, d.stale_predicted_s);
 
@@ -149,7 +147,7 @@ TEST_F(ReplanTest, DriftDetectionBoundaries) {
   phase(after, {{creeping, 440000}});
   phase(after, {{jumping, 800000}});
 
-  DriftReport rep = ctl.classify(after);
+  const DriftReport rep = ctl.decide(after).drift;
   EXPECT_EQ(rep.tracked, 3u);
   EXPECT_EQ(rep.drifted, 1u);
   EXPECT_NEAR(rep.max_rel_change, 0.5, 0.05);
@@ -159,7 +157,7 @@ TEST_F(ReplanTest, DriftDetectionBoundaries) {
   Profiler gone(&reg_);
   phase(gone, {{steady, 400000}});
   phase(gone, {{creeping, 400000}});
-  DriftReport rep2 = ctl.classify(gone);
+  const DriftReport rep2 = ctl.decide(gone).drift;
   EXPECT_EQ(rep2.drifted, 1u);
   EXPECT_NEAR(rep2.max_rel_change, 1.0, 1e-9);
 }

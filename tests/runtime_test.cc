@@ -5,6 +5,7 @@
 
 #include <filesystem>
 #include <iterator>
+#include <stdexcept>
 
 #include "core/runtime.h"
 #include "minimpi/comm.h"
@@ -220,23 +221,11 @@ TEST(Runtime, VariationTriggersReprofile) {
   });
 }
 
-TEST(Runtime, ManualPhaseBoundaryWithoutMpi) {
+TEST(Runtime, RejectsNullCommunicator) {
+  // The rank's communicator is the Runtime's clock and its phase source.
   TestRig rig;
-  RuntimeOptions opts;
-  Runtime rt(opts, &rig.hms, &rig.arbiter, nullptr);
-  DataObject* a = rt.malloc_object("a", kMiB);
-  rt.start();
-  for (int it = 0; it < 3; ++it) {
-    rt.iteration_begin();
-    PhaseWork w;
-    w.accesses.push_back(ObjectAccess{a, cache::Pattern::kSequential, 4096});
-    rt.compute(w);
-    rt.phase_boundary();
-    rt.compute(w);
-  }
-  rt.end();
-  EXPECT_GT(rt.now(), 0.0);
-  EXPECT_EQ(rt.stats().phases_executed, 3u * 2u);
+  EXPECT_THROW(Runtime(RuntimeOptions{}, &rig.hms, &rig.arbiter, nullptr),
+               std::invalid_argument);
 }
 
 TEST(Runtime, StatsReportPlanKindAndMigrations) {

@@ -221,8 +221,10 @@ TEST(HeteroMemory, TierOfAndAllocation) {
   void* n = hms.allocate(Tier::kNvm, 1000);
   ASSERT_NE(d, nullptr);
   ASSERT_NE(n, nullptr);
-  EXPECT_EQ(hms.tier_of(d), Tier::kDram);
-  EXPECT_EQ(hms.tier_of(n), Tier::kNvm);
+  EXPECT_TRUE(hms.arena(Tier::kDram).contains(d));
+  EXPECT_FALSE(hms.arena(Tier::kNvm).contains(d));
+  EXPECT_TRUE(hms.arena(Tier::kNvm).contains(n));
+  EXPECT_FALSE(hms.arena(Tier::kDram).contains(n));
   hms.deallocate(Tier::kDram, d);
   hms.deallocate(Tier::kNvm, n);
 }
@@ -253,28 +255,40 @@ TEST(DramArbiter, EnforcesAllowance) {
   EXPECT_EQ(arb.granted_tier(0), 768 * kKiB);
 }
 
-TEST(TierBackends, BuiltinsRegisteredAndLookupWorks) {
-  const std::vector<std::string> names = tier_backend_names();
-  for (const char* want : {"cxl", "dram", "hbm", "nvm", "remote"})
-    EXPECT_NE(std::find(names.begin(), names.end(), want), names.end())
-        << want;
-  TierFactory f = find_tier_backend("hbm");
-  ASSERT_TRUE(f);
-  const TierConfig t = f(kMiB);
-  EXPECT_EQ(t.capacity_bytes, kMiB);
-  EXPECT_DOUBLE_EQ(t.read_bw, TierConfig::hbm(kMiB).read_bw);
-  EXPECT_FALSE(find_tier_backend("no-such-backend"));
-}
-
-TEST(TierBackends, RegistrationRejectsDuplicates) {
-  auto toy = [](std::size_t cap) { return TierConfig::dram_basis(cap); };
-  EXPECT_TRUE(register_tier_backend("simmem-test-toy", toy));
-  EXPECT_FALSE(register_tier_backend("simmem-test-toy", toy));  // taken
-  EXPECT_FALSE(register_tier_backend("dram", toy));             // built-in
-  // The registered backend is immediately parseable.
-  TopologyConfig topo = parse_topology("simmem-test-toy:1MiB,nvm:4MiB");
-  ASSERT_EQ(topo.num_tiers(), 2u);
-  EXPECT_EQ(topo.tiers[0].capacity_bytes, kMiB);
+TEST(ParseTopology, PresetsMatchTheirTierConfigFactories) {
+  struct Preset {
+    const char* name;
+    TierConfig want;
+  };
+  const Preset presets[] = {
+      {"dram", TierConfig::dram_basis(kMiB)},
+      {"hbm", TierConfig::hbm(kMiB)},
+      {"cxl", TierConfig::cxl(kMiB)},
+      {"nvm", TierConfig::nvm_scaled(kMiB, 0.5, 4.0)},
+      {"remote", TierConfig::remote(kMiB)},
+  };
+  for (const Preset& p : presets) {
+    const TopologyConfig topo =
+        parse_topology(std::string(p.name) + ":1MiB,nvm:4MiB");
+    ASSERT_EQ(topo.num_tiers(), 2u) << p.name;
+    const TierConfig& got = topo.tiers[0];
+    EXPECT_EQ(got.name, p.want.name) << p.name;
+    EXPECT_EQ(got.capacity_bytes, kMiB) << p.name;
+    EXPECT_EQ(got.read_latency_s, p.want.read_latency_s) << p.name;
+    EXPECT_EQ(got.write_latency_s, p.want.write_latency_s) << p.name;
+    EXPECT_EQ(got.read_bw, p.want.read_bw) << p.name;
+    EXPECT_EQ(got.write_bw, p.want.write_bw) << p.name;
+  }
+  // An unknown name is rejected with all five preset names in the message.
+  try {
+    parse_topology("mytier:1MiB,nvm:4MiB");
+    ADD_FAILURE() << "unknown tier name accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("'mytier'"), std::string::npos) << msg;
+    for (const Preset& p : presets)
+      EXPECT_NE(msg.find(p.name), std::string::npos) << p.name << ": " << msg;
+  }
 }
 
 TEST(ParseTopology, LaddersSuffixesAndErrors) {
@@ -311,11 +325,12 @@ TEST(HeteroMemory, NTierTopologyAllocationAndBackstop) {
   EXPECT_DOUBLE_EQ(hms.tier_config(tier(0)).read_bw,
                    TierConfig::hbm(0).read_bw);
   EXPECT_EQ(hms.tier_config(hms.backstop_tier()).capacity_bytes, 16 * kMiB);
-  // Every tier allocates from its own arena and tier_of() round-trips.
+  // Every tier allocates from its own arena.
   for (int k = 0; k < 3; ++k) {
     void* p = hms.allocate(tier(k), 1000);
     ASSERT_NE(p, nullptr) << "tier " << k;
-    EXPECT_EQ(hms.tier_of(p), tier(k));
+    for (int j = 0; j < 3; ++j)
+      EXPECT_EQ(hms.arena(tier(j)).contains(p), j == k) << k << " in " << j;
     hms.deallocate(tier(k), p);
   }
   // Copy cost between adjacent tiers is limited by the slower endpoint.
