@@ -153,6 +153,42 @@ void BM_KnapsackHugeProduction(benchmark::State& state) {
 }
 BENCHMARK(BM_KnapsackHugeProduction)->Unit(benchmark::kMillisecond);
 
+void BM_KnapsackTierLadderProduction(benchmark::State& state) {
+  // The 4-tier instance tier_ladder's cg row solves at its first plan (also
+  // pinned in tests/knapsack_test.cc): 9 units over hbm 2 MiB, dram 8 MiB,
+  // cxl 32 MiB and the NVM backstop, at the planner's 64 KiB granule.
+  const std::vector<rt::MckpItem> items = {
+      {{0x1.18bea846db86ap-11, 0x1.79e1dff611056p-14, -0x1.c4c2d9cb7f8c7p-12,
+        -0x1.c4c2d9cb7f8c7p-12}, 2072576},
+      {{0x1.1734e564f4208p-10, 0x1.5b20372d12ddap-12, -0x1.c4c2d9cb7f8c7p-11,
+        0x0p+0}, 4145152},
+      {{0x1.821dfceb22a34p-14, 0x1.cb31414092166p-16, -0x1.4947e436e8662p-14,
+        0x0p+0}, 376832},
+      {{0x1.96a74bded0b07p-13, 0x1.66e8167f485fap-14, -0x1.4947e436e8662p-14,
+        0x0p+0}, 376832},
+      {{0x1.aba9fce91f3dfp-11, 0x1.ce4c7eb3ba2c4p-12, -0x1.4947e436e8662p-14,
+        0x0p+0}, 376832},
+      {{0x1.17578a807708dp-12, 0x1.0a53ebe56bd51p-13, -0x1.4947e436e8662p-14,
+        0x0p+0}, 376832},
+      {{0x1.95c828ce2a6ffp-13, 0x1.65e912fe8a5f2p-14, -0x1.4947e436e8662p-14,
+        0x0p+0}, 376832},
+      {{0x1.94911c1c9638cp-15, 0x1.f53825e13b18ap-17, -0x1.4964864ac0a6ep-15,
+        0x0p+0}, 188480},
+      {{0x1.3625d6d437a52p-14, 0x1.1d8c57e79d88ap-16, -0x1.4947e436e8662p-14,
+        0x0p+0}, 376832},
+  };
+  const std::vector<std::size_t> caps = {2 * kMiB, 8 * kMiB, 32 * kMiB,
+                                         rt::KnapsackSolver::kUnbounded};
+  rt::KnapsackSolver solver(64 * kKiB);
+  for (auto _ : state) {
+    auto r = solver.solve_mckp(items, caps);
+    benchmark::DoNotOptimize(r.total_weight);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(items.size()));
+}
+BENCHMARK(BM_KnapsackTierLadderProduction)->Unit(benchmark::kMillisecond);
+
 /// One descriptor sized like a class-D rank's dominant object.
 void BM_ExactCacheSeqPassProduction(benchmark::State& state) {
   cache::ExactCache c;

@@ -124,18 +124,21 @@ MckpResult KnapsackSolver::solve_mckp(
   };
   if (constrained.empty() || n == 0) return finish();
 
-  // Quantize once; nothing above the total quantized size is reachable, so
-  // the per-dimension caps are pre-clamped to it.
-  std::vector<std::size_t> gsz(n);
-  std::size_t total_g = 0;
+  // Quantize once.  An option can win only when it weighs strictly more
+  // than the item's best unbounded choice: `pick` moves on a strict > and
+  // the DP value is monotone in capacity.  So each dimension is clamped to
+  // the granules of the items that can win there; cells past that repeat
+  // the cell at that sum, and the reconstruction's queries clamp likewise.
+  const std::size_t m = constrained.size();
+  std::vector<std::size_t> gsz(n), cap(m, 0);
   for (std::size_t i = 0; i < n; ++i) {
     gsz[i] = granules(items[i].bytes, granule_);
-    total_g += gsz[i];
+    for (std::size_t j = 0; j < m; ++j)
+      if (items[i].weights[constrained[j]] > items[i].weights[best_u[i]])
+        cap[j] += gsz[i];
   }
-  const std::size_t m = constrained.size();
-  std::vector<std::size_t> cap(m);
   for (std::size_t j = 0; j < m; ++j)
-    cap[j] = std::min(capacities[constrained[j]] / granule_, total_g);
+    cap[j] = std::min(capacities[constrained[j]] / granule_, cap[j]);
 
   // Dense-DP budget: n x prod(cap_j + 1) cells, overflow-safely.
   bool dense = true;
@@ -172,7 +175,7 @@ MckpResult KnapsackSolver::solve_mckp(
   }
 
   // Exact multi-dimensional DP: two rolling value arrays over the
-  // flattened product of constrained-tier granule capacities, plus a
+  // flattened product of the useful granule capacities, plus a
   // per-item pick table for reconstruction (-1 = best unbounded choice,
   // j = constrained dimension j).
   std::vector<std::size_t> stride(m, 1);

@@ -8,8 +8,9 @@
 // DRAM — under per-tier capacities.  solve_mckp() is the one exact DP; the
 // paper's 0-1 problem is its K=2 case, weights {w, 0} over capacities
 // {C, kUnbounded}, with choice 0 meaning "selected".  Sizes are quantized
-// to a granule so the DP table stays small, and instances past a dense-cell
-// budget degrade to solve_bounded(), a 1/2-approximation.
+// to a granule, each tier's DP dimension spans only the capacity its items
+// can use, and instances past a dense-cell budget degrade to
+// solve_bounded(), a 1/2-approximation.
 #pragma once
 
 #include <cstddef>
@@ -72,9 +73,11 @@ class KnapsackSolver {
   ///     least one capacity must be kUnbounded, else std::invalid_argument;
   ///   - sizes are quantized to the granule, rounded up, and capacities
   ///     rounded down, so a selection can never over-commit a tier;
-  ///   - the solution is exact (multi-dimensional rolling DP over the
-  ///     product of constrained-tier granule capacities) while
-  ///     n x prod(cap_j + 1) fits a fixed cell budget;
+  ///   - the solution is exact (multi-dimensional rolling DP) while
+  ///     n x prod(useful cap_j + 1) fits a fixed cell budget; useful cap_j
+  ///     is tier j's granule capacity capped at the granules of the items
+  ///     that weigh more there than on their best unbounded tier, so a
+  ///     tier no item can win costs nothing;
   ///   - past the budget it degrades to a waterfall of per-tier
   ///     solve_bounded() passes in tier-index order, scoring each item by
   ///     its marginal weight over its best unbounded choice;

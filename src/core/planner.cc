@@ -127,9 +127,9 @@ Plan Planner::plan_local(const Profiler& prof,
     return sum;
   };
 
-  // The helper thread is one serial copy engine: it cannot overlap an
-  // unbounded volume of migrations per iteration.  Once the planned copy
-  // time exceeds this share of the iteration, further candidates must
+  // MigrationEngine is one serial FIFO in virtual time: it cannot overlap
+  // an unbounded volume of migrations per iteration.  Once the planned
+  // copy time exceeds this share of the iteration, further candidates must
   // justify their full (unoverlapped) copy cost.
   const double copy_budget_s = 0.4 * no_move_time(prof);
   double planned_copy_s = 0;
@@ -172,7 +172,7 @@ Plan Planner::plan_local(const Profiler& prof,
         cost = model_->migration_cost(bytes, copy_in_bw, window);
         // extra_COST: eviction traffic if the incoming group overflows
         // DRAM.  The victim is chosen among units not referenced in this
-        // phase, so its copy-out rides the same helper-thread window as
+        // phase, so its copy-out rides the same MigrationEngine window as
         // the fill and earns the same overlap credit (Eq. 4), after the
         // fill's own copy time is deducted from the window.
         if (bytes_of(dram_set) + bytes > dram_budget) {
@@ -448,10 +448,10 @@ Plan Planner::plan(const Profiler& prof) const {
   }
   if (opts_.local_search) {
     Plan l = plan_local(prof, groups, gp, caps);
-    // The local model credits overlap optimistically (the helper thread is
-    // one serial engine and enforcement interleaving is imperfect), so a
-    // rotation plan must beat the global plan by a clear margin before it
-    // is adopted.
+    // The local model credits overlap optimistically (MigrationEngine is
+    // one serial FIFO in virtual time and enforcement interleaving is
+    // imperfect), so a rotation plan must beat the global plan by a clear
+    // margin before it is adopted.
     double margin = l.migration_count() > best.migration_count() ? 0.70 : 1.0;
     if (best.kind == Plan::Kind::kNone ||
         l.predicted_iteration_s < margin * best.predicted_iteration_s)

@@ -19,8 +19,6 @@ namespace {
 
 class BtWorkload final : public Workload {
  public:
-  std::string name() const override { return "bt"; }
-
   double run_rank(rt::Context& ctx, const WorkloadConfig& cfg) override {
     const std::size_t B = cfg.rank_bytes();
     const double iters = cfg.iterations;

@@ -20,8 +20,6 @@ namespace {
 
 class CgWorkload final : public Workload {
  public:
-  std::string name() const override { return "cg"; }
-
   double run_rank(rt::Context& ctx, const WorkloadConfig& cfg) override {
     // Footprint ~ 132*na bytes: a(8*11na) + col_idx(4*11na) + 7 vectors.
     // CG's target objects are only 42% of the app footprint (Table 3) —

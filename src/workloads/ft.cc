@@ -9,6 +9,7 @@
 // DRAM budget and could never migrate; chunks can.  The per-iteration
 // all-to-all transpose makes FT communication-heavy.
 #include <cmath>
+#include <vector>
 
 #include "workloads/kernels.h"
 #include "workloads/workload.h"
@@ -19,8 +20,6 @@ namespace {
 
 class FtWorkload final : public Workload {
  public:
-  std::string name() const override { return "ft"; }
-
   double run_rank(rt::Context& ctx, const WorkloadConfig& cfg) override {
     // FT's grids are the largest arrays in the suite relative to DRAM (the
     // paper runs FT at CLASS C because D is too long): a single grid array

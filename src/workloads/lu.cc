@@ -18,8 +18,6 @@ namespace {
 
 class LuWorkload final : public Workload {
  public:
-  std::string name() const override { return "lu"; }
-
   double run_rank(rt::Context& ctx, const WorkloadConfig& cfg) override {
     const std::size_t B = cfg.rank_bytes();
     const double iters = cfg.iterations;

@@ -17,6 +17,7 @@
 // exercise the re-profiling path.
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
 #include "workloads/kernels.h"
 #include "workloads/workload.h"
@@ -30,8 +31,6 @@ constexpr int kNumGeom = 24;  ///< geometry arrays g01..g24
 
 class NekWorkload final : public Workload {
  public:
-  std::string name() const override { return "nek"; }
-
   double run_rank(rt::Context& ctx, const WorkloadConfig& cfg) override {
     // Nek5000's working set is large relative to the DRAM allowance: each
     // solver stage's hot set alone rivals the budget, so a single static

@@ -24,8 +24,6 @@ namespace {
 
 class SpWorkload final : public Workload {
  public:
-  std::string name() const override { return "sp"; }
-
   double run_rank(rt::Context& ctx, const WorkloadConfig& cfg) override {
     const std::size_t B = cfg.rank_bytes();
     const double iters = cfg.iterations;

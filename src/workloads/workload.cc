@@ -44,8 +44,4 @@ std::unique_ptr<Workload> make_workload(const std::string& name) {
   throw std::invalid_argument("unknown workload: " + name);
 }
 
-std::vector<std::string> workload_names() {
-  return {"cg", "ft", "bt", "lu", "sp", "mg", "nek"};
-}
-
 }  // namespace unimem::wl

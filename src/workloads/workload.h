@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/units.h"
 #include "core/context.h"
@@ -89,7 +88,6 @@ class DriftSchedule {
 class Workload {
  public:
   virtual ~Workload() = default;
-  virtual std::string name() const = 0;
   /// SPMD body: runs on every rank inside World::run.  Returns a checksum
   /// that must be identical for the same config under any placement
   /// policy (migration-integrity check).
@@ -98,8 +96,5 @@ class Workload {
 
 /// Factory: "cg", "ft", "bt", "lu", "sp", "mg", "nek".
 std::unique_ptr<Workload> make_workload(const std::string& name);
-
-/// The six NPB kernels + Nek, in the paper's presentation order.
-std::vector<std::string> workload_names();
 
 }  // namespace unimem::wl

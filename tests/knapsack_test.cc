@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -441,6 +443,221 @@ TEST(Mckp, WaterfallFallbackStaysFeasibleAndUseful) {
   EXPECT_LE(used[1], caps[1]);
   EXPECT_NEAR(total, r.total_weight, 1e-9);
   EXPECT_GE(r.total_weight, floor - 1e-9);
+  // Every item weighs more on both constrained tiers than on the backstop,
+  // so the useful box is the full one and the answer is the waterfall's:
+  // one solve_bounded() pass per constrained tier, in index order.
+  std::vector<int> waterfall(items.size(), 2);
+  for (int tier = 0; tier < 2; ++tier) {
+    std::vector<KnapsackItem> sub;
+    std::vector<std::size_t> map;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (waterfall[i] != 2) continue;
+      sub.push_back({items[i].weights[tier] - items[i].weights[2],
+                     items[i].bytes});
+      map.push_back(i);
+    }
+    for (std::size_t k : s.solve_bounded(sub, caps[tier]).selected)
+      waterfall[map[k]] = tier;
+  }
+  EXPECT_EQ(r.choice, waterfall);
+}
+
+// ---- the useful-capacity box --------------------------------------------
+
+/// solve_mckp's dense DP as it was before each dimension was sized by the
+/// items that can win there: each dimension spans min(capacity, total
+/// granules).  No cell budget, so callers keep instances small.
+MckpResult reference_dense_mckp(const std::vector<MckpItem>& items,
+                                const std::vector<std::size_t>& capacities,
+                                std::size_t granule) {
+  const std::size_t K = capacities.size();
+  const std::size_t n = items.size();
+  std::vector<int> unbounded, constrained;
+  for (std::size_t k = 0; k < K; ++k)
+    (capacities[k] == KnapsackSolver::kUnbounded ? unbounded : constrained)
+        .push_back(static_cast<int>(k));
+  MckpResult out;
+  out.choice.assign(n, 0);
+  std::vector<int> best_u(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    int best = unbounded.front();
+    for (int k : unbounded)
+      if (items[i].weights[k] > items[i].weights[best]) best = k;
+    best_u[i] = out.choice[i] = best;
+  }
+  const std::size_t m = constrained.size();
+  if (m > 0 && n > 0) {
+    std::vector<std::size_t> gsz(n);
+    std::size_t total_g = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      gsz[i] = (items[i].bytes + granule - 1) / granule;
+      total_g += gsz[i];
+    }
+    std::vector<std::size_t> cap(m), stride(m, 1);
+    std::size_t P = 1;
+    for (std::size_t j = 0; j < m; ++j) {
+      cap[j] = std::min(capacities[constrained[j]] / granule, total_g);
+      if (j > 0) stride[j] = stride[j - 1] * (cap[j - 1] + 1);
+      P *= cap[j] + 1;
+    }
+    std::vector<double> prev(P, 0.0), next(P, 0.0);
+    std::vector<std::int8_t> pick(n * P, -1);
+    std::vector<std::size_t> coord(m, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double wu = items[i].weights[best_u[i]];
+      std::fill(coord.begin(), coord.end(), 0);
+      for (std::size_t idx = 0; idx < P; ++idx) {
+        double best = prev[idx] + wu;
+        std::int8_t pk = -1;
+        for (std::size_t j = 0; j < m; ++j) {
+          if (coord[j] < gsz[i]) continue;
+          const double v = prev[idx - gsz[i] * stride[j]] +
+                           items[i].weights[constrained[j]];
+          if (v > best) {
+            best = v;
+            pk = static_cast<std::int8_t>(j);
+          }
+        }
+        next[idx] = best;
+        pick[i * P + idx] = pk;
+        for (std::size_t j = 0; j < m; ++j) {
+          if (++coord[j] <= cap[j]) break;
+          coord[j] = 0;
+        }
+      }
+      prev.swap(next);
+    }
+    std::size_t idx = P - 1;
+    for (std::size_t i = n; i-- > 0;) {
+      const std::int8_t pk = pick[i * P + idx];
+      if (pk >= 0) {
+        out.choice[i] = constrained[pk];
+        idx -= gsz[i] * stride[pk];
+      }
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i)
+    out.total_weight += items[i].weights[out.choice[i]];
+  return out;
+}
+
+/// Same choices, and a total weight equal in every bit.
+void expect_bit_identical(const MckpResult& got, const MckpResult& want,
+                          const std::string& what) {
+  EXPECT_EQ(got.choice, want.choice) << what;
+  EXPECT_EQ(std::memcmp(&got.total_weight, &want.total_weight,
+                        sizeof(double)),
+            0)
+      << what << ": " << got.total_weight << " vs " << want.total_weight;
+}
+
+TEST(Mckp, UsefulBoxMatchesDenseReferenceBitForBit) {
+  // Random ladders built to stress the box: weights often drawn from a
+  // small set (ties between options and between items), 0-byte items,
+  // unaligned sizes and capacities, an extra unbounded tier, and rungs on
+  // which no item beats its backstop.
+  const double kSmall[] = {-0.5, 0.0, 0.25, 0.5, 1.0};
+  Rng rng(2718);
+  for (int round = 0; round < 2000; ++round) {
+    const std::size_t g = rng.below(4) == 0 ? 4096 : 64;
+    const std::size_t K = 2 + rng.below(3);
+    std::vector<std::size_t> caps(K);
+    std::vector<char> useless(K, 0);
+    for (std::size_t k = 0; k < K; ++k) {
+      caps[k] = g * rng.below(25) + (rng.below(3) == 0 ? rng.below(g) : 0);
+      if (rng.below(5) == 0) {  // a deep rung nothing is worth moving to
+        caps[k] = g * (1 + rng.below(4096));
+        useless[k] = 1;
+      }
+      if (rng.below(6) == 0) caps[k] = KnapsackSolver::kUnbounded;
+    }
+    caps[rng.below(K)] = KnapsackSolver::kUnbounded;
+    const std::size_t backstop = static_cast<std::size_t>(
+        std::find(caps.begin(), caps.end(), KnapsackSolver::kUnbounded) -
+        caps.begin());
+    const int n = static_cast<int>(rng.below(10));
+    std::vector<MckpItem> items;
+    for (int i = 0; i < n; ++i) {
+      MckpItem it;
+      for (std::size_t k = 0; k < K; ++k)
+        it.weights.push_back(rng.below(2) == 0 ? kSmall[rng.below(5)]
+                                               : rng.uniform(-0.5, 1.0));
+      for (std::size_t k = 0; k < K; ++k)
+        if (useless[k] && caps[k] != KnapsackSolver::kUnbounded)
+          it.weights[k] = it.weights[backstop] - (rng.below(2) == 0 ? 0.0 : 0.25);
+      switch (rng.below(8)) {
+        case 0: it.bytes = 0; break;
+        case 1: it.bytes = 1 + rng.below(12 * g); break;
+        default: it.bytes = g * (1 + rng.below(12)); break;
+      }
+      items.push_back(std::move(it));
+    }
+    KnapsackSolver s(g);
+    expect_bit_identical(s.solve_mckp(items, caps),
+                         reference_dense_mckp(items, caps, g),
+                         "round " + std::to_string(round));
+  }
+}
+
+/// The 4-tier instance tier_ladder's cg row solves at its first plan: 9
+/// units over hbm 2 MiB, dram 8 MiB, cxl 32 MiB and the NVM backstop, at
+/// the planner's 64 KiB granule.  No unit weighs more on CXL than on NVM.
+std::vector<MckpItem> tier_ladder_cg() {
+  return {
+      {{0x1.18bea846db86ap-11, 0x1.79e1dff611056p-14, -0x1.c4c2d9cb7f8c7p-12,
+        -0x1.c4c2d9cb7f8c7p-12}, 2072576},
+      {{0x1.1734e564f4208p-10, 0x1.5b20372d12ddap-12, -0x1.c4c2d9cb7f8c7p-11,
+        0x0p+0}, 4145152},
+      {{0x1.821dfceb22a34p-14, 0x1.cb31414092166p-16, -0x1.4947e436e8662p-14,
+        0x0p+0}, 376832},
+      {{0x1.96a74bded0b07p-13, 0x1.66e8167f485fap-14, -0x1.4947e436e8662p-14,
+        0x0p+0}, 376832},
+      {{0x1.aba9fce91f3dfp-11, 0x1.ce4c7eb3ba2c4p-12, -0x1.4947e436e8662p-14,
+        0x0p+0}, 376832},
+      {{0x1.17578a807708dp-12, 0x1.0a53ebe56bd51p-13, -0x1.4947e436e8662p-14,
+        0x0p+0}, 376832},
+      {{0x1.95c828ce2a6ffp-13, 0x1.65e912fe8a5f2p-14, -0x1.4947e436e8662p-14,
+        0x0p+0}, 376832},
+      {{0x1.94911c1c9638cp-15, 0x1.f53825e13b18ap-17, -0x1.4964864ac0a6ep-15,
+        0x0p+0}, 188480},
+      {{0x1.3625d6d437a52p-14, 0x1.1d8c57e79d88ap-16, -0x1.4947e436e8662p-14,
+        0x0p+0}, 376832},
+  };
+}
+
+const std::vector<std::size_t> kTierLadderCaps = {
+    2 << 20, 8 << 20, 32 << 20, KnapsackSolver::kUnbounded};
+
+TEST(Mckp, TierLadderCgMatchesDenseReferenceBitForBit) {
+  const std::vector<MckpItem> items = tier_ladder_cg();
+  const std::size_t g = 64 * 1024;
+  const MckpResult r = KnapsackSolver(g).solve_mckp(items, kTierLadderCaps);
+  expect_bit_identical(r, reference_dense_mckp(items, kTierLadderCaps, g),
+                       "tier_ladder cg");
+  EXPECT_EQ(std::count(r.choice.begin(), r.choice.end(), 2), 0)
+      << "no unit can win the CXL rung";
+}
+
+TEST(Mckp, UselessRungNoLongerForcesTheWaterfall) {
+  // A 1 GiB rung no item can win (each weighs no more there than on the
+  // backstop) next to a small contended tier.  Clamped only to the total
+  // size, the box was 6 x 1001 x 31,601 cells, past the dense budget, and
+  // the waterfall's density greedy took A alone (6.6).  Sized by the items
+  // that can win, the rung spans one cell and the exact DP finds B + C.
+  const std::size_t g = 64;
+  const std::vector<std::size_t> caps = {1000 * g, std::size_t{1} << 30,
+                                         KnapsackSolver::kUnbounded};
+  const std::vector<MckpItem> items = {
+      {{6.6, 0.0, 0.0}, 600 * g},        // A: densest
+      {{5.0, -1.0, 0.0}, 500 * g},       // B
+      {{5.0, 0.0, 0.0}, 500 * g},        // C
+      {{-1.0, -0.5, 0.0}, 10000 * g},    // cold fillers
+      {{-1.0, -0.5, 0.0}, 10000 * g},
+      {{-1.0, 0.0, 0.0}, 10000 * g}};
+  const MckpResult r = KnapsackSolver(g).solve_mckp(items, caps);
+  EXPECT_EQ(r.choice, (std::vector<int>{2, 0, 0, 2, 2, 2}));
+  EXPECT_DOUBLE_EQ(r.total_weight, mckp_brute_force(items, caps));
+  EXPECT_DOUBLE_EQ(r.total_weight, 10.0);
 }
 
 }  // namespace
