@@ -82,11 +82,11 @@ class PerformanceModel {
     return benefit_between(u, dram_, nvm_);
   }
 
-  /// Eq. 4: migration cost net of the overlappable part (s).
-  double migration_cost(std::size_t bytes, double copy_bw,
-                        double overlap_s) const {
-    double raw = static_cast<double>(bytes) / copy_bw;
-    return std::max(raw - overlap_s, 0.0);
+  /// Eq. 4: migration cost net of the overlappable part (s), from the
+  /// copy's seconds (HeteroMemory::copy_seconds, as MigrationEngine
+  /// charges it).
+  double migration_cost(double copy_s, double overlap_s) const {
+    return std::max(copy_s - overlap_s, 0.0);
   }
 
   // ---- Eqs. 2/3 for an arbitrary (fast, slow) tier pair -----------------

@@ -8,12 +8,14 @@
 //
 // Large chunkable objects are split into independently placeable chunks
 // (§3.2 "Handling large data objects"); every object has at least one chunk.
+//
+// Objects and chunks are plain data owned by one rank's thread, through its
+// Registry (see registry.h): Unimem's helper thread is modeled in virtual
+// time (core/migration.h), so nothing else reads or repoints a chunk.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -54,14 +56,12 @@ struct ObjectTraits {
 
 /// One migratable unit: either a whole object or one chunk of it.
 struct Chunk {
-  std::atomic<void*> ptr{nullptr};
+  void* ptr = nullptr;
   std::size_t bytes = 0;
-  std::atomic<int> tier{static_cast<int>(mem::Tier::kNvm)};
+  mem::Tier tier = mem::Tier::kNvm;
 
-  mem::Tier current_tier() const {
-    return static_cast<mem::Tier>(tier.load(std::memory_order_acquire));
-  }
-  void* data() const { return ptr.load(std::memory_order_acquire); }
+  mem::Tier current_tier() const { return tier; }
+  void* data() const { return ptr; }
 };
 
 class DataObject {
@@ -76,8 +76,8 @@ class DataObject {
   const ObjectTraits& traits() const { return traits_; }
 
   std::size_t chunk_count() const { return chunks_.size(); }
-  Chunk& chunk(std::size_t i) { return *chunks_[i]; }
-  const Chunk& chunk(std::size_t i) const { return *chunks_[i]; }
+  Chunk& chunk(std::size_t i) { return chunks_[i]; }
+  const Chunk& chunk(std::size_t i) const { return chunks_[i]; }
 
   /// Typed view of chunk `i`'s payload.  The span stays valid until the
   /// owning rank reaches its next phase boundary: migrations run only on
@@ -85,7 +85,7 @@ class DataObject {
   /// return.
   template <typename T>
   std::span<T> chunk_span(std::size_t i) {
-    Chunk& c = *chunks_[i];
+    Chunk& c = chunks_[i];
     return {static_cast<T*>(c.data()), c.bytes / sizeof(T)};
   }
 
@@ -101,7 +101,9 @@ class DataObject {
   std::string name_;
   std::size_t bytes_;
   ObjectTraits traits_;
-  std::vector<std::unique_ptr<Chunk>> chunks_;
+  /// Reserved to the final count in Registry::create, so a Chunk& stays
+  /// valid for the object's lifetime.
+  std::vector<Chunk> chunks_;
   /// Programmer-registered aliases repointed on migration (whole-object,
   /// offset 0 — matching the paper's unimem_malloc alias registration).
   std::vector<void**> aliases_;

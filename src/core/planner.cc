@@ -106,10 +106,13 @@ Plan Planner::plan_local(const Profiler& prof,
   phase_times.reserve(P);
   for (const auto& ph : prof.phases()) phase_times.push_back(ph.phase_time_s);
 
-  const double copy_in_bw =
-      registry_->hms().copy_bandwidth(mem::Tier::kNvm, mem::Tier::kDram);
-  const double copy_out_bw =
-      registry_->hms().copy_bandwidth(mem::Tier::kDram, mem::Tier::kNvm);
+  const mem::HeteroMemory& hms = registry_->hms();
+  auto copy_in_s = [&](std::size_t bytes) {
+    return hms.copy_seconds(bytes, mem::Tier::kNvm, mem::Tier::kDram);
+  };
+  auto copy_out_s = [&](std::size_t bytes) {
+    return hms.copy_seconds(bytes, mem::Tier::kDram, mem::Tier::kNvm);
+  };
 
   // Group-resident set entering the iteration.  `profile_dram` freezes the
   // placement the profiled times were measured under: a profiled phase time
@@ -157,7 +160,7 @@ Plan Planner::plan_local(const Profiler& prof,
       if (dram_set.count(g) == 0) {
         // Earliest legal trigger: right after the previous reference.
         double window = overlap_window(gp, phase_times, p, g, &trigger);
-        const double copy_s = static_cast<double>(bytes) / copy_in_bw;
+        const double copy_s = copy_in_s(bytes);
         // Just-in-time refinement: a fill parked in DRAM phases before it
         // is needed blocks the rotation of other hot sets through the
         // budget.  Walk the trigger forward (shrinking the window) while
@@ -169,16 +172,15 @@ Plan Planner::plan_local(const Profiler& prof,
           trigger = (trigger + 1) % P;
         }
         if (planned_copy_s > copy_budget_s) window = 0;  // engine saturated
-        cost = model_->migration_cost(bytes, copy_in_bw, window);
+        cost = model_->migration_cost(copy_s, window);
         // extra_COST: eviction traffic if the incoming group overflows
         // DRAM.  The victim is chosen among units not referenced in this
         // phase, so its copy-out rides the same MigrationEngine window as
         // the fill and earns the same overlap credit (Eq. 4), after the
         // fill's own copy time is deducted from the window.
         if (bytes_of(dram_set) + bytes > dram_budget) {
-          double window_left =
-              std::max(0.0, window - static_cast<double>(bytes) / copy_in_bw);
-          cost += model_->migration_cost(bytes, copy_out_bw, window_left);
+          double window_left = std::max(0.0, window - copy_s);
+          cost += model_->migration_cost(copy_out_s(bytes), window_left);
         }
       }
       refs.push_back(g);
@@ -230,11 +232,11 @@ Plan Planner::plan_local(const Profiler& prof,
       overlap_window(gp, phase_times, p, v, &victim_trigger);
       for (const UnitRef& u : groups[v].units)
         plan.at_phase[victim_trigger].push_back(
-            PlannedMigration{u, mem::Tier::kNvm, victim_trigger, p});
+            PlannedMigration{u, mem::Tier::kNvm, p});
       // The eviction's copy-out cost is already accounted inside the
       // incoming groups' extra_COST (they share the fill window); charging
       // it here again would double-count and bias against rotation plans.
-      planned_copy_s += static_cast<double>(groups[v].bytes) / copy_out_bw;
+      planned_copy_s += copy_out_s(groups[v].bytes);
       to_free = groups[v].bytes >= to_free ? 0 : to_free - groups[v].bytes;
     }
 
@@ -250,10 +252,10 @@ Plan Planner::plan_local(const Profiler& prof,
       if (profile_dram.count(g) == 0) predicted -= benefits[i];
       if (dram_set.count(g) == 0) {
         predicted += costs[i];
-        planned_copy_s += static_cast<double>(groups[g].bytes) / copy_in_bw;
+        planned_copy_s += copy_in_s(groups[g].bytes);
         for (const UnitRef& u : groups[g].units)
           plan.at_phase[triggers[i]].push_back(
-              PlannedMigration{u, mem::Tier::kDram, triggers[i], p});
+              PlannedMigration{u, mem::Tier::kDram, p});
       }
     }
 
@@ -282,15 +284,14 @@ Plan Planner::plan_global(const Profiler& prof,
   for (std::size_t p = 0; p < P; ++p)
     for (const auto& [g, uprof] : gp[p]) benefit[g] += model_->benefit(uprof);
 
-  const double copy_in_bw =
-      registry_->hms().copy_bandwidth(mem::Tier::kNvm, mem::Tier::kDram);
   std::vector<std::size_t> refs;
   std::vector<MckpItem> items;
   for (const auto& [g, b] : benefit) {
     // One migration per run at most, usually overlapped; charge it once.
     double cost = group_in_dram(groups[g])
                       ? 0.0
-                      : static_cast<double>(groups[g].bytes) / copy_in_bw;
+                      : registry_->hms().copy_seconds(
+                            groups[g].bytes, mem::Tier::kNvm, mem::Tier::kDram);
     refs.push_back(g);
     items.push_back(MckpItem{{b - cost, 0.0}, groups[g].bytes});
   }
@@ -306,7 +307,7 @@ Plan Planner::plan_global(const Profiler& prof,
   for (std::size_t g = 0; g < groups.size(); ++g)
     if (group_in_dram(groups[g]) && selected.count(g) == 0)
       for (const UnitRef& u : groups[g].units)
-        plan.at_phase[0].push_back(PlannedMigration{u, mem::Tier::kNvm, 0, 0});
+        plan.at_phase[0].push_back(PlannedMigration{u, mem::Tier::kNvm, 0});
   // Fills trigger right after the group's last referencing phase so the
   // one-time migration overlaps the tail of the first enforcing iteration
   // instead of stalling its first phase.
@@ -324,7 +325,7 @@ Plan Planner::plan_global(const Profiler& prof,
       overlap_window(gp, phase_times, first_ref, g, &trigger);
       for (const UnitRef& u : groups[g].units)
         plan.at_phase[trigger].push_back(
-            PlannedMigration{u, mem::Tier::kDram, trigger, first_ref});
+            PlannedMigration{u, mem::Tier::kDram, first_ref});
     }
   }
   for (std::size_t p = 0; p < plan.dram_sets.size(); ++p)
@@ -384,8 +385,8 @@ Plan Planner::plan_tiered(const Profiler& prof,
     for (std::size_t k = 0; k < T; ++k) {
       double cost = 0;
       if (static_cast<int>(k) != cur)
-        cost = static_cast<double>(groups[g].bytes) /
-               hms.copy_bandwidth(mem::tier(cur), mem::tier(static_cast<int>(k)));
+        cost = hms.copy_seconds(groups[g].bytes, mem::tier(cur),
+                                mem::tier(static_cast<int>(k)));
       item.weights[k] = ben[k] - cost;
     }
     refs.push_back(g);
@@ -401,7 +402,7 @@ Plan Planner::plan_tiered(const Profiler& prof,
     if (benefit.count(g) != 0) continue;
     if (group_tier(groups[g]) != static_cast<int>(T) - 1)
       for (const UnitRef& u : groups[g].units)
-        plan.at_phase[0].push_back(PlannedMigration{u, backstop, 0, 0});
+        plan.at_phase[0].push_back(PlannedMigration{u, backstop, 0});
   }
   // Demotions enqueue before promotions: the phase-0 FIFO batch frees
   // constrained space before filling it (same discipline as plan_global).
@@ -414,7 +415,7 @@ Plan Planner::plan_tiered(const Profiler& prof,
       if ((to > cur) != (pass == 0)) continue;
       for (const UnitRef& u : groups[g].units)
         plan.at_phase[0].push_back(
-            PlannedMigration{u, mem::tier(to), 0, first_reference(gp, g)});
+            PlannedMigration{u, mem::tier(to), first_reference(gp, g)});
       // Symmetric accounting against the profiled placement: moving from
       // `cur` to `to` changes the iteration by benefit lost minus the
       // (cost-netted) weight gained.

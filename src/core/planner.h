@@ -13,7 +13,7 @@
 // predicted-faster plan is used:
 //   * phase-local search  — one knapsack per phase, migrations between
 //     phases, triggers placed right after the unit's previous reference so
-//     the helper thread can overlap the copy;
+//     MigrationEngine's serial FIFO can overlap the copy;
 //   * cross-phase global search — one knapsack over aggregated benefits,
 //     a single placement for the whole iteration, no intra-iteration moves.
 //
@@ -35,11 +35,11 @@
 
 namespace unimem::rt {
 
+/// One planned move.  Its trigger (the phase at whose start the request
+/// is enqueued) is its index in Plan::at_phase.
 struct PlannedMigration {
   UnitRef unit;
   mem::Tier to = mem::Tier::kDram;
-  /// Phase at whose start the request is enqueued (proactive trigger).
-  std::size_t trigger_phase = 0;
   /// Phase that needs the unit resident (for stats/debug).
   std::size_t needed_phase = 0;
 };

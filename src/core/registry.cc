@@ -12,7 +12,6 @@ Registry::Registry(mem::HeteroMemory* hms, mem::DramArbiter* arbiter)
     : hms_(hms), arbiter_(arbiter) {}
 
 Registry::~Registry() {
-  std::lock_guard<std::mutex> lk(mu_);
   for (auto& obj : objects_) {
     if (!obj) continue;
     for (std::size_t i = 0; i < obj->chunk_count(); ++i) {
@@ -43,7 +42,6 @@ void Registry::release_in(mem::Tier t, void* p, std::size_t bytes) {
 DataObject* Registry::create(const std::string& name, std::size_t bytes,
                              ObjectTraits traits, mem::Tier initial,
                              std::size_t chunk_bytes) {
-  std::lock_guard<std::mutex> lk(mu_);
   auto id = static_cast<ObjectId>(objects_.size());
   auto obj = std::make_unique<DataObject>(id, name, bytes, traits);
 
@@ -51,29 +49,26 @@ DataObject* Registry::create(const std::string& name, std::size_t bytes,
   if (traits.chunkable && chunk_bytes > 0 && bytes > chunk_bytes)
     n_chunks = (bytes + chunk_bytes - 1) / chunk_bytes;
 
+  obj->chunks_.reserve(n_chunks);
   std::size_t remaining = bytes;
   for (std::size_t i = 0; i < n_chunks; ++i) {
     std::size_t sz = n_chunks == 1
                          ? bytes
                          : std::min(remaining, (bytes + n_chunks - 1) / n_chunks);
     remaining -= sz;
-    auto chunk = std::make_unique<Chunk>();
-    chunk->bytes = align_up(sz, kCacheLine);
-    void* p = allocate_in(initial, chunk->bytes);
+    const std::size_t aligned = align_up(sz, kCacheLine);
+    void* p = allocate_in(initial, aligned);
     if (p == nullptr) {
       // Roll back everything allocated so far.
-      for (std::size_t j = 0; j < obj->chunks_.size(); ++j) {
-        Chunk& c = *obj->chunks_[j];
+      for (const Chunk& c : obj->chunks_) {
         unmap_unit(c);
         release_in(c.current_tier(), c.data(), c.bytes);
       }
       throw std::bad_alloc();
     }
-    std::memset(p, 0, chunk->bytes);
-    chunk->ptr.store(p, std::memory_order_release);
-    chunk->tier.store(static_cast<int>(initial), std::memory_order_release);
-    obj->chunks_.push_back(std::move(chunk));
-    map_unit(*obj->chunks_.back(), UnitRef{id, static_cast<std::uint32_t>(i)});
+    std::memset(p, 0, aligned);
+    obj->chunks_.push_back(Chunk{p, aligned, initial});
+    map_unit(obj->chunks_.back(), UnitRef{id, static_cast<std::uint32_t>(i)});
   }
 
   objects_.push_back(std::move(obj));
@@ -81,7 +76,6 @@ DataObject* Registry::create(const std::string& name, std::size_t bytes,
 }
 
 void Registry::destroy(ObjectId id) {
-  std::lock_guard<std::mutex> lk(mu_);
   auto& obj = objects_.at(id);
   if (!obj) return;
   for (std::size_t i = 0; i < obj->chunk_count(); ++i) {
@@ -93,7 +87,6 @@ void Registry::destroy(ObjectId id) {
 }
 
 void Registry::add_alias(ObjectId id, void** alias) {
-  std::lock_guard<std::mutex> lk(mu_);
   auto& obj = objects_.at(id);
   obj->aliases_.push_back(alias);
   *alias = obj->chunk(0).data();
@@ -109,7 +102,6 @@ void Registry::unmap_unit(const Chunk& c) {
 }
 
 bool Registry::migrate(UnitRef unit, mem::Tier to) {
-  std::lock_guard<std::mutex> lk(mu_);
   auto& obj = objects_.at(unit.object);
   Chunk& c = obj->chunk(unit.chunk);
   const mem::Tier from = c.current_tier();
@@ -121,8 +113,8 @@ bool Registry::migrate(UnitRef unit, mem::Tier to) {
   std::memcpy(dst, src, c.bytes);
 
   unmap_unit(c);
-  c.ptr.store(dst, std::memory_order_release);
-  c.tier.store(static_cast<int>(to), std::memory_order_release);
+  c.ptr = dst;
+  c.tier = to;
   map_unit(c, unit);
   release_in(from, src, c.bytes);
 
@@ -132,22 +124,18 @@ bool Registry::migrate(UnitRef unit, mem::Tier to) {
 }
 
 std::optional<UnitRef> Registry::attribute(std::uint64_t addr) const {
-  std::lock_guard<std::mutex> lk(mu_);
   return addr_map_.find(addr);
 }
 
 DataObject* Registry::get(ObjectId id) {
-  std::lock_guard<std::mutex> lk(mu_);
   return objects_.at(id).get();
 }
 
 std::size_t Registry::unit_bytes(UnitRef u) const {
-  std::lock_guard<std::mutex> lk(mu_);
   return objects_.at(u.object)->chunk(u.chunk).bytes;
 }
 
 std::size_t Registry::try_unit_bytes(UnitRef u) const {
-  std::lock_guard<std::mutex> lk(mu_);
   if (u.object >= objects_.size() || !objects_[u.object]) return 0;
   const DataObject& obj = *objects_[u.object];
   if (u.chunk >= obj.chunk_count()) return 0;
@@ -156,7 +144,6 @@ std::size_t Registry::try_unit_bytes(UnitRef u) const {
 
 std::vector<UnitRef> Registry::units_overlapping(std::uint64_t lo,
                                                  std::uint64_t hi) const {
-  std::lock_guard<std::mutex> lk(mu_);
   std::vector<UnitRef> out;
   addr_map_.for_each_overlapping(lo, hi,
                                  [&](const UnitRef& u) { out.push_back(u); });
@@ -164,12 +151,10 @@ std::vector<UnitRef> Registry::units_overlapping(std::uint64_t lo,
 }
 
 mem::Tier Registry::unit_tier(UnitRef u) const {
-  std::lock_guard<std::mutex> lk(mu_);
   return objects_.at(u.object)->chunk(u.chunk).current_tier();
 }
 
 std::vector<UnitRef> Registry::all_units() const {
-  std::lock_guard<std::mutex> lk(mu_);
   std::vector<UnitRef> out;
   for (auto& o : objects_) {
     if (!o) continue;
@@ -180,7 +165,6 @@ std::vector<UnitRef> Registry::all_units() const {
 }
 
 std::size_t Registry::resident_bytes(mem::Tier t) const {
-  std::lock_guard<std::mutex> lk(mu_);
   std::size_t sum = 0;
   for (auto& o : objects_) {
     if (!o) continue;

@@ -3,11 +3,19 @@
 // profiler uses to map sampled miss addresses back to objects, and performs
 // migrations (allocate in destination tier, copy payload, repoint handle
 // and registered aliases, free source).
+//
+// Ownership: one rank's thread.  A Registry belongs to one Runtime or
+// StaticContext, which its rank builds on its own thread; the workload,
+// the PMPI hooks (Comm::pre/post run on the calling rank) and the
+// MigrationEngine (a serial FIFO in virtual time, no host thread) all call
+// it from that thread.  So it holds no lock, and calling it from a second
+// thread is a data race.  What ranks of one node do share keeps its own
+// lock: the HeteroMemory arenas (and their process-wide buffer pool) that
+// allocate_in/release_in reach, and the DramArbiter.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -84,7 +92,6 @@ class Registry {
 
   mem::HeteroMemory* hms_;
   mem::DramArbiter* arbiter_;
-  mutable std::mutex mu_;
   std::vector<std::unique_ptr<DataObject>> objects_;
   IntervalMap<UnitRef> addr_map_;
 };

@@ -72,8 +72,10 @@ Plan ReplanController::repair(const Profiler& prof,
                                 ? opts_.dram_budget - kept_bytes
                                 : 0;
 
-  const double copy_in_bw =
-      registry_->hms().copy_bandwidth(mem::Tier::kNvm, mem::Tier::kDram);
+  auto copy_in_s = [&](std::size_t bytes) {
+    return registry_->hms().copy_seconds(bytes, mem::Tier::kNvm,
+                                         mem::Tier::kDram);
+  };
 
   std::vector<UnitRef> cand;
   std::vector<KnapsackItem> items;
@@ -84,9 +86,7 @@ Plan ReplanController::repair(const Profiler& prof,
     const double w = it != w_new.end() ? it->second : 0.0;
     // A displaced resident re-enters for free; an outsider pays its fill
     // copy once (the global search's accounting, Eq. 4 with no window).
-    const double cost = resident.count(u) != 0
-                            ? 0.0
-                            : static_cast<double>(bytes) / copy_in_bw;
+    const double cost = resident.count(u) != 0 ? 0.0 : copy_in_s(bytes);
     cand.push_back(u);
     items.push_back(KnapsackItem{w - cost, bytes});
   }
@@ -113,7 +113,7 @@ Plan ReplanController::repair(const Profiler& prof,
   // drifted residents that lost their slot.
   for (const UnitRef& u : resident) {
     if (drifted.count(u) == 0 || chosen.count(u) != 0) continue;
-    plan.at_phase[0].push_back(PlannedMigration{u, mem::Tier::kNvm, 0, 0});
+    plan.at_phase[0].push_back(PlannedMigration{u, mem::Tier::kNvm, 0});
     auto it = w_new.find(u);
     if (it != w_new.end()) predicted += it->second;  // its speed is lost
   }
@@ -123,10 +123,10 @@ Plan ReplanController::repair(const Profiler& prof,
     if (chosen.count(u) == 0 || resident.count(u) != 0) continue;
     const std::size_t bytes = registry_->unit_bytes(u);
     plan.at_phase[0].push_back(
-        PlannedMigration{u, mem::Tier::kDram, 0, first_reference(u)});
+        PlannedMigration{u, mem::Tier::kDram, first_reference(u)});
     auto it = w_new.find(u);
     if (it != w_new.end()) predicted -= it->second;
-    predicted += static_cast<double>(bytes) / copy_in_bw;
+    predicted += copy_in_s(bytes);
   }
 
   // Repaired resident set = kept survivors + the re-scored winners.

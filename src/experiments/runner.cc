@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 
 #include "baselines/static_context.h"
@@ -10,17 +9,6 @@
 #include "trace/metrics.h"
 
 namespace unimem::exp {
-
-const char* policy_name(Policy p) {
-  switch (p) {
-    case Policy::kDramOnly: return "DRAM-only";
-    case Policy::kNvmOnly: return "NVM-only";
-    case Policy::kUnimem: return "Unimem";
-    case Policy::kXMen: return "X-Men";
-    case Policy::kManual: return "manual";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -93,7 +81,6 @@ PassResult run_pass(const RunConfig& cfg, Policy policy,
   out.stats.resize(static_cast<std::size_t>(cfg.wcfg.nranks));
   std::vector<double> times(static_cast<std::size_t>(cfg.wcfg.nranks), 0.0);
   std::vector<double> sums(static_cast<std::size_t>(cfg.wcfg.nranks), 0.0);
-  std::mutex profile_mu;
 
   world.run([&](mpi::Comm& comm) {
     const int r = comm.rank();
@@ -131,10 +118,9 @@ PassResult run_pass(const RunConfig& cfg, Policy policy,
                                   &comm, place);
       sums[r] = workload->run_rank(ctx, cfg.wcfg);
       times[r] = comm.clock().now();
-      if (record_profile && r == 0) {
-        std::lock_guard<std::mutex> lk(profile_mu);
-        out.profiles = ctx.profiles();
-      }
+      // Only rank 0 writes, and World::run joins every rank before the
+      // caller reads it.
+      if (record_profile && r == 0) out.profiles = ctx.profiles();
     }
   });
 

@@ -28,8 +28,6 @@ namespace unimem::exp {
 
 enum class Policy { kDramOnly, kNvmOnly, kUnimem, kXMen, kManual };
 
-const char* policy_name(Policy p);
-
 struct RunConfig {
   std::string workload = "cg";
   wl::WorkloadConfig wcfg{};

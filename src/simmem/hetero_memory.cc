@@ -20,12 +20,9 @@ HeteroMemory::HeteroMemory(TopologyConfig cfg)
     arenas_.push_back(std::make_unique<Arena>(t.capacity_bytes, t.name));
 }
 
-double HeteroMemory::copy_bandwidth(Tier from, Tier to) const {
-  return std::min(tier_config(from).read_bw, tier_config(to).write_bw);
-}
-
 double HeteroMemory::copy_seconds(std::size_t bytes, Tier from, Tier to) const {
-  return static_cast<double>(bytes) / copy_bandwidth(from, to);
+  return static_cast<double>(bytes) /
+         std::min(tier_config(from).read_bw, tier_config(to).write_bw);
 }
 
 }  // namespace unimem::mem

@@ -82,11 +82,9 @@ class HeteroMemory {
   void deallocate(Tier t, void* p) { arena(t).deallocate(p); }
 
   /// Modeled seconds to copy `bytes` from `from` to `to`: limited by the
-  /// source read bandwidth and destination write bandwidth.
+  /// source read bandwidth and destination write bandwidth.  The one copy
+  /// price: the planners, the re-planner and MigrationEngine all use it.
   double copy_seconds(std::size_t bytes, Tier from, Tier to) const;
-
-  /// Memory-copy bandwidth between the tiers (bytes/s), direction-aware.
-  double copy_bandwidth(Tier from, Tier to) const;
 
  private:
   std::vector<TierConfig> tiers_;

@@ -179,7 +179,7 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
                             open.size());
       out.task_failures.push_back(cause + " — " + std::to_string(open.size()) +
                                   " point(s) unfinished");
-      if (chunk.deaths < opts.max_task_retries) {
+      if (chunk.deaths < kMaxTaskRetries) {
         // Front of the queue: the re-dispatch runs next, on the slot that
         // just freed, so it never waits behind a busy worker.
         Chunk retry;
@@ -197,7 +197,7 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
           row.axis = p.axis;
           row.ok = false;
           row.error = "worker died (" + cause + "), re-dispatch budget of " +
-                      std::to_string(opts.max_task_retries) + " exhausted";
+                      std::to_string(kMaxTaskRetries) + " exhausted";
           finalize(row, pos_of.at(p.index));
         }
       }

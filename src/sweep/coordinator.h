@@ -11,7 +11,7 @@
 //     as it arrives, because a World that threw once throws again.
 //   * TASK REASSIGNMENT — a task whose worker DIES (nonzero exit,
 //     signal, lost ssh...) has its unfinished points re-dispatched as a
-//     fresh task on the slot that just freed, up to max_task_retries
+//     fresh task on the slot that just freed, up to kMaxTaskRetries
 //     times; rows the dead task already streamed are kept (its artifact
 //     is read with the crash-tolerant reader).
 //   * ONE COUNTER CHANNEL — a process-backed task spills its metrics
@@ -69,15 +69,16 @@ struct CampaignOutcome {
   std::vector<std::string> trace_shards;
 };
 
+/// Re-dispatch budget for tasks whose worker died; when exhausted the
+/// task's unfinished points are finalized as failed rows naming the
+/// worker's fate.
+inline constexpr int kMaxTaskRetries = 2;
+
 struct CoordinatorOptions {
   Launcher* launcher = nullptr;  ///< required; not owned
   /// Concurrent worker slots (tasks in flight); also the shard_slice
   /// fan-out that deals the points, one task per slot.
   int workers = 2;
-  /// Re-dispatch budget for tasks whose worker died; when exhausted the
-  /// task's unfinished points are finalized as failed rows naming the
-  /// worker's fate.
-  int max_task_retries = 2;
   /// Per-task engine options; on_result is ignored — rows come back
   /// through row events and task artifacts to on_final_row.
   EngineOptions engine;

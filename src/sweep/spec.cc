@@ -114,8 +114,6 @@ std::vector<SweepPoint> SweepSpec::expand(const std::string& filter) const {
                   p.cfg.wcfg.nranks = nranks;
                   p.cfg.wcfg.drift_amplitude = drift_amplitude;
                   p.cfg.wcfg.drift_period = drift_period;
-                  p.cfg.replan_epoch = replan_epoch;
-                  p.cfg.drift_threshold = drift_threshold;
                   p.cfg.nvm_bw_ratio = bw;
                   p.cfg.nvm_lat_mult = lat;
                   p.cfg.dram_capacity = dram;
@@ -245,7 +243,8 @@ SweepSpec smoke_clamped(SweepSpec spec) {
   // at the next iteration top), or smoke/TSan runs would never reach the
   // replan path they exist to exercise: with two profiled iterations and
   // replan_epoch=E the first decision fires at iteration 4+E+1.
-  const int iter_clamp = spec.replan_epoch > 0 ? 4 + spec.replan_epoch + 1 : 3;
+  const int epoch = spec.unimem.replan_epoch;
+  const int iter_clamp = epoch > 0 ? 4 + epoch + 1 : 3;
   spec.iterations = std::min(spec.iterations, iter_clamp);
   spec.nranks = std::min(spec.nranks, 2);
   for (auto& e : spec.explicit_points) {
@@ -397,8 +396,8 @@ SweepSpec make_spec(const std::string& name) {
     s.iterations = 18;
     s.drift_amplitude = 0.35;
     s.drift_period = 3;
-    s.replan_epoch = 3;
-    s.drift_threshold = 0.15;
+    s.unimem.replan_epoch = 3;
+    s.unimem.drift_threshold = 0.15;
     // At this amplitude roughly a third of the units drift each window;
     // a 0.5 budget lets moderate windows take the incremental repair and
     // still kicks wholesale reshuffles to the full DP.
@@ -412,7 +411,8 @@ SweepSpec make_spec(const std::string& name) {
       e.cfg.wcfg.drift_amplitude = s.drift_amplitude;
       e.cfg.wcfg.drift_period = s.drift_period;
       e.cfg.policy = exp::Policy::kUnimem;
-      e.cfg.replan_epoch = 0;  // the control: plan once, never adapt
+      // e.cfg.unimem keeps replan_epoch = 0: the control plans once and
+      // never adapts.
       e.label = w + "/unimem-static";
       e.axis["mode"] = "static";
       s.explicit_points.push_back(std::move(e));

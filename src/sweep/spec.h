@@ -87,10 +87,6 @@ struct SweepSpec {
   /// wl::DriftSchedule); 0 amplitude = static workloads (default).
   double drift_amplitude = 0.0;
   int drift_period = 4;
-  /// Adaptive re-planning knobs forwarded to RunConfig (kUnimem points
-  /// consume them; static policies ignore them).  0 epoch = off.
-  int replan_epoch = 0;
-  double drift_threshold = 0.25;
 
   /// Explicit points appended after the grid (label -> config), for
   /// sweeps that are not cartesian: Fig. 4 varies `manual_dram` per row,

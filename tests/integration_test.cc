@@ -208,6 +208,7 @@ TEST(Integration, ClassicMachineIsTheTwoTierLadder) {
   // result.  The "nvm" preset is nvm_scaled at 1/2 bandwidth, 4x latency.
   for (const char* wl : {"cg", "nek"}) {
     for (Policy policy : {Policy::kUnimem, Policy::kNvmOnly}) {
+      const char* label = policy == Policy::kUnimem ? "unimem" : "nvm-only";
       RunConfig classic = base_cfg(wl);
       classic.wcfg.cls = 'A';
       classic.policy = policy;
@@ -218,7 +219,7 @@ TEST(Integration, ClassicMachineIsTheTwoTierLadder) {
       ladder.tiers = "dram:4MiB,nvm:1MiB";
       const RunResult a = run_once(classic);
       EXPECT_EQ(fingerprint(a), fingerprint(run_once(ladder)))
-          << wl << " " << policy_name(policy);
+          << wl << "/" << label;
       if (policy == Policy::kUnimem) {
         EXPECT_GT(a.total_migrations, 0u) << wl;
       }

@@ -108,10 +108,11 @@ TEST(Models, Eq4MigrationCostWithOverlap) {
   mem::HmsConfig hms = half_bw();
   PerformanceModel m(params_for(hms), hms.dram, hms.nvm);
   // 6.4 MB at 6.4 GB/s = 1 ms raw.
-  EXPECT_NEAR(m.migration_cost(6400000, 6.4e9, 0.0), 1e-3, 1e-9);
-  EXPECT_NEAR(m.migration_cost(6400000, 6.4e9, 0.4e-3), 0.6e-3, 1e-9);
+  const double copy_s = 6400000 / 6.4e9;
+  EXPECT_NEAR(m.migration_cost(copy_s, 0.0), 1e-3, 1e-9);
+  EXPECT_NEAR(m.migration_cost(copy_s, 0.4e-3), 0.6e-3, 1e-9);
   // Fully overlapped -> zero, never negative.
-  EXPECT_DOUBLE_EQ(m.migration_cost(6400000, 6.4e9, 5e-3), 0.0);
+  EXPECT_DOUBLE_EQ(m.migration_cost(copy_s, 5e-3), 0.0);
 }
 
 TEST(Models, EitherBandTakesMaxOfBenefits) {

@@ -165,7 +165,7 @@ TEST_F(PlannerTest, TriggerRespectsDependencyWindow) {
       if (m.unit.object == b->id() && m.to == mem::Tier::kDram) {
         found = true;
         EXPECT_EQ(m.needed_phase, 2u);
-        EXPECT_NE(m.trigger_phase, 2u);  // proactive, not synchronous
+        EXPECT_NE(ph, 2u);  // proactive, not synchronous
       }
     }
   }
@@ -231,11 +231,15 @@ TEST_F(PlannerTest, GlobalFillTriggersRightAfterThePreviousReference) {
   Plan p = Planner(&reg_, model_.get(), o).plan(prof_);
   ASSERT_EQ(p.kind, Plan::Kind::kGlobal);
   const PlannedMigration* fill = nullptr;
-  for (const auto& v : p.at_phase)
-    for (const PlannedMigration& m : v)
-      if (m.unit.object == x->id() && m.to == mem::Tier::kDram) fill = &m;
+  std::size_t fill_trigger = 0;
+  for (std::size_t ph = 0; ph < p.at_phase.size(); ++ph)
+    for (const PlannedMigration& m : p.at_phase[ph])
+      if (m.unit.object == x->id() && m.to == mem::Tier::kDram) {
+        fill = &m;
+        fill_trigger = ph;
+      }
   ASSERT_NE(fill, nullptr);
-  EXPECT_EQ(fill->trigger_phase, 0u);
+  EXPECT_EQ(fill_trigger, 0u);
   EXPECT_EQ(fill->needed_phase, 0u);
 }
 

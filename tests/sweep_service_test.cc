@@ -203,7 +203,6 @@ TEST(Coordinator, ForkedWorkerKilledMidTaskIsReassigned) {
   CoordinatorOptions opts;
   opts.launcher = &launcher;
   opts.workers = 2;
-  opts.max_task_retries = 2;
   opts.scratch_dir = scratch;
   opts.engine.jobs = 1;
   opts.engine.run_point = [sentinel](const SweepPoint& p, int) {
@@ -331,32 +330,32 @@ TEST(Coordinator, InProcessRowsReachFinalSinkBeforeTheirTaskEnds) {
 TEST(Coordinator, CommandWorkerFailuresNameExitStatusAndSignal) {
   const std::string scratch = fresh_scratch("cmdfail");
 
-  auto run_with_cmd = [&](const std::string& shell_cmd, int task_retries) {
+  auto run_with_cmd = [&](const std::string& shell_cmd) {
     CommandLauncher launcher({}, [&](const LaunchTask&) {
       return std::vector<std::string>{"/bin/sh", "-c", shell_cmd};
     });
     CoordinatorOptions opts;
     opts.launcher = &launcher;
     opts.workers = 1;
-    opts.max_task_retries = task_retries;
     opts.scratch_dir = scratch;
     return run_campaign(synth_points(2), opts);
   };
 
   // The command exits nonzero without writing an artifact: after the
   // re-dispatch budget the points are finalized failed, naming the fate.
-  const CampaignOutcome exited = run_with_cmd("exit 7", 1);
+  const CampaignOutcome exited = run_with_cmd("exit 7");
   EXPECT_EQ(exited.failed, 2u);
-  EXPECT_EQ(exited.task_retries, 1u);
-  EXPECT_EQ(exited.tasks, 2u);
+  EXPECT_EQ(exited.task_retries, std::size_t{kMaxTaskRetries});
+  EXPECT_EQ(exited.tasks, std::size_t{kMaxTaskRetries} + 1);
   for (const SweepRow& r : exited.rows) {
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.error.find("worker died"), std::string::npos) << r.error;
     EXPECT_NE(r.error.find("exited 7"), std::string::npos) << r.error;
   }
 
-  const CampaignOutcome killed = run_with_cmd("kill -KILL $$", 0);
+  const CampaignOutcome killed = run_with_cmd("kill -KILL $$");
   EXPECT_EQ(killed.failed, 2u);
+  EXPECT_EQ(killed.task_retries, std::size_t{kMaxTaskRetries});
   for (const SweepRow& r : killed.rows)
     EXPECT_NE(r.error.find("signal 9"), std::string::npos) << r.error;
 }
